@@ -1,127 +1,48 @@
 """Hot numeric kernels: RK4 frame propagation and determinant-form tables.
 
-Two interchangeable backends:
-
-* numba ``@njit`` kernels (default when numba imports cleanly), and
-* pure-numpy batched fallbacks.
-
-Set ``RENOSC_DISABLE_NUMBA=1`` in the environment to force the numpy path;
-``benchmarks/bench_kernels.py`` times one against the other.  Both backends
-must produce bitwise-comparable results at double precision (the test suite
-checks agreement to 1e-12).
+Both kernels are batched numpy: `rk4_grid` steps every lambda line of a batch
+at once, `omega_tables` evaluates the forms over all nodes in chunks.  Their
+per-call timings on an example2-sized problem are part of the pipeline
+benchmark (`python3 benchmarks/pipeline/run.py --trace 1`).
 
 Coefficient matrices enter through a half-step table: ``a_half[j]`` holds the
 lambda-independent part of A at x = x0 + j*h/2, and the full matrix is
 ``a_half[j] + lam * E``.  This is exact for companion-form problems, where
-lambda enters affinely through a constant matrix E.
+lambda enters affinely through a constant matrix E.  A field that is not
+affine in lambda passes one table per lambda line, shaped (L, 2*steps+1, n, n),
+with E = 0.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.getenv("RENOSC_DISABLE_NUMBA", "0") not in ("0", "", "false", "False")
-
-try:  # pragma: no cover - exercised via the env flag in CI
-    if _DISABLED:
-        raise ImportError("numba disabled by RENOSC_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# Backend facts for callers that report them: the numpy kernels are the only ones.
+NUMBA_ENABLED = False
 
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# RK4 propagation of the matrix ODE F' = (A0(x) + lam*E) F over a lambda batch
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, fastmath=False)
-def _mat_mul(A, F, out):
-    n, m = F.shape
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for k in range(n):
-                s += A[i, k] * F[k, j]
-            out[i, j] = s
-
-
-@njit(cache=True, fastmath=False)
-def _rk4_grid_jit(a_half, E, lams, init, h, rescale):
-    two_s = a_half.shape[0] - 1
-    steps = two_s // 2
-    n, m = init.shape
-    L = lams.shape[0]
-    frames = np.empty((L, steps + 1, n, m))
-    slog = np.zeros((L, steps + 1))
-    A = np.empty((two_s + 1, n, n))
-    k1 = np.empty((n, m))
-    k2 = np.empty((n, m))
-    k3 = np.empty((n, m))
-    k4 = np.empty((n, m))
-    Ft = np.empty((n, m))
-    for li in range(L):
-        lam = lams[li]
-        for s in range(two_s + 1):
-            for i in range(n):
-                for j in range(n):
-                    A[s, i, j] = a_half[s, i, j] + lam * E[i, j]
-        F = init.copy()
-        frames[li, 0] = F
-        acc = 0.0
-        for k in range(steps):
-            _mat_mul(A[2 * k], F, k1)
-            for i in range(n):
-                for j in range(m):
-                    Ft[i, j] = F[i, j] + (h / 2.0) * k1[i, j]
-            _mat_mul(A[2 * k + 1], Ft, k2)
-            for i in range(n):
-                for j in range(m):
-                    Ft[i, j] = F[i, j] + (h / 2.0) * k2[i, j]
-            _mat_mul(A[2 * k + 1], Ft, k3)
-            for i in range(n):
-                for j in range(m):
-                    Ft[i, j] = F[i, j] + h * k3[i, j]
-            _mat_mul(A[2 * k + 2], Ft, k4)
-            for i in range(n):
-                for j in range(m):
-                    F[i, j] = F[i, j] + (h / 6.0) * (
-                        k1[i, j] + 2.0 * k2[i, j] + 2.0 * k3[i, j] + k4[i, j]
-                    )
-            if rescale:
-                for j in range(m):
-                    s2 = 0.0
-                    for i in range(n):
-                        s2 += F[i, j] * F[i, j]
-                    nrm = np.sqrt(s2)
-                    acc += np.log(nrm)
-                    for i in range(n):
-                        F[i, j] /= nrm
-            frames[li, k + 1] = F
-            slog[li, k + 1] = acc
-    return frames, slog
+    return "numpy"
 
 
 @np.errstate(over="ignore", invalid="ignore")  # blow-ups are caught by callers
-def _rk4_grid_numpy(a_half, E, lams, init, h, rescale):
-    two_s = a_half.shape[0] - 1
-    steps = two_s // 2
+def rk4_grid(a_half, E, lams, init, h, rescale):
+    """Propagate one initial frame over a batch of lambda values.
+
+    a_half is one half-step table (2*steps+1, n, n) shared by every line, or
+    one table per line, (L, 2*steps+1, n, n).  Returns (frames, scale_log) with shapes (L, steps+1, n, m) and
+    (L, steps+1).  scale_log accumulates the log of the product of column
+    rescaling factors, so raw-form values can be reconstructed as
+    value * exp(scale_log).
+    """
+    a_half = np.ascontiguousarray(a_half, dtype=float)
+    E = np.ascontiguousarray(E, dtype=float)
+    lams = np.ascontiguousarray(lams, dtype=float)
+    init = np.ascontiguousarray(init, dtype=float)
+    h = float(h)
+    steps = (a_half.shape[-3] - 1) // 2
+    if a_half.ndim == 4:  # one table per lambda line: put the x axis first
+        a_half = np.moveaxis(a_half, 1, 0)
     n, m = init.shape
     L = lams.shape[0]
     lam = lams[:, None, None]
@@ -149,129 +70,18 @@ def _rk4_grid_numpy(a_half, E, lams, init, h, rescale):
     return frames, slog
 
 
-def rk4_grid(a_half, E, lams, init, h, rescale):
-    """Propagate one initial frame over a batch of lambda values.
+@np.errstate(invalid="ignore")  # a collapsed frame gives NaN; callers refuse it
+def omega_tables(G, H, ATg, ATh, chunk=65536):
+    """Evaluate omega1, omega2 and the Gram normalization along matched nodes.
 
-    Returns (frames, scale_log) with shapes (L, steps+1, n, m) and
-    (L, steps+1).  scale_log accumulates the log of the product of column
-    rescaling factors, so raw-form values can be reconstructed as
-    value * exp(scale_log).
+    G: (N, n, m) frames, H: (N, n, n-m) frames paired node-by-node.
+    Returns (omega1, omega2, d), each of shape (N,).  Nodes are processed
+    `chunk` at a time to bound the size of the temporaries.
     """
-    a_half = np.ascontiguousarray(a_half, dtype=float)
-    E = np.ascontiguousarray(E, dtype=float)
-    lams = np.ascontiguousarray(lams, dtype=float)
-    init = np.ascontiguousarray(init, dtype=float)
-    if NUMBA_ENABLED:
-        return _rk4_grid_jit(a_half, E, lams, init, float(h), bool(rescale))
-    return _rk4_grid_numpy(a_half, E, lams, init, float(h), bool(rescale))
-
-
-# ---------------------------------------------------------------------------
-# Form tables: omega1, omega2 and Gram volumes along paths / grids
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, fastmath=False)
-def _det_lu(M, scratch):
-    """Determinant by LU with partial pivoting; M is copied into scratch."""
-    n = M.shape[0]
-    for i in range(n):
-        for j in range(n):
-            scratch[i, j] = M[i, j]
-    det = 1.0
-    for col in range(n):
-        piv = col
-        best = abs(scratch[col, col])
-        for r in range(col + 1, n):
-            v = abs(scratch[r, col])
-            if v > best:
-                best = v
-                piv = r
-        if best == 0.0:
-            return 0.0
-        if piv != col:
-            for j in range(n):
-                tmp = scratch[col, j]
-                scratch[col, j] = scratch[piv, j]
-                scratch[piv, j] = tmp
-            det = -det
-        pivot = scratch[col, col]
-        det *= pivot
-        for r in range(col + 1, n):
-            f = scratch[r, col] / pivot
-            if f != 0.0:
-                for j in range(col + 1, n):
-                    scratch[r, j] -= f * scratch[col, j]
-    return det
-
-
-@njit(cache=True, fastmath=False)
-def _gram_det(F, gram, scratch):
-    m = F.shape[1]
-    n = F.shape[0]
-    for i in range(m):
-        for j in range(m):
-            s = 0.0
-            for k in range(n):
-                s += F[k, i] * F[k, j]
-            gram[i, j] = s
-    return _det_lu(gram, scratch)
-
-
-@njit(cache=True, fastmath=False)
-def _omega_tables_jit(G, H, ATg, ATh):
-    N, n, m = G.shape
-    nm = H.shape[2]
-    w1 = np.empty(N)
-    w2 = np.empty(N)
-    d = np.empty(N)
-    GH = np.empty((n, n))
-    scratch = np.empty((n, n))
-    col = np.empty(n)
-    gram_g = np.empty((m, m))
-    scr_g = np.empty((m, m))
-    gram_h = np.empty((nm, nm))
-    scr_h = np.empty((nm, nm))
-    for idx in range(N):
-        Gi = G[idx]
-        Hi = H[idx]
-        for i in range(n):
-            for j in range(m):
-                GH[i, j] = Gi[i, j]
-            for j in range(nm):
-                GH[i, m + j] = Hi[i, j]
-        w1[idx] = _det_lu(GH, scratch)
-        acc = 0.0
-        for k in range(m):
-            for i in range(n):
-                col[i] = GH[i, k]
-            for i in range(n):
-                s = 0.0
-                for j in range(n):
-                    s += ATg[i, j] * col[j]
-                GH[i, k] = s
-            acc += _det_lu(GH, scratch)
-            for i in range(n):
-                GH[i, k] = col[i]
-        for jc in range(nm):
-            for i in range(n):
-                col[i] = GH[i, m + jc]
-            for i in range(n):
-                s = 0.0
-                for j in range(n):
-                    s += ATh[i, j] * col[j]
-                GH[i, m + jc] = s
-            acc += _det_lu(GH, scratch)
-            for i in range(n):
-                GH[i, m + jc] = col[i]
-        w2[idx] = acc
-        dg = np.sqrt(_gram_det(Gi, gram_g, scr_g))
-        dh = np.sqrt(_gram_det(Hi, gram_h, scr_h))
-        d[idx] = dg * dh
-    return w1, w2, d
-
-
-def _omega_tables_numpy(G, H, ATg, ATh, chunk=65536):
+    G = np.ascontiguousarray(G, dtype=float)
+    H = np.ascontiguousarray(H, dtype=float)
+    ATg = np.ascontiguousarray(ATg, dtype=float)
+    ATh = np.ascontiguousarray(ATh, dtype=float)
     N, n, m = G.shape
     nm = H.shape[2]
     w1 = np.empty(N)
@@ -299,29 +109,3 @@ def _omega_tables_numpy(G, H, ATg, ATh, chunk=65536):
         dh = np.sqrt(np.linalg.det(np.swapaxes(Hi, 1, 2) @ Hi))
         d[lo:hi] = dg * dh
     return w1, w2, d
-
-
-def omega_tables(G, H, ATg, ATh):
-    """Evaluate omega1, omega2 and the Gram normalization along matched nodes.
-
-    G: (N, n, m) frames, H: (N, n, n-m) frames paired node-by-node.
-    Returns (omega1, omega2, d), each of shape (N,).
-    """
-    G = np.ascontiguousarray(G, dtype=float)
-    H = np.ascontiguousarray(H, dtype=float)
-    ATg = np.ascontiguousarray(ATg, dtype=float)
-    ATh = np.ascontiguousarray(ATh, dtype=float)
-    if NUMBA_ENABLED:
-        return _omega_tables_jit(G, H, ATg, ATh)
-    return _omega_tables_numpy(G, H, ATg, ATh)
-
-
-def warmup():
-    """Trigger JIT compilation on toy inputs (no-op for the numpy backend)."""
-    a_half = np.zeros((3, 2, 2))
-    E = np.zeros((2, 2))
-    init = np.eye(2, 1)
-    rk4_grid(a_half, E, np.array([0.0]), init, 0.5, True)
-    omega_tables(
-        np.ones((1, 2, 1)), np.ones((1, 2, 1)) + 1.0, np.zeros((2, 2)), np.zeros((2, 2))
-    )

@@ -5,8 +5,8 @@ Subcommands: `box` (full rectangle indices + eigenvalues), `invariance`
 classification), and `left-shelf` (renormalized crossing count plus the
 monotonicity audit).  Configs are JSON files or built-in catalog names.
 
-Exit codes: 0 success, 1 usage/config error, 2 invariance violation,
-3 numeric blow-up.
+Exit codes: 0 success, 1 usage/config/expression error, 2 invariance
+violation (including collapsed, rank-deficient frames), 3 numeric blow-up.
 """
 
 from __future__ import annotations
@@ -15,9 +15,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
+
+import numpy as np
 
 from . import artifacts
-from .errors import BlowUpError, ConfigError, InvarianceViolationError, RenoscError
+from .errors import (
+    BlowUpError,
+    ConfigError,
+    ExpressionError,
+    InvarianceViolationError,
+    RenoscError,
+)
 from .invariance import classify_loss_point, constants_report, rho_grid_scan
 from .maslovbox import compute_box, monotonicity_audit, renormalized_count
 from .problems import CATALOG, builtin_catalog, load_config_file, load_problem
@@ -72,7 +81,7 @@ def _load(args):
         cfg.lam = (args.lam[0], args.lam[1])
     problem = load_problem(cfg)
     if args.no_rescale:
-        problem.rescale = False
+        problem = replace(problem, rescale=False)
     return cfg, problem
 
 
@@ -171,7 +180,7 @@ def main(argv=None) -> int:
         if args.command == "invariance":
             return cmd_invariance(args)
         return cmd_left_shelf(args)
-    except ConfigError as exc:
+    except (ConfigError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BlowUpError as exc:
@@ -182,9 +191,13 @@ def main(argv=None) -> int:
         print(f"invariance violation: {exc}{where}", file=sys.stderr)
         return 2
     except RenoscError as exc:
-        # structural assertions and unresolvable refinements also invalidate
-        # the run's indices
+        # structural assertions, collapsed frames and unresolvable
+        # refinements also invalidate the run's indices
         print(f"invariance violation: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"invariance violation: singular frame algebra ({exc}); "
+              "a propagated frame collapsed", file=sys.stderr)
         return 2
 
 

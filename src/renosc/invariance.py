@@ -21,8 +21,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError, NeedsFinerGridError
-from .maslovbox import SpectralProblem, psi_point
+from .errors import InvalidInputError, NeedsFinerGridError, RankDeficiencyError
+from .maslovbox import SpectralProblem, normalized_forms, psi_point
 from .propagation import integrate_frame
 
 RHO_ZERO_TOL = 1e-9
@@ -109,19 +109,9 @@ class ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _batched_A(field, xs, lam):
-    if field.is_affine:
-        if field.base_table is not None:
-            base = field.base_table(np.asarray(xs, dtype=float))
-        else:
-            base = np.array([field.base_eval(float(x)) for x in xs])
-        return base + lam * field.lambda_mat
-    return np.array([field.evaluate(float(x), lam) for x in xs])
-
-
 def gram_log_derivatives(field, frames, xs, lam):
     """Per-node d/dx log of the Gram volume: 0.5 tr(Gram^-1 Gram')."""
-    A = _batched_A(field, xs, lam)
+    A = field.table(xs, lam)
     Fdot = A @ frames
     gram = np.swapaxes(frames, 1, 2) @ frames
     gram_dot = np.swapaxes(Fdot, 1, 2) @ frames + np.swapaxes(frames, 1, 2) @ Fdot
@@ -132,16 +122,19 @@ def gram_log_derivatives(field, frames, xs, lam):
 def _column_volume_ratio(frames):
     """Gram volume over the product of column norms, per node."""
     gram = np.swapaxes(frames, 1, 2) @ frames
-    vol = np.sqrt(np.linalg.det(gram))
+    with np.errstate(invalid="ignore"):
+        vol = np.sqrt(np.linalg.det(gram))
     norms = np.sqrt(np.sum(frames * frames, axis=1))
-    return vol / np.prod(norms, axis=1)
+    ratio = vol / np.prod(norms, axis=1)
+    if not np.all(np.isfinite(ratio)):
+        raise RankDeficiencyError("non-finite Gram volume: a propagated frame collapsed")
+    return ratio
 
 
 def _spectral_norm_max(field, xs, lams):
     best = 0.0
     for lam in lams:
-        A = _batched_A(field, xs, lam)
-        s = np.linalg.svd(A, compute_uv=False)
+        s = np.linalg.svd(field.table(xs, lam), compute_uv=False)
         best = max(best, float(np.max(s[:, 0])))
     return best
 
@@ -161,8 +154,7 @@ def _psi_grids(problem: SpectralProblem):
         w1, w2, d = _kernels.omega_tables(
             np.ascontiguousarray(frames[li]), H, AT.block_g, AT.block_h
         )
-        psi1[li] = w1 / d
-        psi2[li] = w2 / d
+        psi1[li], psi2[li] = normalized_forms(w1, w2, d, "the full grid")
     rho = 0.5 * (psi1 ** 2 + psi2 ** 2)
     problem._cache["psi_grids"] = (psi1, psi2, rho)
     return psi1, psi2, rho
@@ -181,8 +173,7 @@ def delta_bound_higher_order(problem: SpectralProblem, c_g: float, c_h: float) -
     n = problem.field.n
     kappa2 = float(kappas[0])
     kappa_last = float(kappas[n - 3]) if n >= 3 else 1.0
-    xs = problem.x_grid()
-    peak = max(kappa_last / alpha_n(float(x)) + 1.0 / kappa2 for x in xs)
+    peak = float(np.max(kappa_last / alpha_n(problem.x_grid()) + 1.0 / kappa2))
     return (problem.lambda2 - problem.lambda1) / (c_g * c_h) * peak
 
 
@@ -222,8 +213,7 @@ def constants_report(problem: SpectralProblem) -> InvarianceReport:
     xs = problem.x_grid()
     lams = problem.lambda_grid()
 
-    trace = np.abs(np.trace(_batched_A(field, xs, problem.lambda2),
-                            axis1=1, axis2=2))
+    trace = np.abs(np.trace(field.table(xs, problem.lambda2), axis1=1, axis2=2))
     C_a = float(np.max(trace))
 
     if field.is_affine:
@@ -292,7 +282,7 @@ def asymptotic_bc_determinants(problem: SpectralProblem) -> Tuple[float, float]:
         raise InvalidInputError("problem does not carry higher-order structure")
     alpha0 = meta["alphas"][0]
     xs = np.linspace(0.0, 1.0, 1001)
-    vals = np.array([problem.lambda2 - alpha0(float(x)) for x in xs])
+    vals = problem.lambda2 - alpha0(xs)
     integral = float(np.trapezoid(vals, xs))
     P, Q = problem.P.entries, problem.Q.entries
     n = problem.n

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError, ShelfAssertionError
+from .errors import InvalidInputError, RankDeficiencyError, ShelfAssertionError
 from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde, psi_rho
 from .propagation import CoefficientField, integrate_frame, propagate_lambda_grid
 from .winding import PathSamples, detect_crossings, winding_index
@@ -29,13 +29,14 @@ from .winding import PathSamples, detect_crossings, winding_index
 SHELVES = ("bottom", "right", "top", "left")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralProblem:
     """A first-order system y' = A(x; lambda) y with subspace boundary data.
 
     P frames the admissible space at x=0, Q the one at x=1; their dimensions
-    must be complementary.  Treat instances as immutable: propagated paths
-    are cached on first use.
+    must be complementary.  Instances are immutable and cache propagated
+    paths on first use; make variants with dataclasses.replace, which starts
+    the copy with an empty cache.
     """
 
     field: CoefficientField
@@ -46,7 +47,8 @@ class SpectralProblem:
     x_steps: int = 1000
     lambda_steps: int = 600
     rescale: bool = True
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         n = self.field.n
@@ -141,9 +143,26 @@ class MaslovBoxReport:
         }
 
 
+def normalized_forms(w1, w2, d, where: str):
+    """psi1 = omega1 / d and psi2 = omega2 / d, refusing non-finite values.
+
+    A non-finite psi means a propagated frame collapsed (d = 0 or NaN):
+    column rescaling does not keep the columns of a stiff multi-column frame
+    independent.  Raises RankDeficiencyError naming `where`.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi1 = w1 / d
+        psi2 = w2 / d
+    if not (np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))):
+        raise RankDeficiencyError(
+            f"non-finite psi on {where}: a propagated frame collapsed "
+            "(rank-deficient)"
+        )
+    return psi1, psi2
+
+
 def _samples_from_tables(ts, w1, w2, d, label) -> PathSamples:
-    psi1 = w1 / d
-    psi2 = w2 / d
+    psi1, psi2 = normalized_forms(w1, w2, d, f"the {label} shelf")
     return PathSamples(
         ts=ts, omega1=w1, omega2=w2, d=d, psi1=psi1, psi2=psi2,
         rho=0.5 * (psi1 ** 2 + psi2 ** 2), label=label,

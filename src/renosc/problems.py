@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import List, Optional, Union
 
 import numpy as np
@@ -198,9 +199,9 @@ def parse_expression(text: str) -> Expression:
 
 
 def eval_expression_array(e: Expression, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over a grid of x values (table building)."""
+    """Evaluate over an array of x values (any shape, 0-d included)."""
     if isinstance(e, Num):
-        return np.full(xs.shape, e.value)
+        return np.full(np.shape(xs), e.value)
     if isinstance(e, Var):
         return np.asarray(xs, dtype=float)
     if isinstance(e, Neg):
@@ -219,7 +220,8 @@ def eval_expression_array(e: Expression, xs: np.ndarray) -> np.ndarray:
             raise ExpressionEvalError("division by zero")
         return left / right
     if e.op == "^":
-        out = left ** right
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = left ** right
         if np.any(~np.isfinite(out)):
             raise ExpressionEvalError("invalid power")
         return out
@@ -227,39 +229,7 @@ def eval_expression_array(e: Expression, xs: np.ndarray) -> np.ndarray:
 
 
 def eval_expression(e: Expression, x: float) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return float(x)
-    if isinstance(e, Neg):
-        return -eval_expression(e.child, x)
-    if isinstance(e, Call):
-        v = eval_expression(e.arg, x)
-        if e.fn == "sin":
-            return float(np.sin(v))
-        if e.fn == "cos":
-            return float(np.cos(v))
-        if e.fn == "exp":
-            return float(np.exp(v))
-        if v < 0:
-            raise ExpressionEvalError(f"sqrt of negative value {v}")
-        return float(np.sqrt(v))
-    left = eval_expression(e.left, x)
-    right = eval_expression(e.right, x)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if e.op == "/":
-        if right == 0:
-            raise ExpressionEvalError("division by zero")
-        return left / right
-    out = left ** right
-    if isinstance(out, complex) or not np.isfinite(out):
-        raise ExpressionEvalError(f"invalid power {left} ^ {right}")
-    return float(out)
+    return float(eval_expression_array(e, np.asarray(x, dtype=float)))
 
 
 def serialize_expression(e: Expression) -> str:
@@ -298,11 +268,6 @@ def serialize_expression(e: Expression) -> str:
         return text
 
     return render(e, 0)
-
-
-def _compile(text: str):
-    tree = parse_expression(text)
-    return lambda x: eval_expression(tree, x)
 
 
 # ---------------------------------------------------------------------------
@@ -475,88 +440,44 @@ def robin_frame(coupling) -> np.ndarray:
 def _higher_order_field(cfg: ProblemConfig) -> CoefficientField:
     n = cfg.n
     trees = [parse_expression(a) for a in cfg.alphas]
-    alphas = [(lambda t: (lambda x: eval_expression(t, x)))(t) for t in trees]
+    alphas = [partial(eval_expression_array, t) for t in trees]
     kappas = list(cfg.kappas)
-    sample = np.linspace(0.0, 1.0, 1001)
-    lead = eval_expression_array(trees[n], sample)
+    lead = alphas[n](np.linspace(0.0, 1.0, 1001))
     if np.min(lead) <= 0:
         raise DegenerateCoefficientError(
             f"alpha_n is not positive on [0,1] (min {np.min(lead):.3g})"
         )
-
-    def evaluate(x, lam):
-        return eval_companion_higher_order(alphas, kappas, x, lam)
-
-    def base(x):
-        return eval_companion_higher_order(alphas, kappas, x, 0.0)
-
-    def base_table(xs):
-        xs = np.asarray(xs, dtype=float)
-        vals = [eval_expression_array(t, xs) for t in trees]
-        scale = [1.0] + [float(k) for k in kappas[:-1]]
-        A = np.zeros((len(xs), n, n))
-        for i in range(n - 2):
-            A[:, i, i + 1] = scale[i] / scale[i + 1]
-        A[:, n - 2, n - 1] = scale[n - 2] / vals[n]
-        A[:, n - 1, 0] = -vals[0]
-        for j in range(1, n - 1):
-            A[:, n - 1, j] = -vals[j] / scale[j]
-        A[:, n - 1, n - 1] = -vals[n - 1] / vals[n]
-        return A
-
     E = np.zeros((n, n))
     E[n - 1, 0] = 1.0
     return CoefficientField(
-        n=n, evaluate=evaluate, base_eval=base, lambda_mat=E,
-        base_table=base_table,
-        continuous=True, structure_b=True, kind="higher-order",
+        n=n, table=partial(eval_companion_higher_order, alphas, kappas),
+        lambda_mat=E, structure_b=True, kind="higher-order",
         meta={"kappas": kappas, "alpha_n": alphas[n], "alphas": alphas},
     )
 
 
+def _matrix_table(trees, xs) -> np.ndarray:
+    """A matrix of expressions evaluated entry-wise: shape xs.shape + (l, l)."""
+    return np.stack([
+        np.stack([eval_expression_array(t, xs) for t in row], axis=-1)
+        for row in trees
+    ], axis=-2)
+
+
 def _second_order_field(cfg: ProblemConfig) -> CoefficientField:
     l = cfg.n // 2
-    B = np.diag(cfg.B)
     if np.any(np.asarray(cfg.B) == 0.0):
         raise ConfigError("B must be invertible (no zero diagonal entries)")
-    Binv = np.linalg.inv(B)
     Vtrees = [[parse_expression(v) for v in row] for row in cfg.V]
     Wtrees = [[parse_expression(w) for w in row] for row in cfg.W]
-
-    def Vfun(x):
-        return np.array([[eval_expression(t, x) for t in row] for row in Vtrees])
-
-    def Wfun(x):
-        return np.array([[eval_expression(t, x) for t in row] for row in Wtrees])
-
-    def evaluate(x, lam):
-        return eval_companion_second_order(B, Wfun, Vfun, x, lam)
-
-    def base(x):
-        return eval_companion_second_order(B, Wfun, Vfun, x, 0.0)
-
-    def base_table(xs):
-        xs = np.asarray(xs, dtype=float)
-        N = len(xs)
-        Vt = np.empty((N, l, l))
-        Wt = np.empty((N, l, l))
-        for i in range(l):
-            for j in range(l):
-                Vt[:, i, j] = eval_expression_array(Vtrees[i][j], xs)
-                Wt[:, i, j] = eval_expression_array(Wtrees[i][j], xs)
-        A = np.zeros((N, 2 * l, 2 * l))
-        A[:, :l, l:] = Binv
-        A[:, l:, :l] = Vt
-        A[:, l:, l:] = Wt @ Binv
-        return A
-
     E = np.zeros((2 * l, 2 * l))
     for k in range(l):
         E[l + k, k] = -1.0
     return CoefficientField(
-        n=2 * l, evaluate=evaluate, base_eval=base, lambda_mat=E,
-        base_table=base_table,
-        continuous=True, structure_b=True, kind="second-order",
+        n=2 * l,
+        table=partial(eval_companion_second_order, np.diag(cfg.B),
+                      partial(_matrix_table, Wtrees), partial(_matrix_table, Vtrees)),
+        lambda_mat=E, structure_b=True, kind="second-order",
         meta={"B": cfg.B, "l": l},
     )
 

@@ -20,31 +20,36 @@ from .errors import BlowUpError, DegenerateCoefficientError, InvalidInputError
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Evaluator for the n x n coefficient matrix A(x; lambda).
+    """The n x n coefficient matrix A(x; lambda), built a grid at a time.
 
-    base_eval/lambda_mat, when present, expose the affine split
-    A(x; lam) = base(x) + lam * lambda_mat used by the fast kernels.
-    Companion-form builders always provide it.
+    table(xs, lam) returns A at every x of a 1-D grid, shape (len(xs), n, n).
+    lambda_mat, when present, declares the affine split
+    A(x; lam) = table(x, 0) + lam * lambda_mat that lets the propagation
+    kernel batch over lambda; companion-form builders always provide it.
 
-    Flags record structural assumptions: `continuous` is plain continuity on
-    the box; `structure_b` means the diagonal is lambda-independent and
-    off-diagonal lambda-differences are x-independent (what makes the
-    renormalized crossing flow monotone).
+    structure_b means the diagonal is lambda-independent and off-diagonal
+    lambda-differences are x-independent (what makes the renormalized
+    crossing flow monotone).
     """
 
     n: int
-    evaluate: Callable[[float, float], np.ndarray]
-    base_eval: Optional[Callable[[float], np.ndarray]] = None
+    table: Callable[[np.ndarray, float], np.ndarray]
     lambda_mat: Optional[np.ndarray] = None
-    base_table: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    continuous: bool = True
     structure_b: bool = False
     kind: str = "general"
     meta: dict = dc_field(default_factory=dict)
 
     @property
     def is_affine(self) -> bool:
-        return self.base_eval is not None and self.lambda_mat is not None
+        return self.lambda_mat is not None
+
+    def evaluate(self, x: float, lam: float) -> np.ndarray:
+        """A(x; lam) at one point, shape (n, n)."""
+        return self.table(np.array([float(x)]), lam)[0]
+
+    def base_table(self, xs) -> np.ndarray:
+        """The lambda-free part table(xs, 0) of an affine field."""
+        return self.table(np.asarray(xs, dtype=float), 0.0)
 
 
 @dataclass(frozen=True)
@@ -66,13 +71,14 @@ class FramePath:
         return self.frames[k]
 
 
-def eval_companion_higher_order(alphas, kappas, x: float, lam: float) -> np.ndarray:
-    """Companion matrix of a single n-th order operator.
+def eval_companion_higher_order(alphas, kappas, x, lam: float) -> np.ndarray:
+    """Companion matrix of a single n-th order operator, at x or on a grid.
 
-    alphas: callables (or constants) alpha_0 .. alpha_n of x; kappas: the
-    scaling constants kappa_2 .. kappa_n attached to alpha_2 .. alpha_n.
-    Phase-space coordinates are y_1 = phi, y_j = kappa_j phi^(j-1) for
-    2 <= j <= n-1 and y_n = alpha_n(x) phi^(n-1).
+    alphas: callables of x (applied to the whole grid at once) or constants
+    alpha_0 .. alpha_n; kappas: the scaling constants kappa_2 .. kappa_n
+    attached to alpha_2 .. alpha_n.  Phase-space coordinates are y_1 = phi,
+    y_j = kappa_j phi^(j-1) for 2 <= j <= n-1 and y_n = alpha_n(x) phi^(n-1).
+    Returns shape x.shape + (n, n): (n, n) at a scalar x, (N, n, n) on a grid.
     """
     n = len(alphas) - 1
     if n < 2:
@@ -81,29 +87,37 @@ def eval_companion_higher_order(alphas, kappas, x: float, lam: float) -> np.ndar
         raise InvalidInputError(f"expected {n - 1} kappa values, got {len(kappas)}")
     if any(k == 0 for k in kappas):
         raise InvalidInputError("kappa values must be non-zero")
-    a = [al(x) if callable(al) else float(al) for al in alphas]
+    xs = np.asarray(x, dtype=float)
+    a = [np.broadcast_to(al(xs) if callable(al) else float(al), xs.shape)
+         for al in alphas]
     lead = a[n]
-    if lead <= 0:
+    bad = lead <= 0
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise DegenerateCoefficientError(
-            f"leading coefficient alpha_n({x}) = {lead} is not positive"
+            f"leading coefficient alpha_n({xs.flat[k]:g}) = {lead.flat[k]:g} "
+            "is not positive"
         )
-    # scale[j-1] is the factor relating y_j to phi^(j-1)
-    scale = [1.0] + [float(k) for k in kappas[:-1]] + [lead]
-    A = np.zeros((n, n))
-    for i in range(n - 1):
-        A[i, i + 1] = scale[i] / scale[i + 1]
-    A[n - 1, 0] = lam - a[0]
-    for j in range(1, n):
-        A[n - 1, j] = -a[j] / scale[j]
+    # scale[j-1] is the factor relating y_j to phi^(j-1); the last is alpha_n
+    scale = [1.0] + [float(k) for k in kappas[:-1]]
+    A = np.zeros(xs.shape + (n, n))
+    for i in range(n - 2):
+        A[..., i, i + 1] = scale[i] / scale[i + 1]
+    A[..., n - 2, n - 1] = scale[n - 2] / lead
+    A[..., n - 1, 0] = -a[0] + lam
+    for j in range(1, n - 1):
+        A[..., n - 1, j] = -a[j] / scale[j]
+    A[..., n - 1, n - 1] = -a[n - 1] / lead
     return A
 
 
-def eval_companion_second_order(B, W, V, x: float, lam: float) -> np.ndarray:
-    """First-order form of -B phi'' + W phi' + V phi = lam phi.
+def eval_companion_second_order(B, W, V, x, lam: float) -> np.ndarray:
+    """First-order form of -B phi'' + W phi' + V phi = lam phi, at x or on a grid.
 
     B is a positive diagonal l x l matrix (given as a matrix or a diagonal
-    vector); W and V are matrix-valued callables (or constant matrices).
-    Coordinates are y = (phi, B phi').
+    vector); W and V are matrix-valued callables of x (applied to the whole
+    grid at once) or constant matrices.  Coordinates are y = (phi, B phi').
+    Returns shape x.shape + (2l, 2l).
     """
     Bm = np.asarray(B, dtype=float)
     if Bm.ndim == 1:
@@ -113,12 +127,15 @@ def eval_companion_second_order(B, W, V, x: float, lam: float) -> np.ndarray:
     if det == 0.0 or not np.isfinite(det):
         raise InvalidInputError("B must be invertible")
     Binv = np.linalg.inv(Bm)
-    Wx = np.asarray(W(x) if callable(W) else W, dtype=float)
-    Vx = np.asarray(V(x) if callable(V) else V, dtype=float)
-    A = np.zeros((2 * l, 2 * l))
-    A[:l, l:] = Binv
-    A[l:, :l] = Vx - lam * np.eye(l)
-    A[l:, l:] = Wx @ Binv
+    xs = np.asarray(x, dtype=float)
+    Wx = np.broadcast_to(W(xs) if callable(W) else np.asarray(W, dtype=float),
+                         xs.shape + (l, l))
+    Vx = np.broadcast_to(V(xs) if callable(V) else np.asarray(V, dtype=float),
+                         xs.shape + (l, l))
+    A = np.zeros(xs.shape + (2 * l, 2 * l))
+    A[..., :l, l:] = Binv
+    A[..., l:, :l] = Vx - lam * np.eye(l)
+    A[..., l:, l:] = Wx @ Binv
     return A
 
 
@@ -132,41 +149,73 @@ def check_structure_b(field: CoefficientField, samples: int = 7, tol: float = 1e
     """
     lam1, lam2 = lam_bounds
     xs = np.linspace(0.0, 1.0, samples)
-    lams = np.linspace(lam1, lam2, samples)
-    a_ref = {x: np.asarray(field.evaluate(x, lam2), dtype=float) for x in xs}
+    a_ref = np.asarray(field.table(xs, lam2), dtype=float)
     off = ~np.eye(field.n, dtype=bool)
-    scale = max(max(np.max(np.abs(a)) for a in a_ref.values()), 1.0)
-    diff0 = None
-    for lam in lams:
-        diffs = []
-        for x in xs:
-            a = np.asarray(field.evaluate(x, lam), dtype=float)
-            if np.max(np.abs(np.diag(a) - np.diag(a_ref[x]))) > tol * scale:
-                return False
-            diffs.append((a - a_ref[x])[off])
-        diffs = np.array(diffs)
-        if np.max(np.abs(diffs - diffs[0])) > tol * scale:
+    scale = max(float(np.max(np.abs(a_ref))), 1.0)
+    for lam in np.linspace(lam1, lam2, samples):
+        diff = np.asarray(field.table(xs, lam), dtype=float) - a_ref
+        if np.max(np.abs(np.diagonal(diff, axis1=1, axis2=2))) > tol * scale:
             return False
-        if diff0 is None:
-            diff0 = diffs[0]
+        offd = diff[:, off]
+        if np.max(np.abs(offd - offd[0])) > tol * scale:
+            return False
     return True
 
 
 def _half_step_table(field: CoefficientField, from_x: float, h: float, steps: int):
+    """The affine field's lambda-free table at x = from_x + j*h/2, cached."""
     cache = field.meta.setdefault("_table_cache", {})
     key = (from_x, h, steps)
     hit = cache.get(key)
     if hit is not None:
         return hit
     xs = from_x + 0.5 * h * np.arange(2 * steps + 1)
-    if field.base_table is not None:
-        table = np.ascontiguousarray(field.base_table(xs))
-    else:
-        table = np.array([field.base_eval(float(x)) for x in xs])
+    table = np.ascontiguousarray(field.base_table(xs))
     if len(cache) > 128:
         cache.clear()
     cache[key] = table
     return table
+
+
+def _sweep(field, init, lams, from_x, to_x, steps, rescale):
+    """RK4 from one initial frame at every lambda of `lams`, in one kernel call.
+
+    An affine field shares one cached half-step table across the batch; any
+    other field supplies one table per lambda (never cached, since the cache
+    key does not see lambda) and runs with E = 0.  Returns (xs, frames,
+    scale_log) on an increasing x grid; raises BlowUpError with the first x
+    at which some lambda line leaves double-precision range.
+    """
+    init = np.ascontiguousarray(init, dtype=float)
+    if init.ndim != 2 or init.shape[0] != field.n:
+        raise InvalidInputError(f"init frame must be {field.n} x m")
+    if steps < 1:
+        raise InvalidInputError("steps must be positive")
+    if from_x == to_x:
+        raise InvalidInputError("from_x and to_x must differ")
+    lams = np.asarray(lams, dtype=float)
+    h = (to_x - from_x) / steps
+    if field.is_affine:
+        a_half = _half_step_table(field, from_x, h, steps)
+        frames, slog = _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, rescale)
+    else:
+        xh = from_x + 0.5 * h * np.arange(2 * steps + 1)
+        a_half = np.stack([field.table(xh, float(lam)) for lam in lams])
+        frames, slog = _kernels.rk4_grid(
+            a_half, np.zeros((field.n, field.n)), np.zeros(len(lams)), init, h, rescale
+        )
+
+    if not np.all(np.isfinite(frames)):
+        bad = int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))
+        x = from_x + bad * h
+        raise BlowUpError(f"propagation blew up near x = {x:.6g}", x=x)
+
+    xs = from_x + h * np.arange(steps + 1)
+    if h < 0:
+        xs = xs[::-1].copy()
+        frames = frames[:, ::-1].copy()
+        slog = slog[:, ::-1].copy()
+    return xs, frames, slog
 
 
 def integrate_frame(
@@ -184,59 +233,10 @@ def integrate_frame(
     x grid.  Raises BlowUpError (with the offending x) if the state leaves
     double-precision range.
     """
-    init = np.ascontiguousarray(init, dtype=float)
-    if init.ndim != 2 or init.shape[0] != field.n:
-        raise InvalidInputError(f"init frame must be {field.n} x m")
-    if steps < 1:
-        raise InvalidInputError("steps must be positive")
-    if from_x == to_x:
-        raise InvalidInputError("from_x and to_x must differ")
-    h = (to_x - from_x) / steps
-
-    if field.is_affine:
-        a_half = _half_step_table(field, from_x, h, steps)
-        frames, slog = _kernels.rk4_grid(
-            a_half, field.lambda_mat, np.array([lam]), init, h, rescale
-        )
-        frames, slog = frames[0], slog[0]
-    else:
-        frames = np.empty((steps + 1, field.n, init.shape[1]))
-        slog = np.zeros(steps + 1)
-        F = init.copy()
-        frames[0] = F
-        acc = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps):
-                x = from_x + k * h
-                A0 = np.asarray(field.evaluate(x, lam), dtype=float)
-                Ah = np.asarray(field.evaluate(x + h / 2, lam), dtype=float)
-                A1 = np.asarray(field.evaluate(x + h, lam), dtype=float)
-                k1 = A0 @ F
-                k2 = Ah @ (F + h / 2 * k1)
-                k3 = Ah @ (F + h / 2 * k2)
-                k4 = A1 @ (F + h * k3)
-                F = F + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                if rescale:
-                    nrm = np.linalg.norm(F, axis=0)
-                    F = F / nrm
-                    acc += float(np.sum(np.log(nrm)))
-                frames[k + 1] = F
-                slog[k + 1] = acc
-
-    if not np.all(np.isfinite(frames)):
-        bad = np.where(~np.isfinite(frames).all(axis=(1, 2)))[0][0]
-        raise BlowUpError(
-            f"propagation blew up near x = {from_x + bad * h:.6g}",
-            x=from_x + bad * h,
-        )
-
-    xs = from_x + h * np.arange(steps + 1)
-    direction = "forward" if h > 0 else "backward"
-    if h < 0:
-        xs = xs[::-1].copy()
-        frames = frames[::-1].copy()
-        slog = slog[::-1].copy()
-    return FramePath(lam=lam, xs=xs, frames=frames, scale_log=slog, direction=direction)
+    xs, frames, slog = _sweep(field, init, [lam], from_x, to_x, steps, rescale)
+    direction = "forward" if to_x > from_x else "backward"
+    return FramePath(lam=lam, xs=xs, frames=frames[0], scale_log=slog[0],
+                     direction=direction)
 
 
 def propagate_lambda_grid(
@@ -251,29 +251,6 @@ def propagate_lambda_grid(
     """Propagate one initial frame at every lambda of a grid.
 
     Returns (xs, frames, scale_log) with frames shaped (L, steps+1, n, m) on
-    an increasing x grid.  Requires an affine-in-lambda field (all companion
-    forms are); general fields fall back to repeated single runs.
+    an increasing x grid.
     """
-    init = np.ascontiguousarray(init, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    h = (to_x - from_x) / steps
-    if field.is_affine:
-        a_half = _half_step_table(field, from_x, h, steps)
-        frames, slog = _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, rescale)
-    else:
-        paths = [
-            integrate_frame(field, init, from_x, to_x, steps, lam, rescale)
-            for lam in lams
-        ]
-        xs = paths[0].xs
-        frames = np.stack([p.frames for p in paths])
-        slog = np.stack([p.scale_log for p in paths])
-        return xs, frames, slog
-    if not np.all(np.isfinite(frames)):
-        raise BlowUpError("lambda-grid propagation blew up", x=None)
-    xs = from_x + h * np.arange(steps + 1)
-    if h < 0:
-        xs = xs[::-1].copy()
-        frames = frames[:, ::-1].copy()
-        slog = slog[:, ::-1].copy()
-    return xs, frames, slog
+    return _sweep(field, init, lams, from_x, to_x, steps, rescale)

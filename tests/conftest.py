@@ -1,12 +1,6 @@
 import pytest
 
-from renosc import _kernels, builtin_catalog, load_problem
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger JIT compilation once so timed tests measure computation only
-    _kernels.warmup()
+from renosc import builtin_catalog, load_problem
 
 
 @pytest.fixture(scope="session")

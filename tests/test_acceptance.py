@@ -11,6 +11,7 @@ values.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,8 +285,7 @@ def test_criterion_7_structural_suite(capsys):
     # rescaling invariance of crossing locations
     for name in ("example1", "example2"):
         on = load_problem(builtin_catalog(name))
-        off = load_problem(builtin_catalog(name))
-        off.rescale = False
+        off = replace(load_problem(builtin_catalog(name)), rescale=False)
         xs_on = [rec.t_star for rec in detect_crossings(shelf_path(on, "left"))]
         xs_off = [rec.t_star for rec in detect_crossings(shelf_path(off, "left"))]
         same = len(xs_on) == len(xs_off) and all(

@@ -140,3 +140,58 @@ def test_invariance_command_with_scan(tmp_path, capsys):
 def test_lambda_override_validated(tmp_path, capsys):
     assert run(["box", "harmonic-neumann", "--lambda", "3", "1",
                 "--out", str(tmp_path)]) == 1
+
+
+# The example2 shape with a stiff potential: column rescaling lets the two
+# columns of each frame collapse onto the dominant mode.
+STIFF = {
+    "kind": "second-order",
+    "l": 2,
+    "B": [1.0, 1.0],
+    "V": [["2500", "30*sin(5*x)"], ["x", "400"]],
+    "W": [["0", "0"], ["0", "0"]],
+    "P": "neumann",
+    "Q": "neumann",
+    "lambda": [-5.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("command", ["box", "left-shelf", "invariance"])
+def test_collapsed_frames_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(STIFF))
+    out = tmp_path / "out"
+    code = run([command, str(path), "--lambda-steps", "60", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "collapsed" in captured.err or "rank-deficient" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (out / "summary.json").exists()
+
+
+def test_linalg_error_exits_2(monkeypatch, tmp_path, capsys):
+    import numpy as np
+
+    def singular(problem):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "constants_report", singular)
+    assert run(["invariance", "harmonic-neumann", "--out", str(tmp_path)]) == 2
+    assert "Singular matrix" in capsys.readouterr().err
+
+
+def test_expression_eval_error_exits_1(tmp_path, capsys):
+    doc = {
+        "kind": "second-order",
+        "l": 1,
+        "V": [["x^(-1)"]],
+        "W": [["0"]],
+        "lambda": [0.0, 1.0],
+        "x_steps": 100,
+        "lambda_steps": 20,
+    }
+    path = tmp_path / "recip.json"
+    path.write_text(json.dumps(doc))
+    assert run(["box", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "invalid power" in err

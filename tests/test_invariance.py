@@ -39,11 +39,9 @@ def test_example1_certificate(example1):
 
 
 def test_zero_field_certificate():
-    base = np.zeros((2, 2))
     field = CoefficientField(
-        n=2, evaluate=lambda x, lam: base, base_eval=lambda x: base,
+        n=2, table=lambda xs, lam: np.zeros((len(xs), 2, 2)),
         lambda_mat=np.zeros((2, 2)),
-        base_table=lambda xs: np.zeros((len(xs), 2, 2)),
         structure_b=True, kind="general",
     )
     problem = SpectralProblem(
@@ -131,11 +129,9 @@ def test_example2_scan_finds_no_loss_points(example2):
 
 
 def test_zero_field_scan_constant():
-    base = np.zeros((2, 2))
     field = CoefficientField(
-        n=2, evaluate=lambda x, lam: base, base_eval=lambda x: base,
+        n=2, table=lambda xs, lam: np.zeros((len(xs), 2, 2)),
         lambda_mat=np.zeros((2, 2)),
-        base_table=lambda xs: np.zeros((len(xs), 2, 2)),
         structure_b=True,
     )
     problem = SpectralProblem(

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -138,13 +140,30 @@ def test_lambda_interval_must_be_ordered(harmonic_dirichlet):
         )
 
 
+def test_problem_is_frozen_and_replace_starts_a_fresh_cache():
+    cfg = builtin_catalog("harmonic-neumann")
+    cfg.x_steps, cfg.lambda_steps = 200, 20
+    problem = load_problem(cfg)
+    with pytest.raises(FrozenInstanceError):
+        problem.rescale = False
+    with pytest.raises(FrozenInstanceError):
+        problem.x_steps = 400
+    assert len(problem.h_path().xs) == 201
+    assert problem.lambda_grid_frames().shape[1] == 201
+    finer = replace(problem, x_steps=400)
+    assert len(finer.h_path().xs) == 401
+    assert len(finer.g_path(problem.lambda1).xs) == 401
+    assert finer.lambda_grid_frames().shape[1] == 401
+    assert len(shelf_path(finer, "left").ts) == 401
+    assert len(problem.h_path().xs) == 201  # the original keeps its own cache
+
+
 # -- rescaling invariance ----------------------------------------------------------
 
 
 def test_rescaling_does_not_move_crossings(example1):
     cfg = builtin_catalog("example1")
-    raw = load_problem(cfg)
-    raw.rescale = False
+    raw = replace(load_problem(cfg), rescale=False)
     on = [r.t_star for r in detect_crossings(shelf_path(example1, "left"))]
     off = [r.t_star for r in detect_crossings(shelf_path(raw, "left"))]
     assert len(on) == len(off)
@@ -182,11 +201,14 @@ def test_negative_control_breaks_monotonicity():
     """With an x-dependent off-diagonal lambda-difference the crossing-rate
     identity fails and the audit ratios leave [0.999, 1.001]."""
 
-    def evaluate(x, lam):
-        return np.array([[0.0, 1.0], [-lam * (1.0 + x), 0.0]])
+    def table(xs, lam):
+        A = np.zeros((len(xs), 2, 2))
+        A[:, 0, 1] = 1.0
+        A[:, 1, 0] = -lam * (1.0 + xs)
+        return A
 
     field = CoefficientField(
-        n=2, evaluate=evaluate,
+        n=2, table=table,
         structure_b=True,  # deliberately wrong flag to expose the audit
     )
     problem = SpectralProblem(
@@ -204,7 +226,7 @@ def test_negative_control_breaks_monotonicity():
 
 
 def test_renormalized_count_requires_structure(harmonic_dirichlet):
-    field = CoefficientField(n=2, evaluate=lambda x, lam: np.zeros((2, 2)))
+    field = CoefficientField(n=2, table=lambda xs, lam: np.zeros((len(xs), 2, 2)))
     problem = SpectralProblem(
         field=field, P=Frame([[1.0], [0.0]]), Q=Frame([[0.0], [1.0]]),
         lambda1=0.0, lambda2=1.0, x_steps=10, lambda_steps=5,

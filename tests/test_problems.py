@@ -216,15 +216,6 @@ def test_builder_fields_satisfy_structure():
                                  lam_bounds=(problem.lambda1, problem.lambda2))
 
 
-def test_base_table_agrees_with_pointwise_eval():
-    for name in ("example1", "example2"):
-        field = load_problem(builtin_catalog(name)).field
-        xs = np.linspace(0.0, 1.0, 37)
-        table = field.base_table(xs)
-        for i, x in enumerate(xs):
-            assert np.allclose(table[i], field.base_eval(float(x)), atol=1e-14)
-
-
 def test_config_roundtrip_through_dict():
     cfg = builtin_catalog("example2")
     again = config_from_dict(cfg.to_dict())

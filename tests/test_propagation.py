@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,23 +22,31 @@ def constant_field(matrix):
     A = np.asarray(matrix, dtype=float)
     return CoefficientField(
         n=A.shape[0],
-        evaluate=lambda x, lam: A,
-        base_eval=lambda x: A,
+        table=lambda xs, lam: np.broadcast_to(A, (len(xs),) + A.shape),
         lambda_mat=np.zeros_like(A),
     )
 
 
 def harmonic_field():
     # y1' = y2, y2' = -lam y1
-    n = 2
     base = np.array([[0.0, 1.0], [0.0, 0.0]])
     E = np.array([[0.0, 0.0], [-1.0, 0.0]])
     return CoefficientField(
-        n=n,
-        evaluate=lambda x, lam: base + lam * E,
-        base_eval=lambda x: base,
+        n=2,
+        table=lambda xs, lam: np.broadcast_to(base + lam * E, (len(xs), 2, 2)),
         lambda_mat=E,
     )
+
+
+def squared_harmonic_field():
+    # y1' = y2, y2' = -lam^2 y1: not affine in lambda, so no lambda_mat
+    def table(xs, lam):
+        A = np.zeros((len(xs), 2, 2))
+        A[:, 0, 1] = 1.0
+        A[:, 1, 0] = -lam * lam
+        return A
+
+    return CoefficientField(n=2, table=table)
 
 
 # -- companion builders -------------------------------------------------------
@@ -160,9 +170,17 @@ def test_backward_then_forward_recovers_frame():
 
 def test_blow_up_reports_location():
     field = constant_field([[2000.0]])
-    with pytest.raises(BlowUpError):
+    with pytest.raises(BlowUpError) as single:
         integrate_frame(field, np.array([[1.0]]), 0.0, 1.0, 100, 0.0,
                         rescale=False)
+    with pytest.raises(BlowUpError) as grid:
+        propagate_lambda_grid(field, np.array([[1.0]]), np.array([0.0, 1.0]),
+                              0.0, 1.0, 100, rescale=False)
+    # each step multiplies y by the RK4 amplification g = sum (20)^k / k!
+    g = sum(20.0 ** k / math.factorial(k) for k in range(5))
+    first_overflow = (int(np.log(np.finfo(float).max) / np.log(g)) + 1) / 100
+    assert single.value.x == grid.value.x
+    assert single.value.x == pytest.approx(first_overflow, abs=1e-12)
 
 
 def test_rescaling_tracks_log_factors():
@@ -191,19 +209,21 @@ def test_structure_check_on_companion_builders():
         alphas = [lambda x, a=c[0]: a * np.sin(3 * x),
                   lambda x, a=c[1]: a * x,
                   float(c[2] + 1.0), float(c[3] + 2.0)]
-        field_args = dict(
+        field = CoefficientField(
             n=3,
-            evaluate=lambda x, lam, al=alphas: eval_companion_higher_order(
-                al, [float(c[2] + 1.0), float(c[3] + 2.0)], x, lam
+            table=lambda xs, lam, al=alphas: eval_companion_higher_order(
+                al, [float(c[2] + 1.0), float(c[3] + 2.0)], xs, lam
             ),
         )
-        field = CoefficientField(**field_args)
         assert check_structure_b(field, lam_bounds=(-1.0, 1.0))
 
-    bad = CoefficientField(
-        n=2,
-        evaluate=lambda x, lam: np.array([[0.0, 1.0], [-lam * (1 + x), 0.0]]),
-    )
+    def bad_table(xs, lam):
+        A = np.zeros((len(xs), 2, 2))
+        A[:, 0, 1] = 1.0
+        A[:, 1, 0] = -lam * (1 + xs)
+        return A
+
+    bad = CoefficientField(n=2, table=bad_table)
     assert not check_structure_b(bad, lam_bounds=(0.0, 2.0))
 
 
@@ -213,3 +233,66 @@ def test_invalid_inputs():
         integrate_frame(field, np.zeros((3, 1)), 0.0, 1.0, 10, 0.0)
     with pytest.raises(InvalidInputError):
         integrate_frame(field, np.array([[1.0], [0.0]]), 0.5, 0.5, 10, 0.0)
+
+
+def test_companion_builders_vectorize_over_x():
+    alphas = [lambda x: np.sin(x), lambda x: x, 2.0, lambda x: 3.0 + x]
+    B = np.array([2.0, 3.0])
+    W = lambda x: np.stack([np.stack([x, np.ones_like(x)], -1),
+                            np.stack([np.zeros_like(x), x], -1)], -2)
+    V = np.array([[1.0, 0.5], [0.0, 4.0]])
+    xs = np.linspace(0.0, 1.0, 7)
+    grid_ho = eval_companion_higher_order(alphas, [2.0, 1.0], xs, 1.5)
+    grid_so = eval_companion_second_order(B, W, V, xs, 1.5)
+    assert grid_ho.shape == (7, 3, 3) and grid_so.shape == (7, 4, 4)
+    for k, x in enumerate(xs):
+        point_ho = eval_companion_higher_order(alphas, [2.0, 1.0], x, 1.5)
+        point_so = eval_companion_second_order(B, W, V, x, 1.5)
+        assert point_ho.shape == (3, 3) and point_so.shape == (4, 4)
+        assert np.array_equal(grid_ho[k], point_ho)
+        assert np.array_equal(grid_so[k], point_so)
+
+
+def test_field_evaluate_and_base_table_derive_from_table():
+    field = load_problem(builtin_catalog("example1")).field
+    xs = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(field.base_table(xs), field.table(xs, 0.0))
+    for x in xs:
+        for lam in (-1.0, 0.25):
+            A = field.evaluate(x, lam)
+            assert np.array_equal(A, field.table(np.array([x]), lam)[0])
+            assert np.allclose(A, field.base_table([x])[0] + lam * field.lambda_mat,
+                               rtol=0, atol=1e-15)
+
+
+def _rotation_frame(lam, x):
+    # fundamental matrix of y1' = y2, y2' = -lam^2 y1 from the identity at x = 0
+    c, s = np.cos(lam * x), np.sin(lam * x)
+    return np.stack([np.stack([c, s / lam], -1), np.stack([-lam * s, c], -1)], -2)
+
+
+def test_general_field_integrate_frame_matches_closed_form():
+    field = squared_harmonic_field()
+    assert not field.is_affine
+    for lam in (1.0, 3.0, 5.5):
+        fwd = integrate_frame(field, np.eye(2), 0.0, 1.0, 400, lam, rescale=False)
+        assert fwd.direction == "forward"
+        assert np.max(np.abs(fwd.frames - _rotation_frame(lam, fwd.xs))) <= 1e-7
+        # backward from the identity at x = 1 gives the propagator from 1 to x
+        back = integrate_frame(field, np.eye(2), 1.0, 0.0, 400, lam, rescale=False)
+        assert back.direction == "backward"
+        assert np.max(np.abs(back.frames - _rotation_frame(lam, back.xs - 1.0))) <= 1e-7
+
+
+def test_general_field_lambda_grid_matches_closed_form():
+    field = squared_harmonic_field()
+    lams = np.array([1.0, 3.0, 5.5])
+    init = np.array([[1.0], [0.0]])
+    xs, frames, slog = propagate_lambda_grid(field, init, lams, 0.0, 1.0, 400)
+    assert frames.shape == (3, 401, 2, 1)
+    for i, lam in enumerate(lams):
+        raw = frames[i, :, :, 0] * np.exp(slog[i])[:, None]
+        expect = _rotation_frame(lam, xs)[:, :, 0]
+        assert np.max(np.abs(raw - expect)) <= 1e-7 * lam
+        single = integrate_frame(field, init, 0.0, 1.0, 400, lam)
+        assert np.allclose(frames[i], single.frames, rtol=0, atol=1e-14)
