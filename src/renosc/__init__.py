@@ -39,6 +39,7 @@ from .maslovbox import (
     monotonicity_audit,
     omega_at_points,
     psi_point,
+    psi_window,
     renormalized_count,
     shelf_path,
 )

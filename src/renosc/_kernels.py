@@ -27,13 +27,15 @@ def backend_name() -> str:
 
 @np.errstate(over="ignore", invalid="ignore")  # blow-ups are caught by callers
 def rk4_grid(a_half, E, lams, init, h, rescale):
-    """Propagate one initial frame over a batch of lambda values.
+    """Propagate initial frames over a batch of lambda values.
 
     a_half is one half-step table (2*steps+1, n, n) shared by every line, or
-    one table per line, (L, 2*steps+1, n, n).  Returns (frames, scale_log) with shapes (L, steps+1, n, m) and
-    (L, steps+1).  scale_log accumulates the log of the product of column
-    rescaling factors, so raw-form values can be reconstructed as
-    value * exp(scale_log).
+    one table per line, (L, 2*steps+1, n, n).  init is one (n, m) frame that
+    every line starts from, or one frame per line, (L, n, m); each line's
+    result does not depend on the other lines of the batch.  Returns (frames,
+    scale_log) with shapes (L, steps+1, n, m) and (L, steps+1).  scale_log
+    accumulates the log of the product of column rescaling factors, so
+    raw-form values can be reconstructed as value * exp(scale_log).
     """
     a_half = np.ascontiguousarray(a_half, dtype=float)
     E = np.ascontiguousarray(E, dtype=float)
@@ -43,7 +45,7 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
     steps = (a_half.shape[-3] - 1) // 2
     if a_half.ndim == 4:  # one table per lambda line: put the x axis first
         a_half = np.moveaxis(a_half, 1, 0)
-    n, m = init.shape
+    n, m = init.shape[-2:]
     L = lams.shape[0]
     lam = lams[:, None, None]
     F = np.broadcast_to(init, (L, n, m)).copy()
@@ -74,23 +76,29 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
 def omega_tables(G, H, ATg, ATh, chunk=65536):
     """Evaluate omega1, omega2 and the Gram normalization along matched nodes.
 
-    G: (N, n, m) frames, H: (N, n, n-m) frames paired node-by-node.
-    Returns (omega1, omega2, d), each of shape (N,).  Nodes are processed
-    `chunk` at a time to bound the size of the temporaries.
+    G: frames (..., n, m), one node per leading index.  H broadcasts against
+    G's leading axes: one (n, n-m) frame for every node, one per position
+    along G's last leading axis (S, n, n-m), or one per node; it is never
+    materialized beyond one chunk.  Returns (omega1, omega2, d), each of
+    shape G.shape[:-2].  Nodes are processed `chunk` at a time to bound the
+    temporaries; a node's values do not depend on its chunk, except that a
+    one-node chunk multiplies by gemv, which rounds unlike gemm.
     """
     G = np.ascontiguousarray(G, dtype=float)
     H = np.ascontiguousarray(H, dtype=float)
     ATg = np.ascontiguousarray(ATg, dtype=float)
     ATh = np.ascontiguousarray(ATh, dtype=float)
-    N, n, m = G.shape
-    nm = H.shape[2]
-    w1 = np.empty(N)
-    w2 = np.empty(N)
-    d = np.empty(N)
+    lead = G.shape[:-2]
+    if H.shape[:-2] not in ((), lead[-1:], lead):
+        raise ValueError(f"H frames {H.shape} do not broadcast against G frames {G.shape}")
+    n, m, nm = G.shape[-2], G.shape[-1], H.shape[-1]
+    G, H = G.reshape(-1, n, m), H.reshape(-1, n, nm)
+    N, S = G.shape[0], H.shape[0]
+    w1, w2, d = np.empty((3, N))
     for lo in range(0, N, chunk):
         hi = min(lo + chunk, N)
         Gi = G[lo:hi]
-        Hi = H[lo:hi]
+        Hi = H[lo:hi] if S == N else H[np.arange(lo, hi) % S]
         GH = np.concatenate([Gi, Hi], axis=2)
         w1[lo:hi] = np.linalg.det(GH)
         acc = np.zeros(hi - lo)
@@ -108,4 +116,4 @@ def omega_tables(G, H, ATg, ATh, chunk=65536):
         dg = np.sqrt(np.linalg.det(np.swapaxes(Gi, 1, 2) @ Gi))
         dh = np.sqrt(np.linalg.det(np.swapaxes(Hi, 1, 2) @ Hi))
         d[lo:hi] = dg * dh
-    return w1, w2, d
+    return w1.reshape(lead), w2.reshape(lead), d.reshape(lead)

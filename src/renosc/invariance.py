@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidInputError, NeedsFinerGridError, RankDeficiencyError
 from .maslovbox import SpectralProblem, normalized_forms, psi_point
-from .propagation import integrate_frame
+from .maslovbox import psi_window as _psi_window
 
 RHO_ZERO_TOL = 1e-9
 
@@ -149,11 +149,8 @@ def _psi_grids(problem: SpectralProblem):
     L, S1 = frames.shape[0], frames.shape[1]
     psi1 = np.empty((L, S1))
     psi2 = np.empty((L, S1))
-    H = np.ascontiguousarray(hp.frames)
     for li in range(L):
-        w1, w2, d = _kernels.omega_tables(
-            np.ascontiguousarray(frames[li]), H, AT.block_g, AT.block_h
-        )
+        w1, w2, d = _kernels.omega_tables(frames[li], hp.frames, AT.block_g, AT.block_h)
         psi1[li], psi2[li] = normalized_forms(w1, w2, d, "the full grid")
     rho = 0.5 * (psi1 ** 2 + psi2 ** 2)
     problem._cache["psi_grids"] = (psi1, psi2, rho)
@@ -299,57 +296,33 @@ def asymptotic_bc_determinants(problem: SpectralProblem) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _psi_window(problem: SpectralProblem, lam: float, x_lo: float, x_hi: float,
-                nx: int):
-    """psi1/psi2 on a fine x window at one lambda, chained from coarse legs."""
-    field = problem.field
-    AT = problem.a_tilde()
-    G0 = problem.P.entries
-    if x_lo > 0.0:
-        steps = max(4, int(np.ceil(x_lo * problem.x_steps)))
-        G0 = integrate_frame(field, G0, 0.0, x_lo, steps, lam, True).frames[-1]
-    gfine = integrate_frame(field, G0, x_lo, x_hi, nx, lam, True).frames
-    H1 = problem.Q.entries
-    if x_hi < 1.0:
-        steps = max(4, int(np.ceil((1.0 - x_hi) * problem.x_steps)))
-        H1 = integrate_frame(field, H1, 1.0, x_hi, steps, problem.lambda2,
-                             True).frames[0]
-    hfine = integrate_frame(field, H1, x_hi, x_lo, nx, problem.lambda2,
-                            True).frames
-    w1, w2, d = _kernels.omega_tables(
-        np.ascontiguousarray(gfine), np.ascontiguousarray(hfine),
-        AT.block_g, AT.block_h,
-    )
-    xs = np.linspace(x_lo, x_hi, nx + 1)
-    return xs, w1 / d, w2 / d
-
-
 def _newton_polish(problem: SpectralProblem, x0: float, lam0: float,
                    hx: float, hl: float, iters: int = 25):
-    """Drive (psi1, psi2) to zero with a finite-difference Newton iteration."""
+    """Drive (psi1, psi2) to zero with a finite-difference Newton iteration:
+    psi at (x, lam) and (x, lam +- hl) is one point window, at x +- hx one
+    three-node x window."""
     x, lam = x0, lam0
     for _ in range(iters):
-        p1, p2, rho = psi_point(problem, x, lam)
-        if rho < 1e-24:
+        _, p1, p2 = _psi_window(problem, [lam, lam + hl, lam - hl], x, x, 0)
+        p1, p2 = p1[:, 0], p2[:, 0]
+        if 0.5 * (p1[0] * p1[0] + p2[0] * p2[0]) < 1e-24:
             break
-        f = np.array([p1, p2])
-        j00 = (psi_point(problem, x + hx, lam)[0] - psi_point(problem, x - hx, lam)[0]) / (2 * hx)
-        j10 = (psi_point(problem, x + hx, lam)[1] - psi_point(problem, x - hx, lam)[1]) / (2 * hx)
-        j01 = (psi_point(problem, x, lam + hl)[0] - psi_point(problem, x, lam - hl)[0]) / (2 * hl)
-        j11 = (psi_point(problem, x, lam + hl)[1] - psi_point(problem, x, lam - hl)[1]) / (2 * hl)
-        J = np.array([[j00, j01], [j10, j11]])
+        lo, hi = max(x - hx, 0.0), min(x + hx, 1.0)
+        _, q1, q2 = _psi_window(problem, [lam], lo, hi, 2)
+        J = np.array([
+            [(q1[0, 2] - q1[0, 0]) / (hi - lo), (p1[1] - p1[2]) / (2 * hl)],
+            [(q2[0, 2] - q2[0, 0]) / (hi - lo), (p2[1] - p2[2]) / (2 * hl)],
+        ])
         try:
-            step = np.linalg.solve(J, f)
+            step = np.linalg.solve(J, [p1[0], p2[0]])
         except np.linalg.LinAlgError:
             break
-        nx_, nl = x - step[0], lam - step[1]
         # keep the iterate inside the open rectangle
-        nx_ = min(max(nx_, 1e-6), 1.0 - 1e-6)
-        x, lam = nx_, nl
+        x = min(max(x - step[0], 1e-6), 1.0 - 1e-6)
+        lam = lam - step[1]
         if abs(step[0]) < 1e-13 and abs(step[1]) < 1e-12:
             break
-    p1, p2, rho = psi_point(problem, x, lam)
-    return x, lam, rho
+    return x, lam, psi_point(problem, x, lam)[2]
 
 
 def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2,
@@ -390,14 +363,10 @@ def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2,
             lo = max(x_c - span_x, 0.0)
             hi = min(x_c + span_x, 1.0)
             cols = np.linspace(lam_c - span_l, lam_c + span_l, 21)
-            best = (np.inf, x_c, lam_c)
-            for lam in cols:
-                wxs, p1w, p2w = _psi_window(problem, float(lam), lo, hi, 40)
-                rw = 0.5 * (p1w ** 2 + p2w ** 2)
-                k = int(np.argmin(rw))
-                if rw[k] < best[0]:
-                    best = (float(rw[k]), float(wxs[k]), float(lam))
-            _, x_c, lam_c = best
+            wxs, p1w, p2w = _psi_window(problem, cols, lo, hi, 40)
+            # the first column, then the first node, that attains the minimum
+            lk, k = divmod(int(np.argmin(0.5 * (p1w ** 2 + p2w ** 2))), len(wxs))
+            x_c, lam_c = float(wxs[k]), float(cols[lk])
             span_x /= 10.0
             span_l /= 10.0
         x_c, lam_c, rho_c = _newton_polish(problem, x_c, lam_c,
@@ -469,12 +438,7 @@ def classify_loss_point(problem: SpectralProblem, point: LossPoint,
         lo = max(x_s - h, 0.0)
         hi = min(x_s + h, 1.0)
         cols = np.linspace(lam_s - w, lam_s + w, n_cols)
-        grid = []
-        for lam in cols:
-            _, p1w, _ = _psi_window(problem, float(lam), lo, hi, n_rows)
-            grid.append(p1w)
-        psi_cols = np.array(grid)  # (n_cols, n_rows+1)
-        window_xs = np.linspace(lo, hi, n_rows + 1)
+        window_xs, psi_cols, _ = _psi_window(problem, cols, lo, hi, n_rows)
         top = psi_cols[:, -1]
         bottom = psi_cols[:, 0]
         touches = any(

@@ -193,9 +193,8 @@ def shelf_path(problem: SpectralProblem, shelf: str) -> PathSamples:
         )
     if shelf == "top":
         lams = problem.lambda_grid()
-        g_end = np.ascontiguousarray(problem.lambda_grid_frames()[:, -1])
-        q = np.broadcast_to(problem.Q.entries, (len(lams),) + problem.Q.entries.shape)
-        w1, w2, d = _kernels.omega_tables(g_end, np.ascontiguousarray(q), ATg, ATh)
+        g_end = problem.lambda_grid_frames()[:, -1]
+        w1, w2, d = _kernels.omega_tables(g_end, problem.Q.entries, ATg, ATh)
         return _samples_from_tables(lams, w1, w2, d, "top")
 
     lam = problem.lambda2 if shelf == "right" else problem.lambda1
@@ -256,23 +255,50 @@ def omega_at_points(problem: SpectralProblem, lam: float, points):
     return w1, w2, d
 
 
-def psi_point(problem: SpectralProblem, x: float, lam: float):
-    """Normalized form values (psi1, psi2, rho) at one interior point."""
+def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int):
+    """psi1, psi2 at every lambda of `lams` on the window x_lo <= x <= x_hi.
+
+    A coarse lead leg carries the G family from x = 0 to x_lo at every
+    lambda in one batch, and the H family from x = 1 to x_hi at lambda2 once
+    (max(4, ceil(dx * x_steps)) steps each); fine legs of `nx` steps then
+    cover the window.  nx = 0 with x_lo == x_hi evaluates one point.  Every
+    leg follows problem.rescale.  Returns xs (nx+1,) and psi1, psi2 shaped
+    (len(lams), nx+1); a collapsed frame raises RankDeficiencyError.
+    """
+    if not (0.0 <= x_lo <= x_hi <= 1.0 and (nx > 0) == (x_lo < x_hi)):
+        raise InvalidInputError(
+            "need 0 <= x_lo <= x_hi <= 1, with nx = 0 exactly when x_lo == x_hi"
+        )
+    lams = np.asarray(lams, dtype=float)
+    field, rescale = problem.field, problem.rescale
+
+    def lead_steps(dx):
+        return max(4, int(np.ceil(dx * problem.x_steps)))
+
+    G = problem.P.entries
+    if x_lo > 0.0:
+        G = propagate_lambda_grid(field, G, lams, 0.0, x_lo, lead_steps(x_lo),
+                                  rescale)[1][:, -1]
+    H = problem.Q.entries
+    if x_hi < 1.0:
+        H = integrate_frame(field, H, 1.0, x_hi, lead_steps(1.0 - x_hi),
+                            problem.lambda2, rescale).frames[0]
+    if nx:
+        G = propagate_lambda_grid(field, G, lams, x_lo, x_hi, nx, rescale)[1]
+        H = integrate_frame(field, H, x_hi, x_lo, nx, problem.lambda2, rescale).frames
+    else:
+        G = np.broadcast_to(G, lams.shape + G.shape[-2:])[:, None]
     AT = problem.a_tilde()
-    if x <= 0.0:
-        G = problem.P.entries
-    else:
-        steps = max(8, int(np.ceil(x * problem.x_steps)))
-        G = integrate_frame(problem.field, problem.P.entries, 0.0, x, steps,
-                            lam, True).frames[-1]
-    if x >= 1.0:
-        H = problem.Q.entries
-    else:
-        steps = max(8, int(np.ceil((1.0 - x) * problem.x_steps)))
-        H = integrate_frame(problem.field, problem.Q.entries, 1.0, x, steps,
-                            problem.lambda2, True).frames[0]
-    v = psi_rho(G, H, AT)
-    return v.psi1, v.psi2, v.rho
+    w1, w2, d = _kernels.omega_tables(G, H, AT.block_g, AT.block_h)
+    psi1, psi2 = normalized_forms(w1, w2, d, "a psi window")
+    return np.linspace(x_lo, x_hi, nx + 1), psi1, psi2
+
+
+def psi_point(problem: SpectralProblem, x: float, lam: float):
+    """Normalized form values (psi1, psi2, rho) at one point."""
+    _, p1, p2 = psi_window(problem, [lam], x, x, 0)
+    p1, p2 = float(p1[0, 0]), float(p2[0, 0])
+    return p1, p2, 0.5 * (p1 * p1 + p2 * p2)
 
 
 def derivative_identity_residual(problem: SpectralProblem, x: float, lam: float,
@@ -327,17 +353,7 @@ def monotonicity_audit(problem: SpectralProblem) -> List[Tuple[float, float]]:
 
 def _psi1_at_one(problem: SpectralProblem, lams: np.ndarray) -> np.ndarray:
     """psi1(1; lambda) for a batch of lambda values."""
-    _, frames, _ = propagate_lambda_grid(
-        problem.field, problem.P.entries, np.asarray(lams, dtype=float),
-        0.0, 1.0, problem.x_steps, problem.rescale,
-    )
-    AT = problem.a_tilde()
-    g_end = np.ascontiguousarray(frames[:, -1])
-    q = np.ascontiguousarray(
-        np.broadcast_to(problem.Q.entries, (len(lams),) + problem.Q.entries.shape)
-    )
-    w1, _, d = _kernels.omega_tables(g_end, q, AT.block_g, AT.block_h)
-    return w1 / d
+    return psi_window(problem, lams, 1.0, 1.0, 0)[1][:, 0]
 
 
 def _localize_top(problem: SpectralProblem, tol: float):

@@ -178,22 +178,24 @@ def _half_step_table(field: CoefficientField, from_x: float, h: float, steps: in
 
 
 def _sweep(field, init, lams, from_x, to_x, steps, rescale):
-    """RK4 from one initial frame at every lambda of `lams`, in one kernel call.
+    """RK4 at every lambda of `lams`, in one kernel call.
 
-    An affine field shares one cached half-step table across the batch; any
-    other field supplies one table per lambda (never cached, since the cache
-    key does not see lambda) and runs with E = 0.  Returns (xs, frames,
-    scale_log) on an increasing x grid; raises BlowUpError with the first x
-    at which some lambda line leaves double-precision range.
+    `init` is one (n, m) frame shared by every lambda line, or one frame per
+    line, shaped (len(lams), n, m).  An affine field shares one cached
+    half-step table across the batch; any other field supplies one table per
+    lambda (never cached, since the cache key does not see lambda) and runs
+    with E = 0.  Returns (xs, frames, scale_log) on an increasing x grid;
+    raises BlowUpError with the first x at which some lambda line leaves
+    double-precision range.
     """
     init = np.ascontiguousarray(init, dtype=float)
-    if init.ndim != 2 or init.shape[0] != field.n:
-        raise InvalidInputError(f"init frame must be {field.n} x m")
+    lams = np.asarray(lams, dtype=float)
+    if init.shape[:-2] not in ((), lams.shape) or init.shape[-2:-1] != (field.n,):
+        raise InvalidInputError(f"init must be one {field.n} x m frame or one per lambda")
     if steps < 1:
         raise InvalidInputError("steps must be positive")
     if from_x == to_x:
         raise InvalidInputError("from_x and to_x must differ")
-    lams = np.asarray(lams, dtype=float)
     h = (to_x - from_x) / steps
     if field.is_affine:
         a_half = _half_step_table(field, from_x, h, steps)
@@ -248,7 +250,8 @@ def propagate_lambda_grid(
     steps: int,
     rescale: bool = True,
 ):
-    """Propagate one initial frame at every lambda of a grid.
+    """Propagate one initial frame, or one frame per lambda (L, n, m), at
+    every lambda of a grid.
 
     Returns (xs, frames, scale_log) with frames shaped (L, steps+1, n, m) on
     an increasing x grid.

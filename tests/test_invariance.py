@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from renosc import (
     load_problem,
     rho_grid_scan,
 )
-from renosc.invariance import LossPoint, _column_volume_ratio, gram_log_derivatives
+from renosc import _kernels, invariance
+from renosc.invariance import (
+    LossPoint,
+    _column_volume_ratio,
+    _newton_polish,
+    _psi_grids,
+    gram_log_derivatives,
+)
 
 # zeros of (psi1, psi2) for the example3 configuration, as given by the
 # adaptive-integrator oracle in tests/oracle.py (test_ex3_loss_matches_oracle)
@@ -217,3 +226,49 @@ def test_certificate_soundness(example1):
     scan = rho_grid_scan(example1)
     assert scan.min_rho > 0.0
     assert scan.loss_points == []
+
+
+# -- sweep counts ----------------------------------------------------------------
+
+
+def count_rk4_calls(monkeypatch):
+    calls = []
+    real = _kernels.rk4_grid
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "rk4_grid", counted)
+    return calls
+
+
+def test_classification_doubling_sweeps_do_not_depend_on_columns(example3, monkeypatch):
+    point = LossPoint(x_star=EX3_LOSS[1][0], lambda_star=EX3_LOSS[1][1], rho=0.0)
+    calls = count_rk4_calls(monkeypatch)
+    for n_cols in (5, 33, 65):
+        calls.clear()
+        classify_loss_point(example3, point, n_cols=n_cols, max_doublings=0)
+        assert len(calls) <= 4
+        assert max(calls) == n_cols
+
+
+def test_refine_round_and_newton_sweep_counts(example3, monkeypatch):
+    problem = replace(example3, x_steps=200, lambda_steps=60)
+    _psi_grids(problem)  # the full-grid sweep is cached before counting
+    polished = []
+
+    def no_polish(problem, x, lam, hx, hl):
+        polished.append((x, lam))
+        return x, lam, 1.0
+
+    calls = count_rk4_calls(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(invariance, "_newton_polish", no_polish)
+        rho_grid_scan(problem, refine_rounds=1, candidate_tol=np.inf)
+    assert polished and len(calls) <= 4 * len(polished)
+
+    # one Newton iteration plus the final point evaluation
+    calls.clear()
+    _newton_polish(problem, 0.5, -1.0, hx=1e-5, hl=1e-4, iters=1)
+    assert len(calls) <= 6 + 2

@@ -1,6 +1,7 @@
 """The batched numpy kernels: chunking, per-line tables and the backend name."""
 
 import numpy as np
+import pytest
 
 from renosc import _kernels
 
@@ -27,14 +28,42 @@ def test_rk4_per_line_tables_match_affine_batch():
         assert np.max(np.abs(s1 - s2)) < 1e-12
 
 
+def test_rk4_per_line_init_matches_separate_lines():
+    a_half, E, lams, _, h = random_inputs()
+    inits = rng.normal(size=(len(lams), 4, 2))
+    for rescale in (True, False):
+        f, s = _kernels.rk4_grid(a_half, E, lams, inits, h, rescale)
+        for i in range(len(lams)):
+            fi, si = _kernels.rk4_grid(a_half, E, lams[i:i + 1], inits[i], h, rescale)
+            assert np.array_equal(f[i], fi[0]) and np.array_equal(s[i], si[0])
+
+
 def test_omega_tables_chunking():
-    N, n, m = 7, 3, 1
-    G = rng.normal(size=(N, n, m))
-    H = rng.normal(size=(N, n, n - m))
-    Z = np.zeros((n, n))
-    w1a, _, _ = _kernels.omega_tables(G, H, Z, Z, chunk=3)
-    w1b, _, _ = _kernels.omega_tables(G, H, Z, Z, chunk=100)
-    assert np.allclose(w1a, w1b)
+    # non-zero blocks exercise the column-replacement sum in omega2.  Every
+    # chunk holds at least two nodes: a one-node chunk multiplies by gemv,
+    # which rounds differently from the gemm of larger chunks.
+    L, S, n, m = 3, 8, 4, 2
+    G = rng.normal(size=(L, S, n, m))
+    H = rng.normal(size=(S, n, n - m))
+    ATg = rng.normal(size=(n, n))
+    ATh = rng.normal(size=(n, n))
+    full = np.ascontiguousarray(np.broadcast_to(H, (L, S, n, n - m)))
+    ref = _kernels.omega_tables(G.reshape(-1, n, m), full.reshape(-1, n, n - m),
+                                ATg, ATh)
+    for chunk in (2, 3, 5, 7, 65536):
+        for Hb in (H, full):
+            out = _kernels.omega_tables(G, Hb, ATg, ATh, chunk=chunk)
+            for a, b in zip(out, ref):
+                assert a.shape == (L, S)
+                assert np.array_equal(a.ravel(), b)
+    # one H frame shared by every node
+    one = _kernels.omega_tables(G, H[0], ATg, ATh, chunk=4)
+    many = _kernels.omega_tables(G, np.broadcast_to(H[0], G.shape[:-1] + (n - m,)),
+                                 ATg, ATh)
+    for a, b in zip(one, many):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        _kernels.omega_tables(G, H[:2], ATg, ATh)
 
 
 def test_backend_name():

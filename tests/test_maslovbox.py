@@ -14,10 +14,16 @@ from renosc import (
     load_problem,
     localize_eigenvalues_top,
     monotonicity_audit,
+    integrate_frame,
     omega_at_points,
+    psi_point,
+    psi_rho,
+    psi_window,
     renormalized_count,
     shelf_path,
 )
+from renosc import _kernels
+from renosc.maslovbox import _psi1_at_one
 from renosc.winding import detect_crossings
 
 SQ50 = np.sqrt(50.0)
@@ -267,3 +273,84 @@ def test_example3_narrow_box(example3_narrow):
     assert rep.m_frak == -2
     assert rep.lower_bound == 0
     assert rep.eigenvalues == []
+
+
+# -- the batched psi window --------------------------------------------------------
+
+
+def lead_steps(problem, dx):
+    return max(4, int(np.ceil(dx * problem.x_steps)))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_psi_window_batch_equals_single_lambda_legs(name):
+    problem = replace(load_problem(builtin_catalog(name)), x_steps=300)
+    field, AT = problem.field, problem.a_tilde()
+    lams = np.linspace(problem.lambda1, problem.lambda2, 5)
+    x_lo, x_hi, nx = 0.3, 0.36, 12
+    xs, p1, p2 = psi_window(problem, lams, x_lo, x_hi, nx)
+    assert p1.shape == p2.shape == (len(lams), nx + 1)
+    assert np.array_equal(xs, np.linspace(x_lo, x_hi, nx + 1))
+    H1 = integrate_frame(field, problem.Q.entries, 1.0, x_hi,
+                         lead_steps(problem, 1.0 - x_hi), problem.lambda2).frames[0]
+    h = integrate_frame(field, H1, x_hi, x_lo, nx, problem.lambda2).frames
+    for i, lam in enumerate(lams):
+        _, q1, q2 = psi_window(problem, [lam], x_lo, x_hi, nx)
+        assert np.array_equal(p1[i], q1[0]) and np.array_equal(p2[i], q2[0])
+        # the same legs chained one lambda at a time
+        G0 = integrate_frame(field, problem.P.entries, 0.0, x_lo,
+                             lead_steps(problem, x_lo), lam).frames[-1]
+        g = integrate_frame(field, G0, x_lo, x_hi, nx, lam).frames
+        w1, w2, d = _kernels.omega_tables(g, h, AT.block_g, AT.block_h)
+        assert np.array_equal(p1[i], w1 / d) and np.array_equal(p2[i], w2 / d)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.4, 1.0])
+def test_psi_point_matches_psi_rho_on_separate_frames(example2, x):
+    problem, lam = example2, -0.7
+    G, H = problem.P.entries, problem.Q.entries
+    if x > 0.0:
+        G = integrate_frame(problem.field, G, 0.0, x, lead_steps(problem, x),
+                            lam).frames[-1]
+    if x < 1.0:
+        H = integrate_frame(problem.field, H, 1.0, x, lead_steps(problem, 1.0 - x),
+                            problem.lambda2).frames[0]
+    ref = psi_rho(G, H, problem.a_tilde())
+    p1, p2, rho = psi_point(problem, x, lam)
+    assert p1 == pytest.approx(ref.psi1, abs=1e-12)
+    assert p2 == pytest.approx(ref.psi2, abs=1e-12)
+    assert rho == pytest.approx(ref.rho, abs=1e-12)
+
+
+def test_psi1_at_one_equals_top_shelf():
+    problem = replace(load_problem(builtin_catalog("example1")),
+                      x_steps=300, lambda_steps=50)
+    top = shelf_path(problem, "top")
+    assert np.array_equal(_psi1_at_one(problem, problem.lambda_grid()), top.psi1)
+
+
+def test_psi_window_honors_no_rescale(example2, monkeypatch):
+    raw = replace(example2, x_steps=200, rescale=False)
+    lams = [-1.0, 0.1, 0.6]
+    ref = [psi_window(replace(raw, rescale=True), lams, 0.2, 0.3, 8),
+           psi_window(replace(raw, rescale=True), lams, 0.5, 0.5, 0)]
+    seen = []
+    real = _kernels.rk4_grid
+
+    def spy(*args):
+        seen.append(args[5])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "rk4_grid", spy)
+    got = [psi_window(raw, lams, 0.2, 0.3, 8), psi_window(raw, lams, 0.5, 0.5, 0)]
+    assert len(seen) == 6 and not any(seen)
+    for (_, p1, p2), (_, q1, q2) in zip(got, ref):
+        assert np.max(np.abs(p1 - q1)) < 1e-9
+        assert np.max(np.abs(p2 - q2)) < 1e-9
+
+
+def test_psi_window_validates_its_window(example1):
+    for args in [(0.2, 0.1, 4), (0.2, 0.2, 4), (0.1, 0.2, 0), (-0.1, 0.2, 4),
+                 (0.5, 1.5, 4)]:
+        with pytest.raises(InvalidInputError):
+            psi_window(example1, [0.0], *args)
