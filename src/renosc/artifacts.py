@@ -3,7 +3,9 @@
 Floats are printed with 17 significant digits so identical runs produce
 byte-identical files.  SVG output is hand-assembled (no plotting library):
 the spectral curve is traced by marching squares on the sign grid of psi1,
-with the spectral parameter on the horizontal axis.
+with the spectral parameter on the horizontal axis.  Per-cell Python runs
+only on the active cells (a zero corner or mixed signs), found with boolean
+masks; the grid CSV and the heat map format each axis value once.
 """
 
 from __future__ import annotations
@@ -40,13 +42,17 @@ def write_rows_csv(path, header, rows) -> None:
 
 
 def write_grid_csv(path, lam_axis, x_axis, values) -> None:
-    """Long-format grid dump: one (lambda, x, value) row per node."""
-    lines = ["lambda,x,rho"]
-    for li, lam in enumerate(lam_axis):
-        for xi, x in enumerate(x_axis):
-            lines.append(f"{fmt(lam)},{fmt(x)},{fmt(values[li, xi])}")
+    """Long-format grid dump: one (lambda, x, value) row per node.
+
+    Each x is formatted once for all lines and each lambda once for its
+    line; a line's values are formatted in one template substitution.
+    """
+    line = "\n".join(f"\0,{fmt(x)},%.17g" for x in x_axis)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("lambda,x,rho")
+        for lam, row in zip(lam_axis, values):
+            fh.write("\n" + (line % tuple(row.tolist())).replace("\0", fmt(lam)))
+        fh.write("\n")
 
 
 def write_summary_json(path, payload: dict) -> None:
@@ -76,38 +82,47 @@ def marching_squares(lam_axis, x_axis, values):
     """Zero-level segments of a scalar grid (values indexed [lam, x]).
 
     Returns a list of ((lam0, x0), (lam1, x1)) segments from linear
-    interpolation on each grid cell edge.
+    interpolation on each grid cell edge.  Only active cells are visited: a
+    cell with a corner exactly 0.0, or whose corners do not all share
+    `value < 0`.  Any other cell has no edge point, so skipping it changes
+    nothing (NaN counts as non-negative and non-zero, as in the edge rule).
+    Active cells are found with boolean masks and visited in row-major
+    order, so the segments come out in the order of a walk over all cells.
     """
+    def cell_corners(mask):
+        return mask[:-1, :-1], mask[1:, :-1], mask[1:, 1:], mask[:-1, 1:]
+
+    z0, z1, z2, z3 = cell_corners(values == 0.0)
+    n0, n1, n2, n3 = cell_corners(values < 0)
+    active = z0 | z1 | z2 | z3 | ((n0 | n1 | n2 | n3) & ~(n0 & n1 & n2 & n3))
     segs = []
-    L, S = values.shape
 
     def interp(p, q, vp, vq):
         t = vp / (vp - vq)
         return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
-    for i in range(L - 1):
-        for j in range(S - 1):
-            corners = [
-                ((lam_axis[i], x_axis[j]), values[i, j]),
-                ((lam_axis[i + 1], x_axis[j]), values[i + 1, j]),
-                ((lam_axis[i + 1], x_axis[j + 1]), values[i + 1, j + 1]),
-                ((lam_axis[i], x_axis[j + 1]), values[i, j + 1]),
-            ]
-            pts = []
-            for k in range(4):
-                (p, vp) = corners[k]
-                (q, vq) = corners[(k + 1) % 4]
-                if vp == 0.0 and vq == 0.0:
-                    continue
-                if (vp < 0) != (vq < 0) or vp == 0.0:
-                    if vp == 0.0:
-                        pts.append(p)
-                    else:
-                        pts.append(interp(p, q, vp, vq))
-            if len(pts) >= 2:
-                segs.append((pts[0], pts[1]))
-            if len(pts) == 4:
-                segs.append((pts[2], pts[3]))
+    for i, j in np.argwhere(active).tolist():
+        corners = [
+            ((lam_axis[i], x_axis[j]), values[i, j]),
+            ((lam_axis[i + 1], x_axis[j]), values[i + 1, j]),
+            ((lam_axis[i + 1], x_axis[j + 1]), values[i + 1, j + 1]),
+            ((lam_axis[i], x_axis[j + 1]), values[i, j + 1]),
+        ]
+        pts = []
+        for k in range(4):
+            (p, vp) = corners[k]
+            (q, vq) = corners[(k + 1) % 4]
+            if vp == 0.0 and vq == 0.0:
+                continue
+            if (vp < 0) != (vq < 0) or vp == 0.0:
+                if vp == 0.0:
+                    pts.append(p)
+                else:
+                    pts.append(interp(p, q, vp, vq))
+        if len(pts) >= 2:
+            segs.append((pts[0], pts[1]))
+        if len(pts) == 4:
+            segs.append((pts[2], pts[3]))
     return segs
 
 
@@ -173,7 +188,11 @@ def write_box_svg(path, lam_axis, x_axis, psi1_grid, crossings=(), eigenvalues=(
 
 def write_heatmap_svg(path, lam_axis, x_axis, values, loss_points=(),
                       title="rho over the box", max_cells=200) -> None:
-    """Down-sampled log10 heat map of rho with loss points marked."""
+    """Down-sampled log10 heat map of rho with loss points marked.
+
+    Rect geometry and shades are computed as arrays; each row's x/width and
+    each column's y/height strings are formatted once.
+    """
     L, S = values.shape
     li = np.unique(np.linspace(0, L - 1, min(L, max_cells)).astype(int))
     xi = np.unique(np.linspace(0, S - 1, min(S, max_cells)).astype(int))
@@ -182,24 +201,21 @@ def write_heatmap_svg(path, lam_axis, x_axis, values, loss_points=(),
     lo, hi = float(np.min(logv)), float(np.max(logv))
     span = hi - lo if hi > lo else 1.0
     lam_lo, lam_hi = float(lam_axis[0]), float(lam_axis[-1])
+    # dark = small rho
+    shade = (30 + 225 * ((logv - lo) / span)).astype(int).tolist()
+    lam_edges = np.append(lam_axis[li], lam_hi)
+    x_edges = np.append(x_axis[xi], x_axis[-1])
+    px = _x_px(lam_edges[:-1], lam_lo, lam_hi)
+    pw = np.maximum(_x_px(lam_edges[1:], lam_lo, lam_hi) - px, 0.5)
+    py = _y_px(x_edges[1:])
+    ph = np.maximum(_y_px(x_edges[:-1]) - py, 0.5)
+    rows = [(f'<rect x="{a:.2f}" y="', f'" width="{b:.2f}" height="')
+            for a, b in zip(px, pw)]
+    cols = [(f"{a:.2f}", f"{b:.2f}") for a, b in zip(py, ph)]
     parts = _svg_header(title)
-    for a in range(len(li)):
-        for b in range(len(xi)):
-            t = (logv[a, b] - lo) / span
-            # dark = small rho
-            shade = int(30 + 225 * t)
-            lam0 = lam_axis[li[a]]
-            lam1 = lam_axis[li[a + 1]] if a + 1 < len(li) else lam_hi
-            x0 = x_axis[xi[b]]
-            x1 = x_axis[xi[b + 1]] if b + 1 < len(xi) else x_axis[-1]
-            px = _x_px(lam0, lam_lo, lam_hi)
-            pw = max(_x_px(lam1, lam_lo, lam_hi) - px, 0.5)
-            py = _y_px(x1)
-            ph = max(_y_px(x0) - py, 0.5)
-            parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{pw:.2f}" '
-                f'height="{ph:.2f}" fill="rgb({shade},{shade},255)"/>'
-            )
+    for (x_part, w_part), shades in zip(rows, shade):
+        for (y, h), s in zip(cols, shades):
+            parts.append(f'{x_part}{y}{w_part}{h}" fill="rgb({s},{s},255)"/>')
     parts += _svg_axes(lam_lo, lam_hi)
     for p in loss_points:
         parts.append(

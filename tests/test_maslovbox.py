@@ -10,6 +10,7 @@ from renosc import (
     SpectralProblem,
     builtin_catalog,
     compute_box,
+    config_from_dict,
     derivative_identity_residual,
     load_problem,
     localize_eigenvalues_top,
@@ -354,3 +355,64 @@ def test_psi_window_validates_its_window(example1):
                  (0.5, 1.5, 4)]:
         with pytest.raises(InvalidInputError):
             psi_window(example1, [0.0], *args)
+
+
+# -- bisection tree on the top shelf ---------------------------------------------
+
+
+def sequential_bisection(problem, tol):
+    """The loop the tree replaces: one midpoint per bracket per round, one
+    sweep per round.  Returns (sorted eigenvalues, rounds)."""
+    top = shelf_path(problem, "top")
+    lams, p1 = top.ts, top.psi1
+    zero = np.abs(p1) <= 1e-9
+    eigs = [float(v) for v in lams[zero]]
+    ks = np.array([k for k in range(len(lams) - 1)
+                   if not (zero[k] or zero[k + 1]) and (p1[k] < 0) != (p1[k + 1] < 0)],
+                  dtype=int)
+    a, b, fa = lams[ks], lams[ks + 1], p1[ks]
+    rounds = 0
+    while len(ks) and np.max(b - a) > tol:
+        mid = 0.5 * (a + b)
+        fm = _psi1_at_one(problem, mid)
+        left = (fm < 0) == (fa < 0)
+        a = np.where(left, mid, a)
+        fa = np.where(left, fm, fa)
+        b = np.where(left, b, mid)
+        rounds += 1
+    return sorted(eigs + [float(v) for v in 0.5 * (a + b)]), rounds
+
+
+def decoupled_three_eigenvalues():
+    """-phi'' = lam phi and -phi''/2 + phi = lam phi, Dirichlet at both ends:
+    pi^2 + (1 + pi^2/2, 1 + 2 pi^2) in [3, 25]."""
+    return load_problem(config_from_dict({
+        "kind": "second-order", "l": 2, "B": [1.0, 0.5],
+        "V": [["0", "0"], ["0", "1"]], "W": [["0", "0"], ["0", "0"]],
+        "P": "dirichlet", "Q": "dirichlet", "lambda": [3.0, 25.0],
+        "x_steps": 300, "lambda_steps": 60,
+    }))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("name", ["harmonic-dirichlet", "example1", "decoupled"])
+def test_bisection_tree_equals_sequential_bisection(name, tol, monkeypatch):
+    if name == "decoupled":
+        problem = decoupled_three_eigenvalues()
+    else:
+        problem = replace(load_problem(builtin_catalog(name)), x_steps=300,
+                          lambda_steps=60)
+    want, rounds = sequential_bisection(problem, tol)  # also caches the top shelf
+    assert len(want) == {"harmonic-dirichlet": 2, "example1": 1, "decoupled": 3}[name]
+    calls = []
+    real = _kernels.rk4_grid
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "rk4_grid", counted)
+    got = localize_eigenvalues_top(problem, tol=tol)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert rounds > 4
+    assert len(calls) <= -(-rounds // 4)
