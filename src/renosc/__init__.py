@@ -77,7 +77,6 @@ from .propagation import (
 from .winding import (
     CrossingRecord,
     PathSamples,
-    crossing_direction,
     detect_crossings,
     p_point,
     winding_index,

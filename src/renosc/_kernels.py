@@ -1,8 +1,11 @@
 """Hot numeric kernels: RK4 frame propagation and determinant-form tables.
 
 Both kernels are batched numpy: `rk4_grid` steps every lambda line of a batch
-at once, `omega_tables` evaluates the forms over all nodes in chunks.  Their
-per-call timings on an example2-sized problem are part of the pipeline
+at once, `omega_tables` evaluates the forms over all nodes in chunks.  It is
+the one evaluator of omega2 and of the Gram normalization d, and
+`gram_volumes` the one place the Gram volume sqrt(det(F^T F)) is taken; the
+scalar functions of `multilinear` are validated one-node views of them.
+Per-call timings on an example2-sized problem are part of the pipeline
 benchmark (`python3 benchmarks/pipeline/run.py --trace 1`).
 
 Coefficient matrices enter through a half-step table: ``a_half[j]`` holds the
@@ -14,6 +17,8 @@ with E = 0.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -73,6 +78,16 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
 
 
 @np.errstate(invalid="ignore")  # a collapsed frame gives NaN; callers refuse it
+def gram_volumes(F):
+    """sqrt(det(F^T F)) per node: the m-volume spanned by each frame's columns.
+
+    F: frames (..., n, m); returns shape F.shape[:-2].
+    """
+    F = np.asarray(F, dtype=float)
+    return np.sqrt(np.linalg.det(np.swapaxes(F, -1, -2) @ F))
+
+
+@np.errstate(invalid="ignore")  # a collapsed frame gives NaN; callers refuse it
 def omega_tables(G, H, ATg, ATh, chunk=65536):
     """Evaluate omega1, omega2 and the Gram normalization along matched nodes.
 
@@ -92,8 +107,8 @@ def omega_tables(G, H, ATg, ATh, chunk=65536):
     if H.shape[:-2] not in ((), lead[-1:], lead):
         raise ValueError(f"H frames {H.shape} do not broadcast against G frames {G.shape}")
     n, m, nm = G.shape[-2], G.shape[-1], H.shape[-1]
-    G, H = G.reshape(-1, n, m), H.reshape(-1, n, nm)
-    N, S = G.shape[0], H.shape[0]
+    N, S = math.prod(lead), math.prod(H.shape[:-2])
+    G, H = G.reshape(N, n, m), H.reshape(S, n, nm)
     w1, w2, d = np.empty((3, N))
     for lo in range(0, N, chunk):
         hi = min(lo + chunk, N)
@@ -113,7 +128,5 @@ def omega_tables(G, H, ATg, ATh, chunk=65536):
             acc += np.linalg.det(GH)
             GH[:, :, m + j] = col
         w2[lo:hi] = acc
-        dg = np.sqrt(np.linalg.det(np.swapaxes(Gi, 1, 2) @ Gi))
-        dh = np.sqrt(np.linalg.det(np.swapaxes(Hi, 1, 2) @ Hi))
-        d[lo:hi] = dg * dh
+        d[lo:hi] = gram_volumes(Gi) * gram_volumes(Hi)
     return w1.reshape(lead), w2.reshape(lead), d.reshape(lead)

@@ -71,10 +71,8 @@ def _load(args):
         cfg = builtin_catalog(name)
     else:
         raise ConfigError(f"no such file or catalog entry: {name}")
-    if args.x_steps:
-        cfg.x_steps = args.x_steps
-    if args.lambda_steps:
-        cfg.lambda_steps = args.lambda_steps
+    steps = {"x_steps": args.x_steps, "lambda_steps": args.lambda_steps}
+    cfg = replace(cfg, **{k: v for k, v in steps.items() if v is not None})
     if args.lam:
         if not args.lam[0] < args.lam[1]:
             raise ConfigError("need L1 < L2")

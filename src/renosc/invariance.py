@@ -24,8 +24,12 @@ from . import _kernels
 from .errors import InvalidInputError, NeedsFinerGridError, RankDeficiencyError
 from .maslovbox import SpectralProblem, normalized_forms, psi_point
 from .maslovbox import psi_window as _psi_window
+from .multilinear import psi_rho
 
 RHO_ZERO_TOL = 1e-9
+# lambda lines per block when a per-line quantity is batched over the grid;
+# bounds the block's transients
+_LINE_BLOCK = 32
 
 
 @dataclass
@@ -120,12 +124,9 @@ def gram_log_derivatives(field, frames, xs, lam):
 
 
 def _column_volume_ratio(frames):
-    """Gram volume over the product of column norms, per node."""
-    gram = np.swapaxes(frames, 1, 2) @ frames
-    with np.errstate(invalid="ignore"):
-        vol = np.sqrt(np.linalg.det(gram))
-    norms = np.sqrt(np.sum(frames * frames, axis=1))
-    ratio = vol / np.prod(norms, axis=1)
+    """Gram volume over the product of column norms, per node of (..., n, m)."""
+    norms = np.sqrt(np.sum(frames * frames, axis=-2))
+    ratio = _kernels.gram_volumes(frames) / np.prod(norms, axis=-1)
     if not np.all(np.isfinite(ratio)):
         raise RankDeficiencyError("non-finite Gram volume: a propagated frame collapsed")
     return ratio
@@ -174,27 +175,41 @@ def delta_bound_higher_order(problem: SpectralProblem, c_g: float, c_h: float) -
     return (problem.lambda2 - problem.lambda1) / (c_g * c_h) * peak
 
 
-def _delta_grid_fd(problem: SpectralProblem) -> float:
-    """Grid maximum of |d(omega2)/dx / d| = |d(psi2)/dx + psi2 d'/d|.
+def _g_family_extrema(problem: SpectralProblem, dh_log, measure_cg: bool,
+                      fd_delta: bool):
+    """Grid extrema of the G family's Gram data over every lambda line.
 
-    psi2 is scale-invariant, so its centered difference is legitimate even on
-    rescaled frames; the d'/d correction is evaluated analytically per node.
+    Returns (c_g, C_g_measured, delta), each None unless asked for: the
+    minimum column-volume ratio and the maximum |d/dx log d_g| (measure_cg),
+    and the grid maximum of |d(omega2)/dx / d| = |d(psi2)/dx + psi2 d'/d|
+    (fd_delta).  psi2 is scale-invariant, so its centered difference is
+    legitimate even on rescaled frames; d'/d is evaluated analytically per
+    node.  Each line's Gram log-derivative is computed once and serves both
+    maxima.
     """
-    _, psi2, _ = _psi_grids(problem)
     frames = problem.lambda_grid_frames()
-    hp = problem.h_path()
     xs = problem.x_grid()
     lams = problem.lambda_grid()
-    dh_log = gram_log_derivatives(problem.field, hp.frames, xs, problem.lambda2)
-    h = xs[1] - xs[0]
-    best = 0.0
+    ratio_min = dg_max = delta = None
+    if measure_cg:
+        ratio_min = min(
+            float(np.min(_column_volume_ratio(frames[lo:lo + _LINE_BLOCK])))
+            for lo in range(0, len(lams), _LINE_BLOCK)
+        )
+        dg_max = 0.0
+    if fd_delta:
+        psi2 = _psi_grids(problem)[1]
+        h = xs[1] - xs[0]
+        delta = 0.0
     for li, lam in enumerate(lams):
         dg_log = gram_log_derivatives(problem.field, frames[li], xs, lam)
-        dlog = dg_log + dh_log
-        fd = (psi2[li, 2:] - psi2[li, :-2]) / (2 * h)
-        val = np.abs(fd + psi2[li, 1:-1] * dlog[1:-1])
-        best = max(best, float(np.max(val)))
-    return best
+        if measure_cg:
+            dg_max = max(dg_max, float(np.max(np.abs(dg_log))))
+        if fd_delta:
+            dlog = dg_log + dh_log
+            fd = (psi2[li, 2:] - psi2[li, :-2]) / (2 * h)
+            delta = max(delta, float(np.max(np.abs(fd + psi2[li, 1:-1] * dlog[1:-1]))))
+    return ratio_min, dg_max, delta
 
 
 def constants_report(problem: SpectralProblem) -> InvarianceReport:
@@ -222,35 +237,23 @@ def constants_report(problem: SpectralProblem) -> InvarianceReport:
 
     hp = problem.h_path()
     c_h = float(np.min(_column_volume_ratio(hp.frames)))
-    C_h = float(np.max(np.abs(
-        gram_log_derivatives(field, hp.frames, xs, problem.lambda2)
-    )))
+    dh_log = gram_log_derivatives(field, hp.frames, xs, problem.lambda2)
+    C_h = float(np.max(np.abs(dh_log)))
 
-    C_g_measured = None
-    if m == 1:
-        c_g = 1.0
-        cg_mode = "exact"
-    else:
-        frames = problem.lambda_grid_frames()
-        c_g = float(min(
-            np.min(_column_volume_ratio(frames[li])) for li in range(len(lams))
-        ))
-        C_g_measured = float(max(
-            np.max(np.abs(gram_log_derivatives(field, frames[li], xs, lam)))
-            for li, lam in enumerate(lams)
-        ))
-        cg_mode = "measured"
+    fd_delta = field.kind != "higher-order"
+    c_g_grid = C_g_measured = delta = None
+    if m > 1 or fd_delta:
+        c_g_grid, C_g_measured, delta = _g_family_extrema(problem, dh_log, m > 1,
+                                                          fd_delta)
+    c_g, cg_mode = (1.0, "exact") if m == 1 else (c_g_grid, "measured")
     C_g = math.factorial(m) * C_A / c_g ** 2
     C_d = C_g + C_h
 
-    if field.kind == "higher-order":
+    if fd_delta:
+        delta_mode = "grid-fd"
+    else:
         delta = delta_bound_higher_order(problem, c_g, c_h)
         delta_mode = "hadamard"
-    else:
-        delta = _delta_grid_fd(problem)
-        delta_mode = "grid-fd"
-
-    from .multilinear import psi_rho  # local import to avoid cycle at module load
 
     rho0 = psi_rho(problem.P.entries, hp.frames[0], problem.a_tilde()).rho
     C = 2 * C_d + max(2 * C_a, 1.0) + 1.0

@@ -11,6 +11,12 @@ together with the Gram normalization d = |g_1 ^ ... ^ g_m| |h_1 ^ ... ^ h_{n-m}|
 and the scaled quantities psi_i = omega_i / d, rho = (psi1^2 + psi2^2)/2.
 rho > 0 certifies that the pair of forms does not vanish simultaneously,
 which is what makes the projective winding index well defined.
+
+The evaluator is `_kernels.omega_tables`, batched over nodes, with the Gram
+volume from `_kernels.gram_volumes`.  The scalar functions here are
+validated one-node views of them: they check shapes, finiteness and rank
+(one rule, `gram_volume`'s RANK_TOL test, which `Frame` shares) and evaluate
+nothing themselves, except `omega1_eval`, which is the definition det([G H]).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidInputError, RankDeficiencyError
 
 # Gram determinant must exceed this times the product of squared column
@@ -36,16 +43,11 @@ class Frame:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2:
             raise InvalidInputError("frame must be a 2-d matrix")
-        if not np.all(np.isfinite(entries)):
-            raise InvalidInputError("frame has non-finite entries")
         n, m = entries.shape
         if not 1 <= m <= n:
             raise InvalidInputError(f"frame must be tall: got {n}x{m}")
+        gram_volume(entries)  # finite entries, independent columns
         object.__setattr__(self, "entries", entries)
-        norms2 = np.sum(entries * entries, axis=0)
-        gram = entries.T @ entries
-        if np.linalg.det(gram) <= RANK_TOL * float(np.prod(norms2)):
-            raise RankDeficiencyError("frame columns are numerically dependent")
 
     @property
     def rows(self) -> int:
@@ -94,16 +96,18 @@ def _as_matrix(frame) -> np.ndarray:
 
 
 def gram_volume(frame) -> float:
-    """sqrt(det of the Gram matrix): the m-volume spanned by the columns."""
+    """sqrt(det of the Gram matrix): the m-volume spanned by the columns.
+
+    The one rank rule: the squared volume must exceed RANK_TOL times the
+    product of squared column norms, else RankDeficiencyError.
+    """
     mat = _as_matrix(frame)
     if not np.all(np.isfinite(mat)):
-        raise InvalidInputError("non-finite entries")
-    gram = mat.T @ mat
-    det = float(np.linalg.det(gram))
-    norms2 = np.sum(mat * mat, axis=0)
-    if det <= RANK_TOL * float(np.prod(norms2)):
-        raise RankDeficiencyError("rank-deficient frame in gram_volume")
-    return float(np.sqrt(det))
+        raise InvalidInputError("frame has non-finite entries")
+    vol = float(_kernels.gram_volumes(mat))
+    if not vol * vol > RANK_TOL * float(np.prod(np.sum(mat * mat, axis=0))):
+        raise RankDeficiencyError("rank-deficient frame: columns are numerically dependent")
+    return vol
 
 
 def omega1_eval(G, H) -> float:
@@ -133,41 +137,36 @@ def build_A_tilde(problem) -> BlockLambdaMatrix:
     return BlockLambdaMatrix(n=n, entries=out)
 
 
-def omega2_eval(G, H, AT: BlockLambdaMatrix) -> float:
-    """Column-replacement sum defining the second form.
-
-    Each column of the stacked frame is replaced in turn by the block matrix
-    applied to it.  Columns coming from G live in the first block, columns
-    from H in the second, so the 2n x n evaluation reduces to n x n
-    determinants of [G H] with a single replaced column.
-    """
+def _forms_at_node(G, H, AT: BlockLambdaMatrix):
+    """(omega1, omega2, d) of one frame pair: a one-node omega_tables call."""
     g, h = _as_matrix(G), _as_matrix(H)
     n = g.shape[0]
     if h.shape[0] != n or g.shape[1] + h.shape[1] != n:
         raise InvalidInputError("frame dimensions do not match")
     if AT.n != n:
         raise InvalidInputError(f"block matrix is for n={AT.n}, frames have n={n}")
-    gh = np.hstack([g, h])
-    m = g.shape[1]
-    total = 0.0
-    for k in range(m):
-        col = gh[:, k].copy()
-        gh[:, k] = AT.block_g @ col
-        total += np.linalg.det(gh)
-        gh[:, k] = col
-    for j in range(n - m):
-        col = gh[:, m + j].copy()
-        gh[:, m + j] = AT.block_h @ col
-        total += np.linalg.det(gh)
-        gh[:, m + j] = col
-    return float(total)
+    tables = _kernels.omega_tables(g[None], h[None], AT.block_g, AT.block_h)
+    return tuple(float(t[0]) for t in tables)
+
+
+def omega2_eval(G, H, AT: BlockLambdaMatrix) -> float:
+    """Column-replacement sum defining the second form.
+
+    Each column of the stacked frame [G H] is replaced in turn by the block
+    matrix applied to it: columns from G by the first block, columns from H
+    by the second.
+    """
+    return _forms_at_node(G, H, AT)[1]
 
 
 def psi_rho(G, H, AT: BlockLambdaMatrix) -> OmegaPairValue:
-    """Evaluate both forms and their Gram-normalized versions at one point."""
-    w1 = omega1_eval(G, H)
-    w2 = omega2_eval(G, H, AT)
-    d = gram_volume(G) * gram_volume(H)
+    """Evaluate both forms and their Gram-normalized versions at one point.
+
+    Both frames must pass `gram_volume`'s finiteness and rank test.
+    """
+    w1, w2, d = _forms_at_node(G, H, AT)
+    for frame in (G, H):
+        gram_volume(frame)
     psi1 = w1 / d
     psi2 = w2 / d
     return OmegaPairValue(

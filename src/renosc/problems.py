@@ -298,6 +298,10 @@ class ProblemConfig:
     lambda_steps: int = 600
     extra: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.x_steps < 2 or self.lambda_steps < 2:
+            raise ConfigError("grid resolutions must be at least 2")
+
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "m": self.m, "lambda": list(self.lam),
                "x_steps": self.x_steps, "lambda_steps": self.lambda_steps,
@@ -334,8 +338,6 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         raise ConfigError("need lambda1 < lambda2")
     x_steps = int(doc.get("x_steps", 1000))
     lambda_steps = int(doc.get("lambda_steps", 600))
-    if x_steps < 2 or lambda_steps < 2:
-        raise ConfigError("grid resolutions must be at least 2")
 
     if kind == "higher-order":
         n = doc.get("n")

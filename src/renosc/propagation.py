@@ -67,9 +67,6 @@ class FramePath:
     scale_log: np.ndarray
     direction: str  # "forward" (from x=0 side) or "backward" (from x=1 side)
 
-    def frame_at(self, k: int) -> np.ndarray:
-        return self.frames[k]
-
 
 def eval_companion_higher_order(alphas, kappas, x, lam: float) -> np.ndarray:
     """Companion matrix of a single n-th order operator, at x or on a grid.

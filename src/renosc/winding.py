@@ -27,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, InvarianceViolationError, NeedsFinerGridError
+from .errors import InvalidInputError, InvarianceViolationError
 from .multilinear import OmegaPairValue
 
 # |psi1| at or below this is a numeric zero (psi values are Gram-normalized,
@@ -79,16 +79,6 @@ class PathSamples:
             psi2=psi2,
             rho=rho,
             label=label,
-        )
-
-    def value_at(self, k: int) -> OmegaPairValue:
-        return OmegaPairValue(
-            omega1=float(self.omega1[k]),
-            omega2=float(self.omega2[k]),
-            d=float(self.d[k]),
-            psi1=float(self.psi1[k]),
-            psi2=float(self.psi2[k]),
-            rho=float(self.rho[k]),
         )
 
     def check_invariance(self, tol: float = RHO_MIN_TOL):
@@ -303,33 +293,6 @@ def _assign_directions(path, records, zero_mask):
             # one-sided difference fixes the record's direction at endpoints
             rec.direction = departure if rec.kind == "left-endpoint" else arrival
         rec.contribution = contribution
-
-
-def crossing_direction(path: PathSamples, record: CrossingRecord) -> int:
-    """Sign of d(psi1/psi2)/dt at the crossing via adjacent-node differences."""
-    ts, p1, p2 = path.ts, path.psi1, path.psi2
-    zero = np.abs(p1) <= ZERO_TOL
-    if record.kind == "interval":
-        raise InvalidInputError("interval records have no single direction")
-    if record.node is not None and zero[record.node]:
-        j0 = _nearest_nonzero(zero, record.node, -1)
-        j1 = _nearest_nonzero(zero, record.node, +1)
-    else:
-        j0, j1 = record.node, record.node + 1
-    usable = [j for j in (j0, j1) if j is not None]
-    if len(usable) < 2:
-        if not usable:
-            raise NeedsFinerGridError("no usable neighbors around crossing")
-        # endpoint: one-sided slope against the zero at the crossing itself
-        j = usable[0]
-        slope = (p1[j] / p2[j]) / (ts[j] - record.t_star)
-        return 1 if slope > 0 else -1
-    r0 = p1[j0] / p2[j0]
-    r1 = p1[j1] / p2[j1]
-    slope = (r1 - r0) / (ts[j1] - ts[j0])
-    if slope == 0.0:
-        raise NeedsFinerGridError("flat ratio around crossing; refine the grid")
-    return 1 if slope > 0 else -1
 
 
 def winding_index(path: PathSamples):

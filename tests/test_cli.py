@@ -142,6 +142,15 @@ def test_lambda_override_validated(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--x-steps", "--lambda-steps"])
+@pytest.mark.parametrize("value", ["0", "1", "-5"])
+def test_grid_size_override_validated(flag, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["left-shelf", "harmonic-neumann", flag, value, "--out", str(out)]) == 1
+    assert "grid resolutions must be at least 2" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 # The example2 shape with a stiff potential: column rescaling lets the two
 # columns of each frame collapse onto the dominant mode.
 STIFF = {

@@ -84,9 +84,28 @@ def test_gram_volume_single_column_norm():
     assert gram_volume(np.array([[3.0], [4.0], [0.0]])) == pytest.approx(5.0)
 
 
+def near_rank_tol(s):
+    """Columns e1, e1 + t e2 and e1 + t e2 + s e3 with t = 2**-20.
+
+    With s a short dyadic number the Gram matrix and its elimination are
+    exact, so det(Gram) = t**2 s**2 and the column norms are 1 + O(t**2).
+    s = 2**-20 puts det(Gram) over the squared norms just below RANK_TOL
+    (8.3e-25), s = 3 * 2**-21 just above it (1.9e-24).
+    """
+    t = 2.0 ** -20
+    return np.array([[1.0, 1.0, 1.0], [0.0, t, t], [0.0, 0.0, s]])
+
+
+BELOW_RANK_TOL = near_rank_tol(2.0 ** -20)
+ABOVE_RANK_TOL = near_rank_tol(3 * 2.0 ** -21)
+
+
 def test_gram_volume_rank_deficient():
     with pytest.raises(RankDeficiencyError):
         gram_volume(np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
+    with pytest.raises(RankDeficiencyError):
+        gram_volume(BELOW_RANK_TOL)
+    assert gram_volume(ABOVE_RANK_TOL) == pytest.approx(3 * 2.0 ** -41, rel=1e-12)
 
 
 def test_gram_volume_nonfinite():
@@ -97,6 +116,10 @@ def test_gram_volume_nonfinite():
 def test_frame_validates():
     with pytest.raises(RankDeficiencyError):
         Frame(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
+    # the same rank rule as gram_volume, on both sides of RANK_TOL
+    with pytest.raises(RankDeficiencyError):
+        Frame(BELOW_RANK_TOL)
+    assert Frame(ABOVE_RANK_TOL).cols == 3
     with pytest.raises(InvalidInputError):
         Frame(np.ones((2, 3)))  # wider than tall
 

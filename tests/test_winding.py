@@ -4,7 +4,6 @@ import pytest
 from renosc import (
     InvarianceViolationError,
     PathSamples,
-    crossing_direction,
     detect_crossings,
     p_point,
     winding_index,
@@ -94,7 +93,6 @@ def test_direction_counterclockwise():
     ts = np.linspace(0, 1, 101)
     p = path(ts, ts - 0.5, np.ones_like(ts))
     recs = detect_crossings(p)
-    assert crossing_direction(p, recs[0]) == 1
     assert recs[0].direction == 1
 
 
@@ -102,7 +100,7 @@ def test_direction_clockwise():
     ts = np.linspace(0, 1, 101)
     p = path(ts, 0.5 - ts, np.ones_like(ts))
     recs = detect_crossings(p)
-    assert crossing_direction(p, recs[0]) == -1
+    assert recs[0].direction == -1
 
 
 # -- index conventions -------------------------------------------------------
