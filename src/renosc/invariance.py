@@ -115,7 +115,11 @@ class ScanResult:
 
 def gram_log_derivatives(field, frames, xs, lam):
     """Per-node d/dx log of the Gram volume: 0.5 tr(Gram^-1 Gram')."""
-    A = field.table(xs, lam)
+    return _gram_log_derivatives(field.table(xs, lam), frames)
+
+
+def _gram_log_derivatives(A, frames):
+    """gram_log_derivatives on the coefficient table A at the frames' nodes."""
     Fdot = A @ frames
     gram = np.swapaxes(frames, 1, 2) @ frames
     gram_dot = np.swapaxes(Fdot, 1, 2) @ frames + np.swapaxes(frames, 1, 2) @ Fdot
@@ -134,8 +138,8 @@ def _column_volume_ratio(frames):
 
 def _spectral_norm_max(field, xs, lams):
     best = 0.0
-    for lam in lams:
-        s = np.linalg.svd(field.table(xs, lam), compute_uv=False)
+    for A in field.tables(xs, lams):
+        s = np.linalg.svd(A, compute_uv=False)
         best = max(best, float(np.max(s[:, 0])))
     return best
 
@@ -201,8 +205,8 @@ def _g_family_extrema(problem: SpectralProblem, dh_log, measure_cg: bool,
         psi2 = _psi_grids(problem)[1]
         h = xs[1] - xs[0]
         delta = 0.0
-    for li, lam in enumerate(lams):
-        dg_log = gram_log_derivatives(problem.field, frames[li], xs, lam)
+    for li, A in enumerate(problem.field.tables(xs, lams)):
+        dg_log = _gram_log_derivatives(A, frames[li])
         if measure_cg:
             dg_max = max(dg_max, float(np.max(np.abs(dg_log))))
         if fd_delta:

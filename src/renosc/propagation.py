@@ -2,9 +2,17 @@
 
 The evolving subspaces are represented by matrix solutions of F' = A(x; lam) F.
 The G-family starts from the boundary frame at x = 0, the H-family from the
-frame at x = 1 (integrated backward).  Column rescaling after each step keeps
-stiff problems in range; it multiplies both determinant forms by a common
-positive factor and therefore changes nothing at the psi level.
+frame at x = 1 (integrated backward).  The kernel, `_kernels.rk4_grid`, runs
+classical RK4 in propagator form: every step's matrix P_k (F_{k+1} = P_k F_k)
+is built in one batched pass, and the steps are chained by a blocked prefix
+product, blocks of ceil(sqrt(steps)) steps, so a leg costs about
+2 sqrt(steps) numpy-level iterations.  Temporaries are bounded by
+`_kernels.STEP_BUDGET` bytes each, by chunking lines and, for long legs,
+x segments.  Column rescaling keeps stiff problems in range: inside a block
+every step matrix is divided by a power of two s, adding m log s to
+scale_log, and every node's columns are normalized, adding the log of their
+norms.  It multiplies both determinant forms by a common positive factor and
+therefore changes nothing at the psi level.
 """
 
 from __future__ import annotations
@@ -50,6 +58,21 @@ class CoefficientField:
     def base_table(self, xs) -> np.ndarray:
         """The lambda-free part table(xs, 0) of an affine field."""
         return self.table(np.asarray(xs, dtype=float), 0.0)
+
+    def tables(self, xs, lams):
+        """Yield table(xs, lam) for each lam of `lams`, in order.
+
+        An affine field builds its base table once and adds lam * lambda_mat,
+        which equals table(xs, lam) bit for bit for the companion builders.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if not self.is_affine:
+            for lam in lams:
+                yield self.table(xs, lam)
+            return
+        base = self.base_table(xs)
+        for lam in lams:
+            yield base + lam * self.lambda_mat
 
 
 @dataclass(frozen=True)

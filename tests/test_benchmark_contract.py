@@ -1,8 +1,9 @@
 """What the pipeline benchmark (benchmarks/pipeline/) needs from renosc.
 
 `tracing.instrument` wraps every (module, attribute) of `TARGETS` by
-`getattr`, and `kernels.py` times `_kernels.omega_tables` on flat node
-arrays; renaming or dropping any of these breaks `run.py --trace 1`.
+`getattr`, and `kernels.py` times `_kernels.rk4_grid` (called positionally)
+and `_kernels.omega_tables` on flat node arrays; renaming or dropping any of
+these breaks `run.py --trace 1`.
 """
 
 import importlib
@@ -47,3 +48,18 @@ def test_omega_tables_accepts_flat_node_arrays():
     out = _kernels.omega_tables(G, H, ATg, ATh)
     assert [t.shape for t in out] == [(nodes,)] * 3
     assert all(np.all(np.isfinite(t)) for t in out)
+
+
+def test_rk4_grid_positional_call_and_shapes():
+    # kernels.py: _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, True)
+    rng = np.random.default_rng(8)
+    n, m, steps = 4, 2, 50
+    for L in (1, 21):
+        a_half = rng.normal(size=(2 * steps + 1, n, n))
+        E = rng.normal(size=(n, n))
+        lams = np.linspace(-1.0, 1.0, L)
+        init = rng.normal(size=(n, m))
+        frames, scale_log = _kernels.rk4_grid(a_half, E, lams, init, 1.0 / steps, True)
+        assert frames.shape == (L, steps + 1, n, m)
+        assert scale_log.shape == (L, steps + 1)
+        assert np.all(np.isfinite(frames)) and np.all(np.isfinite(scale_log))

@@ -111,6 +111,29 @@ def test_blow_up_exits_3(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+def test_stiff_left_shelf_with_rescale(tmp_path):
+    # RK4 amplifies by about 4e6 per step here, so a chain of unscaled step
+    # matrices overflows within a few dozen steps; with rescaling the run
+    # must stay finite and find no crossing, as the step-by-step loop does.
+    doc = {
+        "kind": "second-order",
+        "l": 1,
+        "B": [1],
+        "V": [["100000000"]],
+        "W": [["0"]],
+        "P": "neumann",
+        "Q": "neumann",
+        "lambda": [0, 1],
+        "x_steps": 100,
+        "lambda_steps": 20,
+    }
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(doc))
+    assert run(["left-shelf", str(path), "--out", str(tmp_path)]) == 0
+    summary = json.loads(read(tmp_path / "summary.json"))
+    assert summary["count"] == 0
+
+
 def test_invariance_command_with_scan(tmp_path, capsys):
     import math
 
