@@ -3,10 +3,36 @@
 Both kernels are batched numpy: `rk4_grid` propagates every lambda line of a
 batch at once, `omega_tables` evaluates the forms over all nodes in chunks.
 It is the one evaluator of omega2 and of the Gram normalization d, and
-`gram_volumes` the one place the Gram volume sqrt(det(F^T F)) is taken; the
-scalar functions of `multilinear` are validated one-node views of them.
-Per-call timings on an example2-sized problem are part of the pipeline
-benchmark (`python3 benchmarks/pipeline/run.py --trace 1`).
+`gram_volumes` the one place the Gram volume is taken; the scalar functions
+of `multilinear` are validated one-node views of them.  Per-call timings on
+an example2-sized problem are part of the pipeline benchmark
+(`python3 benchmarks/pipeline/run.py --trace 1`).
+
+The forms are evaluated in Pluecker coordinates (the compound-matrix method
+of Allen & Bridges, Numer. Math. 92, 2002).  ghat holds the m x m minors of
+G and hhat the (n-m) x (n-m) minors of H, row sets in lexicographic order;
+both come from a Laplace recursion over columns driven by index tables
+cached per (n, k), elementwise, so no BLAS or LAPACK call runs per node and
+a node's values never depend on its batch.  Then
+
+    omega1 = det([G H]) = sum_I sign(I, I^c) ghat_I hhat_{I^c} = ghat^T J hhat
+    omega2 = ghat^T K hhat,  K = D_m(ATg)^T J + J D_{n-m}(ATh)
+    d      = |ghat| |hhat|
+
+J is the Hodge pairing; D_k(A), the derived (additive) compound, is the
+action of A on k-vectors as a derivation, so that D_m(ATg) ghat is the sum of
+the single-column replacements g_k -> ATg g_k, and omega2 is the
+column-replacement sum.  K is scattered from cached tables once per call.
+|ghat|^2 = det(G^T G) by Cauchy-Binet, so d is the Gram normalization
+without forming a Gram matrix.  The H side (J hhat, K hhat, |hhat|) is
+computed once per distinct H frame; each G node then costs its minors and
+two C(n, m)-term dot products.  Collapse rule: d is NaN where either frame's
+squared volume is at most COLLAPSE_TOL = 2^-52 times the product of its
+squared column norms, the rounding floor of det(F^T F), below which a
+propagated frame has lost its subdominant directions (the Pluecker norm
+itself stays positive there, so the rule must be explicit).  The chunk of
+nodes is sized so that its temporaries, about 6 C(n, m) + n^2 doubles per
+node, fit FORM_BUDGET bytes at any n.
 
 Coefficient matrices enter through a half-step table: ``a_half[j]`` holds the
 lambda-independent part of A at x = x0 + j*h/2, and the full matrix is
@@ -40,6 +66,8 @@ result does not depend on the lines that share its chunk.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -54,6 +82,14 @@ def backend_name() -> str:
 
 # Bytes allowed for each (lines, steps, n, n) temporary of `rk4_grid`.
 STEP_BUDGET = 1 << 18
+
+# Bytes allowed for the temporaries of one `omega_tables` chunk.
+FORM_BUDGET = 1 << 20
+
+# Collapse rule of `omega_tables`: a frame whose squared volume is at most
+# this times the product of its squared column norms has collapsed, and its
+# d is NaN.  It is the rounding floor of det(F^T F).
+COLLAPSE_TOL = 2.0 ** -52
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # blow-ups are caught by callers
@@ -156,56 +192,191 @@ def _chain(P, frames, slog, rescale):
     slog[:, 1:] = s[:, :steps]
 
 
-@np.errstate(invalid="ignore")  # a collapsed frame gives NaN; callers refuse it
 def gram_volumes(F):
-    """sqrt(det(F^T F)) per node: the m-volume spanned by each frame's columns.
+    """|Pluecker(F)| per node: the m-volume spanned by each frame's columns.
 
-    F: frames (..., n, m); returns shape F.shape[:-2].
+    F: frames (..., n, m); returns shape F.shape[:-2].  By Cauchy-Binet this
+    is sqrt(det(F^T F)), without forming F^T F.
     """
     F = np.asarray(F, dtype=float)
-    return np.sqrt(np.linalg.det(np.swapaxes(F, -1, -2) @ F))
+    return np.sqrt(_sum_rows(np.square(_minors(np.moveaxis(F, (-2, -1), (0, 1))))))
 
 
-@np.errstate(invalid="ignore")  # a collapsed frame gives NaN; callers refuse it
-def omega_tables(G, H, ATg, ATh, chunk=65536):
+@functools.lru_cache(maxsize=None)
+def _laplace_tables(n, k):
+    """Index tables of the Laplace recursion for the k x k minors of n x k frames.
+
+    One (rows, sub) pair per level j = 2..k, each shaped (C(n, j), j).  Row
+    sets I of size j are in lexicographic order, and the minor of the first j
+    columns on I expands along column j-1:
+
+        M_j[I] = sum_t (-1)^(t+j-1) F[I_t, j-1] M_{j-1}[I minus I_t]
+
+    with rows[I, t] = I_t and sub[I, t] the index of I minus I_t.
+    """
+    levels = []
+    prev = {(i,): i for i in range(n)}
+    for j in range(2, k + 1):
+        subsets = list(itertools.combinations(range(n), j))
+        sub = [[prev[s[:t] + s[t + 1:]] for t in range(j)] for s in subsets]
+        levels.append((_frozen(subsets), _frozen(sub)))
+        prev = {s: i for i, s in enumerate(subsets)}
+    return tuple(levels)
+
+
+def _frozen(rows):
+    out = np.array(rows, dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
+def _minors(Ft):
+    """The k x k minors of frames with their node axes last.
+
+    Ft: (n, k, *nodes); returns (C(n, k), *nodes), row sets in lexicographic
+    order.  Elementwise only, so a node's minors do not depend on its batch.
+    """
+    n, k = Ft.shape[:2]
+    M = Ft[:, 0]
+    for j, (rows, sub) in enumerate(_laplace_tables(n, k), start=2):
+        col = Ft[:, j - 1]
+        acc = col[rows[:, 0]] * M[sub[:, 0]]
+        if j % 2 == 0:
+            np.negative(acc, out=acc)
+        for t in range(1, j):
+            term = col[rows[:, t]] * M[sub[:, t]]
+            if (t + j) % 2:
+                acc += term
+            else:
+                acc -= term
+        M = acc
+    return M
+
+
+def _sum_rows(a):
+    """Sum over the first axis, one row after another, so that the rounding
+    does not depend on the other axes' lengths (a reduction along a
+    contiguous axis would switch to pairwise summation)."""
+    acc = a[0].copy()
+    for row in a[1:]:
+        acc += row
+    return acc
+
+
+def _plucker(Ft):
+    """Pluecker vector and collapse-checked volume of frames (n, k, *nodes).
+
+    The volume is NaN where the squared volume is at most COLLAPSE_TOL times
+    the product of the squared column norms.
+    """
+    M = _minors(Ft)
+    vol2 = _sum_rows(M * M)
+    norms2 = _sum_rows(Ft * Ft)
+    floor = COLLAPSE_TOL * norms2[0]
+    for c in range(1, Ft.shape[1]):
+        floor *= norms2[c]
+    return M, np.where(vol2 > floor, np.sqrt(vol2), np.nan)
+
+
+def _compound_terms(n, k):
+    """The derived compound D_k, term by term: (I, K, a, b, sign) per term.
+
+    D_k(A) e_K = sum_t e_{K_1} ^ ... ^ A e_{K_t} ^ ... ^ e_{K_k}, so that
+    D_k(X) xhat is the Pluecker vector summed over X's single-column
+    replacements.  Its t-th term has coordinate (-1)^(p+t) A[a, K_t] on
+    I = K minus K_t plus a, where p is the position of a in I; I and K
+    index the k-subsets in lexicographic order.
+    """
+    subsets = list(itertools.combinations(range(n), k))
+    index = {s: i for i, s in enumerate(subsets)}
+    for col, K in enumerate(subsets):
+        for t, b in enumerate(K):
+            rest = K[:t] + K[t + 1:]
+            for a in range(n):
+                if a not in rest:
+                    I = tuple(sorted(rest + (a,)))
+                    yield index[I], col, a, b, (-1.0) ** (I.index(a) + t)
+
+
+@functools.lru_cache(maxsize=None)
+def _form_tables(n, m):
+    """Index tables of the bilinear forms omega1 = ghat^T J hhat, omega2 = ghat^T K hhat.
+
+    J is the Hodge pairing: det([X Y]) = sum_I sign[I] xhat[I] yhat[comp[I]]
+    over the m-subsets I, comp[I] indexing the complement among the
+    (n-m)-subsets.  K = D_m(ATg)^T J + J D_{n-m}(ATh) sums every single-column
+    replacement of [G H]; it is scattered entry by entry, K.flat[dst] +=
+    coef * AT[src], from AT = the entries of ATg followed by those of ATh.
+    """
+    subsets = list(itertools.combinations(range(n), m))
+    index = {s: i for i, s in enumerate(itertools.combinations(range(n), n - m))}
+    comp = [index[tuple(sorted(set(range(n)) - set(s)))] for s in subsets]
+    sign = [(-1.0) ** (sum(s) - m * (m - 1) // 2) for s in subsets]
+    owner = {c: I for I, c in enumerate(comp)}  # inverse of comp
+    C = len(subsets)
+    dst, src, coef = [], [], []
+    for I, R, a, b, s in _compound_terms(n, m):  # (D_m^T J)[R, comp[I]]
+        dst.append(R * C + comp[I])
+        src.append(a * n + b)
+        coef.append(s * sign[I])
+    for R, c, a, b, s in _compound_terms(n, n - m):  # (J D_{n-m})[owner[R], c]
+        dst.append(owner[R] * C + c)
+        src.append(n * n + a * n + b)
+        coef.append(s * sign[owner[R]])
+    return _frozen(comp), np.array(sign), _frozen(dst), _frozen(src), np.array(coef)
+
+
+def _matvec(K, x):
+    """K @ x for x (C, *nodes), column after column (elementwise, no BLAS)."""
+    acc = K[:, 0, None] * x[0]
+    for c in range(1, K.shape[1]):
+        acc += K[:, c, None] * x[c]
+    return acc
+
+
+@np.errstate(invalid="ignore")  # NaN frames give NaN; callers refuse it
+def omega_tables(G, H, ATg, ATh, chunk=None):
     """Evaluate omega1, omega2 and the Gram normalization along matched nodes.
 
-    G: frames (..., n, m), one node per leading index.  H broadcasts against
-    G's leading axes: one (n, n-m) frame for every node, one per position
-    along G's last leading axis (S, n, n-m), or one per node; it is never
-    materialized beyond one chunk.  Returns (omega1, omega2, d), each of
-    shape G.shape[:-2].  Nodes are processed `chunk` at a time to bound the
-    temporaries; a node's values do not depend on its chunk, except that a
-    one-node chunk multiplies by gemv, which rounds unlike gemm.
+    G: frames (..., n, m), one node per leading index, 0 < m < n.  H
+    broadcasts against G's leading axes: one (n, n-m) frame for every node,
+    one per position along G's last leading axis (S, n, n-m), or one per
+    node; it is never materialized.  Returns (omega1, omega2, d), each of
+    shape G.shape[:-2]; d is NaN where either frame collapsed (see
+    COLLAPSE_TOL).  The H side (J hhat, K hhat and |hhat|) is computed once
+    per H frame.  Nodes are processed at most `chunk` at a time (default:
+    as many as FORM_BUDGET bytes of temporaries hold); a node's values do
+    not depend on its chunk or batch.
     """
-    G = np.ascontiguousarray(G, dtype=float)
-    H = np.ascontiguousarray(H, dtype=float)
-    ATg = np.ascontiguousarray(ATg, dtype=float)
-    ATh = np.ascontiguousarray(ATh, dtype=float)
+    G = np.asarray(G, dtype=float)
+    H = np.asarray(H, dtype=float)
+    ATg = np.asarray(ATg, dtype=float)
+    ATh = np.asarray(ATh, dtype=float)
     lead = G.shape[:-2]
     if H.shape[:-2] not in ((), lead[-1:], lead):
         raise ValueError(f"H frames {H.shape} do not broadcast against G frames {G.shape}")
-    n, m, nm = G.shape[-2], G.shape[-1], H.shape[-1]
-    N, S = math.prod(lead), math.prod(H.shape[:-2])
-    G, H = G.reshape(N, n, m), H.reshape(S, n, nm)
-    w1, w2, d = np.empty((3, N))
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        Gi = G[lo:hi]
-        Hi = H[lo:hi] if S == N else H[np.arange(lo, hi) % S]
-        GH = np.concatenate([Gi, Hi], axis=2)
-        w1[lo:hi] = np.linalg.det(GH)
-        acc = np.zeros(hi - lo)
-        for k in range(m):
-            col = GH[:, :, k].copy()
-            GH[:, :, k] = col @ ATg.T
-            acc += np.linalg.det(GH)
-            GH[:, :, k] = col
-        for j in range(nm):
-            col = GH[:, :, m + j].copy()
-            GH[:, :, m + j] = col @ ATh.T
-            acc += np.linalg.det(GH)
-            GH[:, :, m + j] = col
-        w2[lo:hi] = acc
-        d[lo:hi] = gram_volumes(Gi) * gram_volumes(Hi)
+    n, m = G.shape[-2:]
+    if not 0 < m < n or H.shape[-2:] != (n, n - m):
+        raise ValueError(f"frames {G.shape} and {H.shape} are not complementary")
+    comp, sign, dst, src, coef = _form_tables(n, m)
+    K = np.zeros(len(comp) ** 2)
+    np.add.at(K, dst, coef * np.concatenate((ATg.ravel(), ATh.ravel()))[src])
+    K = K.reshape(len(comp), len(comp))
+    if chunk is None:
+        chunk = max(1, FORM_BUDGET // (8 * (6 * len(comp) + n * n)))
+    S = math.prod(H.shape[:-2])
+    R = math.prod(lead) // S if S else 0  # G nodes per H frame
+    G, H = G.reshape(R, S, n, m), H.reshape(S, n, n - m)
+    cs = max(1, min(S, chunk))  # H frames per chunk
+    rb = max(1, chunk // cs)  # G nodes per H frame and chunk
+    w1, w2, d = np.empty((3, R, S))
+    for s0 in range(0, S, cs):
+        hs = slice(s0, s0 + cs)
+        hhat, dh = _plucker(H[hs].transpose(1, 2, 0))
+        V = np.stack((sign[:, None] * hhat[comp], _matvec(K, hhat)), axis=1)  # J hhat, K hhat
+        for r0 in range(0, R, rb):
+            rs = slice(r0, r0 + rb)
+            ghat, dg = _plucker(G[rs, hs].transpose(2, 3, 0, 1))
+            w1[rs, hs], w2[rs, hs] = _sum_rows(ghat[:, None] * V[:, :, None])
+            d[rs, hs] = dg * dh
     return w1.reshape(lead), w2.reshape(lead), d.reshape(lead)

@@ -27,9 +27,9 @@ from .maslovbox import psi_window as _psi_window
 from .multilinear import psi_rho
 
 RHO_ZERO_TOL = 1e-9
-# lambda lines per block when a per-line quantity is batched over the grid;
-# bounds the block's transients
-_LINE_BLOCK = 32
+# grid nodes per block of whole lambda lines when a per-node quantity is
+# batched over the grid; bounds the block's transients
+_BLOCK_NODES = 1 << 14
 
 
 @dataclass
@@ -128,12 +128,21 @@ def _gram_log_derivatives(A, frames):
 
 
 def _column_volume_ratio(frames):
-    """Gram volume over the product of column norms, per node of (..., n, m)."""
+    """Gram volume over the product of column norms, per node of (..., n, m).
+
+    Refuses a collapsed frame by the forms' collapse rule (COLLAPSE_TOL).
+    """
     norms = np.sqrt(np.sum(frames * frames, axis=-2))
     ratio = _kernels.gram_volumes(frames) / np.prod(norms, axis=-1)
-    if not np.all(np.isfinite(ratio)):
-        raise RankDeficiencyError("non-finite Gram volume: a propagated frame collapsed")
+    if not np.all(ratio * ratio > _kernels.COLLAPSE_TOL):
+        raise RankDeficiencyError("degenerate Gram volume: a propagated frame collapsed")
     return ratio
+
+
+def _line_blocks(frames):
+    """Slices of about _BLOCK_NODES nodes, in whole lines, of a (lines, nodes, ...) grid."""
+    step = max(1, _BLOCK_NODES // frames.shape[1])
+    return [slice(lo, lo + step) for lo in range(0, frames.shape[0], step)]
 
 
 def _spectral_norm_max(field, xs, lams):
@@ -151,12 +160,11 @@ def _psi_grids(problem: SpectralProblem):
     frames = problem.lambda_grid_frames()
     hp = problem.h_path()
     AT = problem.a_tilde()
-    L, S1 = frames.shape[0], frames.shape[1]
-    psi1 = np.empty((L, S1))
-    psi2 = np.empty((L, S1))
-    for li in range(L):
-        w1, w2, d = _kernels.omega_tables(frames[li], hp.frames, AT.block_g, AT.block_h)
-        psi1[li], psi2[li] = normalized_forms(w1, w2, d, "the full grid")
+    psi1 = np.empty(frames.shape[:2])
+    psi2 = np.empty(frames.shape[:2])
+    for lines in _line_blocks(frames):
+        w1, w2, d = _kernels.omega_tables(frames[lines], hp.frames, AT.block_g, AT.block_h)
+        psi1[lines], psi2[lines] = normalized_forms(w1, w2, d, "the full grid")
     rho = 0.5 * (psi1 ** 2 + psi2 ** 2)
     problem._cache["psi_grids"] = (psi1, psi2, rho)
     return psi1, psi2, rho
@@ -196,10 +204,8 @@ def _g_family_extrema(problem: SpectralProblem, dh_log, measure_cg: bool,
     lams = problem.lambda_grid()
     ratio_min = dg_max = delta = None
     if measure_cg:
-        ratio_min = min(
-            float(np.min(_column_volume_ratio(frames[lo:lo + _LINE_BLOCK])))
-            for lo in range(0, len(lams), _LINE_BLOCK)
-        )
+        ratio_min = min(float(np.min(_column_volume_ratio(frames[lines])))
+                        for lines in _line_blocks(frames))
         dg_max = 0.0
     if fd_delta:
         psi2 = _psi_grids(problem)[1]

@@ -225,7 +225,7 @@ def omega_at_points(problem: SpectralProblem, lam: float, points):
         idx = -1 if x1 > x0 else 0
         return path.frames[idx]
 
-    g_frames = {}
+    G = np.empty(pts.shape + problem.P.entries.shape)
     F = problem.P.entries
     x_cur = 0.0
     for i in order:
@@ -233,8 +233,8 @@ def omega_at_points(problem: SpectralProblem, lam: float, points):
         if x > x_cur:
             F = leg(F, x_cur, x, lam)
             x_cur = x
-        g_frames[i] = F
-    h_frames = {}
+        G[i] = F
+    H = np.empty(pts.shape + problem.Q.entries.shape)
     F = problem.Q.entries
     x_cur = 1.0
     for i in order[::-1]:
@@ -242,17 +242,8 @@ def omega_at_points(problem: SpectralProblem, lam: float, points):
         if x < x_cur:
             F = leg(F, x_cur, x, problem.lambda2)
             x_cur = x
-        h_frames[i] = F
-
-    w1 = np.empty(len(pts))
-    w2 = np.empty(len(pts))
-    d = np.empty(len(pts))
-    for i in range(len(pts)):
-        G = np.ascontiguousarray(g_frames[i])[None]
-        H = np.ascontiguousarray(h_frames[i])[None]
-        a, b, c = _kernels.omega_tables(G, H, AT.block_g, AT.block_h)
-        w1[i], w2[i], d[i] = a[0], b[0], c[0]
-    return w1, w2, d
+        H[i] = F
+    return _kernels.omega_tables(G, H, AT.block_g, AT.block_h)
 
 
 def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int):
@@ -386,8 +377,7 @@ def _localize_top(problem: SpectralProblem, tol: float):
     bisection tree per bracket in a single batch and then descends it with
     the sequential update rule, testing the width before each level.  The
     midpoints and rounds are those of one-midpoint-per-round bisection, with
-    a quarter of the sweeps; psi1 at a midpoint does not depend on its batch,
-    except that a one-node batch multiplies by gemv (see omega_tables).
+    a quarter of the sweeps; psi1 at a midpoint does not depend on its batch.
     """
     top = shelf_path(problem, "top")
     lams = top.ts

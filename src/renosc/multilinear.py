@@ -13,10 +13,18 @@ rho > 0 certifies that the pair of forms does not vanish simultaneously,
 which is what makes the projective winding index well defined.
 
 The evaluator is `_kernels.omega_tables`, batched over nodes, with the Gram
-volume from `_kernels.gram_volumes`.  The scalar functions here are
-validated one-node views of them: they check shapes, finiteness and rank
-(one rule, `gram_volume`'s RANK_TOL test, which `Frame` shares) and evaluate
-nothing themselves, except `omega1_eval`, which is the definition det([G H]).
+volume from `_kernels.gram_volumes`.  Both work on Pluecker vectors: with
+ghat and hhat the vectors of maximal minors of G and H, omega1 = ghat^T J
+hhat is the Hodge pairing, omega2 = ghat^T K hhat with K built from the
+derived compounds of the two blocks, and d = |ghat| |hhat| (Cauchy-Binet:
+|ghat|^2 = det(G^T G)).  omega_tables sets d = NaN where a frame collapsed:
+its squared volume at most 2^-52 times the product of its squared column
+norms (`_kernels.COLLAPSE_TOL`).
+
+The scalar functions here are validated one-node views of them: they check
+shapes, finiteness and rank (one rule for given frames, `gram_volume`'s
+RANK_TOL test, which `Frame` shares) and evaluate nothing themselves, except
+`omega1_eval`, which is the definition det([G H]).
 """
 
 from __future__ import annotations
@@ -162,11 +170,14 @@ def omega2_eval(G, H, AT: BlockLambdaMatrix) -> float:
 def psi_rho(G, H, AT: BlockLambdaMatrix) -> OmegaPairValue:
     """Evaluate both forms and their Gram-normalized versions at one point.
 
-    Both frames must pass `gram_volume`'s finiteness and rank test.
+    Both frames must pass `gram_volume`'s finiteness and rank test and the
+    forms' collapse rule.
     """
     w1, w2, d = _forms_at_node(G, H, AT)
     for frame in (G, H):
         gram_volume(frame)
+    if not np.isfinite(d):
+        raise RankDeficiencyError("collapsed frame: volume at the rounding floor")
     psi1 = w1 / d
     psi2 = w2 / d
     return OmegaPairValue(

@@ -212,7 +212,11 @@ def eval_expression_array(e: Expression, xs: np.ndarray) -> np.ndarray:
             if np.any(v < 0):
                 raise ExpressionEvalError("sqrt of negative value")
             return np.sqrt(v)
-        return getattr(np, e.fn)(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = getattr(np, e.fn)(v)
+        if np.any(~np.isfinite(out)):
+            raise ExpressionEvalError(f"non-finite value of {e.fn}")
+        return out
     left = eval_expression_array(e.left, xs)
     right = eval_expression_array(e.right, xs)
     if e.op == "/":

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -227,3 +228,24 @@ def test_expression_eval_error_exits_1(tmp_path, capsys):
     assert run(["box", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "invalid power" in err
+
+
+def test_overflowing_call_exits_1(tmp_path, capsys):
+    # exp(1000 x) overflows near x = 0.71: refused as an expression error,
+    # like an invalid power, before any propagation and without a numpy warning
+    doc = {
+        "kind": "second-order",
+        "l": 1,
+        "V": [["exp(1000*x)"]],
+        "W": [["0"]],
+        "lambda": [0.0, 1.0],
+        "x_steps": 100,
+        "lambda_steps": 20,
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["left-shelf", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite value of exp" in err

@@ -2,7 +2,10 @@
 
 `reference_rk4` is the sequential RK4 loop, one step of every line at a time;
 `_kernels.rk4_grid` builds every step's propagator at once and chains them by
-a blocked prefix product, and must agree with it.
+a blocked prefix product, and must agree with it.  `reference_forms` is the
+definition of the forms, one node at a time: det([G H]), the
+column-replacement sum of determinants and sqrt(det(F^T F));
+`_kernels.omega_tables` pairs Pluecker vectors instead, and must agree with it.
 """
 
 import itertools
@@ -143,10 +146,75 @@ def test_rk4_per_line_init_matches_separate_lines():
             assert np.array_equal(f[i], fi[0]) and np.array_equal(s[i], si[0])
 
 
+def reference_forms(G, H, ATg, ATh):
+    """omega1, omega2 and d at each node of (N, n, m) and (N, n, n-m) frames."""
+    out = np.empty((3, len(G)))
+    for i, (g, h) in enumerate(zip(G, H)):
+        GH = np.hstack([g, h])
+        m = g.shape[1]
+        w2 = 0.0
+        for k in range(GH.shape[1]):
+            rep = GH.copy()
+            rep[:, k] = (ATg if k < m else ATh) @ GH[:, k]
+            w2 += np.linalg.det(rep)
+        out[:, i] = (np.linalg.det(GH), w2,
+                     np.sqrt(np.linalg.det(g.T @ g)) * np.sqrt(np.linalg.det(h.T @ h)))
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
+                                 (6, 3), (8, 4)])
+def test_omega_tables_match_reference_forms(n, m):
+    nodes = 40
+    G = rng.normal(size=(nodes, n, m)) * rng.uniform(0.1, 10.0, size=(nodes, 1, m))
+    H = rng.normal(size=(nodes, n, n - m)) * rng.uniform(0.1, 10.0, size=(nodes, 1, n - m))
+    ATg, ATh = rng.normal(size=(2, n, n))
+    ref = reference_forms(G, H, ATg, ATh)
+    out = _kernels.omega_tables(G, H, ATg, ATh)
+    # Hadamard scales: |omega1| <= prod |columns|, and each replacement term
+    # of omega2 is bounded likewise with A g_k in place of g_k
+    gn = np.linalg.norm(G, axis=1)
+    hn = np.linalg.norm(H, axis=1)
+    vol = np.prod(gn, axis=1) * np.prod(hn, axis=1)
+    growth = (np.sum(np.linalg.norm(ATg @ G, axis=1) / gn, axis=1)
+              + np.sum(np.linalg.norm(ATh @ H, axis=1) / hn, axis=1))
+    for got, want, scale in zip(out, ref, (vol, vol * growth, vol)):
+        assert got.shape == (nodes,)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.array_equal(_kernels.gram_volumes(G) * _kernels.gram_volumes(H),
+                          out[2])
+
+
+def test_collapse_rule():
+    # two columns parallel to within 1e-10: the squared volume ratio, 1e-20,
+    # is below the 2^-52 floor, so d is NaN; a volume ratio of 1e-3 (the
+    # size of example3's c_g) is well above it
+    n = 4
+    ATg, ATh = rng.normal(size=(2, n, n))
+    H = rng.normal(size=(n, 2))
+    g = rng.normal(size=n)
+    u = rng.normal(size=n)
+    u -= (u @ g) / (g @ g) * g
+    u *= np.linalg.norm(g) / np.linalg.norm(u)
+    for eps, collapsed in ((1e-10, True), (1e-3, False)):
+        G = np.stack([g, g + eps * u], axis=1)
+        ratio = _kernels.gram_volumes(G) / np.prod(np.linalg.norm(G, axis=0))
+        assert ratio == pytest.approx(eps, rel=1e-3)
+        w1, w2, d = (t[0] for t in _kernels.omega_tables(G[None], H, ATg, ATh))
+        assert np.isfinite(w1) and np.isfinite(w2)
+        assert np.isnan(d) == collapsed
+        # the same rule on the H side
+        w1, w2, d = (t[0] for t in _kernels.omega_tables(H[None], G, ATg, ATh))
+        assert np.isnan(d) == collapsed
+        if not collapsed:
+            ref = reference_forms(G[None], H[None], ATg, ATh)[2, 0]
+            assert _kernels.omega_tables(G[None], H, ATg, ATh)[2][0] == pytest.approx(ref, rel=1e-9)
+
+
 def test_omega_tables_chunking():
-    # non-zero blocks exercise the column-replacement sum in omega2.  Every
-    # chunk holds at least two nodes: a one-node chunk multiplies by gemv,
-    # which rounds differently from the gemm of larger chunks.
+    # non-zero blocks exercise the column-replacement sum in omega2.  The
+    # kernel is elementwise, so a node's bits depend on neither its chunk
+    # (one node included) nor the way H is broadcast.
     L, S, n, m = 3, 8, 4, 2
     G = rng.normal(size=(L, S, n, m))
     H = rng.normal(size=(S, n, n - m))
@@ -155,7 +223,7 @@ def test_omega_tables_chunking():
     full = np.ascontiguousarray(np.broadcast_to(H, (L, S, n, n - m)))
     ref = _kernels.omega_tables(G.reshape(-1, n, m), full.reshape(-1, n, n - m),
                                 ATg, ATh)
-    for chunk in (2, 3, 5, 7, 65536):
+    for chunk in (1, 2, 3, 5, 7, 65536):
         for Hb in (H, full):
             out = _kernels.omega_tables(G, Hb, ATg, ATh, chunk=chunk)
             for a, b in zip(out, ref):

@@ -330,6 +330,15 @@ def test_psi1_at_one_equals_top_shelf():
     assert np.array_equal(_psi1_at_one(problem, problem.lambda_grid()), top.psi1)
 
 
+def test_psi1_at_one_does_not_depend_on_its_batch():
+    problem = replace(load_problem(builtin_catalog("example2")),
+                      x_steps=300, lambda_steps=50)
+    lams = np.linspace(problem.lambda1, problem.lambda2, 7)
+    batch = _psi1_at_one(problem, lams)
+    for i, lam in enumerate(lams):
+        assert np.array_equal(_psi1_at_one(problem, lams[i:i + 1]), batch[i:i + 1])
+
+
 def test_psi_window_honors_no_rescale(example2, monkeypatch):
     raw = replace(example2, x_steps=200, rescale=False)
     lams = [-1.0, 0.1, 0.6]

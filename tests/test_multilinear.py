@@ -241,6 +241,17 @@ def test_psi_rho_orthonormal_case():
     assert (v.psi1, v.psi2, v.rho) == (1.0, 0.0, 0.5)
 
 
+def test_psi_rho_refuses_collapsed_frame():
+    # columns parallel to within 1e-10 pass the RANK_TOL test (squared ratio
+    # 1e-20 > 1e-24) but sit below the forms' collapse floor
+    G = np.array([[1.0, 1.0], [0.0, 1e-10], [0.0, 0.0], [0.0, 0.0]])
+    H = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    AT = BlockLambdaMatrix(n=4, entries=np.zeros((8, 8)))
+    gram_volume(G)
+    with pytest.raises(RankDeficiencyError):
+        psi_rho(G, H, AT)
+
+
 def test_psi_rho_example1_rho(example1):
     H0 = example1.h_path().frames[0]
     v = psi_rho(example1.P.entries, H0, example1.a_tilde())
