@@ -47,8 +47,9 @@ step is a matrix, F_{k+1} = P_k F_k, with
     K1 = A0,  K2 = Ah + (h/2) Ah K1,  K3 = Ah + (h/2) Ah K2,  K4 = A1 + h A1 K3,
     P_k = I + (h/6) (K1 + 2 K2 + 2 K3 + K4)
 
-(A0, Ah, A1: A at the step's start, midpoint and end), so a leg is a prefix
-product of step matrices.  Every P_k is built in one batched pass.  The steps
+(A0, Ah, A1: A at the step's start, midpoint and end; h may differ from
+step to step, for a chain of runs), so a leg is a prefix product of step
+matrices.  Every P_k is built in one batched pass.  The steps
 are then grouped in blocks of b = ceil(sqrt(steps)): b batched products give
 every block's partial products Q_j = P_j ... P_1, the block starts are carried
 one block after another, and every node is expanded as Q_j F_start.  That is
@@ -97,19 +98,21 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
     """Propagate initial frames over a batch of lambda values.
 
     a_half is one half-step table (2*steps+1, n, n) shared by every line, or
-    one table per line, (L, 2*steps+1, n, n).  init is one (n, m) frame that
-    every line starts from, or one frame per line, (L, n, m); each line's
-    result does not depend on the other lines of the batch.  Returns (frames,
-    scale_log) with shapes (L, steps+1, n, m) and (L, steps+1).  scale_log
-    accumulates the log of the product of column rescaling factors, so
-    raw-form values can be reconstructed as value * exp(scale_log).
+    one table per line, (L, 2*steps+1, n, n).  h is the step size, or one
+    step size per step, (steps,), for a chain of runs of different steps.
+    init is one (n, m) frame that every line starts from, or one frame per
+    line, (L, n, m); each line's result does not depend on the other lines of
+    the batch.  Returns (frames, scale_log) with shapes (L, steps+1, n, m)
+    and (L, steps+1).  scale_log accumulates the log of the product of column
+    rescaling factors, so raw-form values can be reconstructed as
+    value * exp(scale_log).
     """
     a_half = np.ascontiguousarray(a_half, dtype=float)
     E = np.ascontiguousarray(E, dtype=float)
     lams = np.ascontiguousarray(lams, dtype=float)
     init = np.ascontiguousarray(init, dtype=float)
-    h = float(h)
     steps = (a_half.shape[-3] - 1) // 2
+    h = float(h) if np.ndim(h) == 0 else np.asarray(h, dtype=float).reshape(steps, 1, 1)
     shared = a_half.ndim == 3
     n, m = init.shape[-2:]
     L = lams.shape[0]
@@ -125,13 +128,17 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
         lam_E = lams[lines, None, None, None] * E
         for s0 in range(0, steps, seg):
             s1 = min(s0 + seg, steps)
-            P = _propagators(table[:, 2 * s0:2 * s1 + 1], lam_E, h)
+            hk = h if np.ndim(h) == 0 else h[s0:s1]
+            P = _propagators(table[:, 2 * s0:2 * s1 + 1], lam_E, hk)
             _chain(P, frames[lines, s0:s1 + 1], slog[lines, s0:s1 + 1], rescale)
     return frames, slog
 
 
 def _propagators(table, lam_E, h):
-    """The RK4 step matrices P_k of F_{k+1} = P_k F_k, (lines, steps, n, n)."""
+    """The RK4 step matrices P_k of F_{k+1} = P_k F_k, (lines, steps, n, n).
+
+    h is a scalar or one step size per step, shaped (steps, 1, 1).
+    """
     A = table[:, 0::2] + lam_E  # at the nodes
     Ah = table[:, 1::2] + lam_E  # at the midpoints
     A0, A1 = A[:, :-1], A[:, 1:]

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidInputError, RankDeficiencyError, ShelfAssertionError
 from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde, psi_rho
-from .propagation import CoefficientField, integrate_frame, propagate_lambda_grid
+from .propagation import CoefficientField, _sweep, integrate_frame, propagate_lambda_grid
 from .winding import PathSamples, detect_crossings, winding_index
 
 SHELVES = ("bottom", "right", "top", "left")
@@ -206,79 +206,76 @@ def shelf_path(problem: SpectralProblem, shelf: str) -> PathSamples:
 # -- consistent-scale local evaluation ------------------------------------
 
 
+def _gap_steps(problem: SpectralProblem, dx):
+    """RK4 steps over a gap dx off the shelves: max(4, ceil(dx * x_steps))."""
+    return np.maximum(4, np.ceil(dx * problem.x_steps).astype(int))
+
+
+def _chain(problem: SpectralProblem, init, lams, x0: float, runs, rescale: bool):
+    """One family's frames along one sweep of `runs` from x0, in sweep order,
+    shaped (len(lams), 1 + steps, n, k); the initial frame alone if no run."""
+    if not runs:
+        return np.broadcast_to(init, (len(lams), 1) + init.shape)
+    frames = _sweep(problem.field, init, lams, x0, runs, rescale)[1]
+    return frames[:, ::-1] if runs[0][0] < x0 else frames
+
+
+def _point_frames(problem: SpectralProblem, init, lam: float, x0: float, xs):
+    """One family's unrescaled frames at the distinct points xs, ordered away
+    from x0, in one sweep: each gap between stops is one run."""
+    gaps = np.abs(np.diff(np.concatenate(([x0], xs))))
+    steps = np.where(gaps > 0, _gap_steps(problem, gaps), 0)  # a point at x0 takes none
+    runs = [(x, s) for x, s in zip(xs, steps) if s]
+    return _chain(problem, init, [lam], x0, runs, False)[0][np.cumsum(steps)]
+
+
 def omega_at_points(problem: SpectralProblem, lam: float, points):
     """Raw form values at arbitrary x locations in one consistent scale.
 
-    Integrates fresh, without rescaling, visiting the requested points in
-    order, so finite differences of omega1 across nearby points are
-    meaningful.  Returns (w1, w2, d) arrays aligned with `points`.
+    Each family makes one unrescaled sweep through the points in order,
+    under psi_window's step rule per gap, so finite differences of omega1
+    across nearby points are meaningful.  Returns (w1, w2, d) arrays shaped
+    like `points`.
     """
     pts = np.asarray(points, dtype=float)
-    if np.any(pts < 0) or np.any(pts > 1):
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise InvalidInputError("points must lie in [0, 1]")
-    order = np.argsort(pts)
+    if not np.isfinite(lam):
+        raise InvalidInputError("lambda must be finite")
+    xs, where = np.unique(pts, return_inverse=True)
+    G = _point_frames(problem, problem.P.entries, lam, 0.0, xs)
+    H = _point_frames(problem, problem.Q.entries, problem.lambda2, 1.0, xs[::-1])[::-1]
+    where = where.reshape(pts.shape)
     AT = problem.a_tilde()
-
-    def leg(Fstart, x0, x1, lam_leg):
-        steps = max(4, int(np.ceil(abs(x1 - x0) * 2 * problem.x_steps)))
-        path = integrate_frame(problem.field, Fstart, x0, x1, steps, lam_leg, False)
-        idx = -1 if x1 > x0 else 0
-        return path.frames[idx]
-
-    G = np.empty(pts.shape + problem.P.entries.shape)
-    F = problem.P.entries
-    x_cur = 0.0
-    for i in order:
-        x = pts[i]
-        if x > x_cur:
-            F = leg(F, x_cur, x, lam)
-            x_cur = x
-        G[i] = F
-    H = np.empty(pts.shape + problem.Q.entries.shape)
-    F = problem.Q.entries
-    x_cur = 1.0
-    for i in order[::-1]:
-        x = pts[i]
-        if x < x_cur:
-            F = leg(F, x_cur, x, problem.lambda2)
-            x_cur = x
-        H[i] = F
-    return _kernels.omega_tables(G, H, AT.block_g, AT.block_h)
+    return _kernels.omega_tables(G[where], H[where], AT.block_g, AT.block_h)
 
 
 def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int):
     """psi1, psi2 at every lambda of `lams` on the window x_lo <= x <= x_hi.
 
-    A coarse lead leg carries the G family from x = 0 to x_lo at every
-    lambda in one batch, and the H family from x = 1 to x_hi at lambda2 once
-    (max(4, ceil(dx * x_steps)) steps each); fine legs of `nx` steps then
-    cover the window.  nx = 0 with x_lo == x_hi evaluates one point.  Every
-    leg follows problem.rescale.  Returns xs (nx+1,) and psi1, psi2 shaped
-    (len(lams), nx+1); a collapsed frame raises RankDeficiencyError.
+    Each family makes one sweep, a chain of a lead run and a window run: the
+    G family from x = 0 to x_lo at every lambda in one batch, and the H
+    family from x = 1 to x_hi at lambda2 once (max(4, ceil(dx * x_steps))
+    steps each), then `nx` steps across the window.  nx = 0 with
+    x_lo == x_hi evaluates one point.  Every sweep follows problem.rescale.
+    Returns xs (nx+1,) and psi1, psi2 shaped (len(lams), nx+1); a collapsed
+    frame raises RankDeficiencyError.
     """
     if not (0.0 <= x_lo <= x_hi <= 1.0 and (nx > 0) == (x_lo < x_hi)):
         raise InvalidInputError(
             "need 0 <= x_lo <= x_hi <= 1, with nx = 0 exactly when x_lo == x_hi"
         )
     lams = np.asarray(lams, dtype=float)
-    field, rescale = problem.field, problem.rescale
 
-    def lead_steps(dx):
-        return max(4, int(np.ceil(dx * problem.x_steps)))
+    def window(init, lams, x0, x_near, x_far):
+        """Frames at the window's nx+1 nodes in sweep order: a lead run from
+        x0 to x_near, then nx steps to x_far."""
+        runs = [(x_near, _gap_steps(problem, abs(x_near - x0)))] if x_near != x0 else []
+        runs += [(x_far, nx)] if nx else []
+        return _chain(problem, init, lams, x0, runs, problem.rescale)[:, -(nx + 1):]
 
-    G = problem.P.entries
-    if x_lo > 0.0:
-        G = propagate_lambda_grid(field, G, lams, 0.0, x_lo, lead_steps(x_lo),
-                                  rescale)[1][:, -1]
-    H = problem.Q.entries
-    if x_hi < 1.0:
-        H = integrate_frame(field, H, 1.0, x_hi, lead_steps(1.0 - x_hi),
-                            problem.lambda2, rescale).frames[0]
-    if nx:
-        G = propagate_lambda_grid(field, G, lams, x_lo, x_hi, nx, rescale)[1]
-        H = integrate_frame(field, H, x_hi, x_lo, nx, problem.lambda2, rescale).frames
-    else:
-        G = np.broadcast_to(G, lams.shape + G.shape[-2:])[:, None]
+    G = window(problem.P.entries, lams, 0.0, x_lo, x_hi)
+    H = window(problem.Q.entries, [problem.lambda2], 1.0, x_hi, x_lo)[0, ::-1]
     AT = problem.a_tilde()
     w1, w2, d = _kernels.omega_tables(G, H, AT.block_g, AT.block_h)
     psi1, psi2 = normalized_forms(w1, w2, d, "a psi window")
@@ -302,6 +299,8 @@ def derivative_identity_residual(problem: SpectralProblem, x: float, lam: float,
     """
     if h is None:
         h = 0.25 / problem.x_steps
+    if not h > 0.0:
+        raise InvalidInputError("stencil step h must be positive")
     if not 2 * h < min(x, 1.0 - x):
         raise InvalidInputError("stencil leaves [0, 1]; move x inward")
     pts = [x - 2 * h, x - h, x, x + h, x + 2 * h]
@@ -321,22 +320,13 @@ def monotonicity_audit(problem: SpectralProblem) -> List[Tuple[float, float]]:
     crossings.  Returns (x_star, ratio) pairs; under the structural
     assumption each ratio should be 1 to a few parts in a thousand.
     """
-    samples = shelf_path(problem, "left")
-    records = detect_crossings(samples)
     h = 1.0 / problem.x_steps
-    out = []
-    for rec in records:
-        if rec.kind != "interior":
-            continue
-        x_star = rec.t_star
-        if not h < x_star < 1.0 - h:
-            continue
-        w1, w2, _ = omega_at_points(
-            problem, problem.lambda1, [x_star - h, x_star, x_star + h]
-        )
-        ratio = (w1[2] - w1[0]) / (2 * h * w2[1])
-        out.append((float(x_star), float(ratio)))
-    return out
+    xs = np.array([r.t_star for r in detect_crossings(shelf_path(problem, "left"))
+                   if r.kind == "interior" and h < r.t_star < 1.0 - h])
+    w1, w2, _ = omega_at_points(problem, problem.lambda1,
+                                np.stack((xs - h, xs, xs + h), axis=1))
+    ratios = (w1[:, 2] - w1[:, 0]) / (2 * h * w2[:, 1])
+    return [(float(x), float(r)) for x, r in zip(xs, ratios)]
 
 
 # -- eigenvalue localization on the top shelf ------------------------------
@@ -347,93 +337,56 @@ def _psi1_at_one(problem: SpectralProblem, lams: np.ndarray) -> np.ndarray:
     return psi_window(problem, lams, 1.0, 1.0, 0)[1][:, 0]
 
 
-# Bisection rounds taken per sweep; depths 3-6 were measured, 4 was fastest.
-_TREE_DEPTH = 4
-
-
-def _bisection_tree(a, b, depth):
-    """Every midpoint that `depth` rounds of bisection of [a, b] can form.
-
-    Returns (len(a), 2**depth - 1) in heap order: node k halves the interval
-    its parent's round left, into children 2k+1 (lower half) and 2k+2 (upper
-    half).  Each node is 0.5 * (lo + hi) of its own interval's floats, so a
-    path down the tree reproduces sequential bisection's midpoints exactly.
-    """
-    lo, hi = a[:, None], b[:, None]
-    mids = np.empty((len(a), 2 ** depth - 1))
-    for level in range(depth):
-        mid = 0.5 * (lo + hi)
-        mids[:, 2 ** level - 1:2 ** (level + 1) - 1] = mid
-        lo = np.stack([lo, mid], axis=2).reshape(len(a), -1)
-        hi = np.stack([mid, hi], axis=2).reshape(len(a), -1)
-    return mids
+# Equal parts a bracket is cut into per sweep.
+_SECTIONS = 16
 
 
 def _localize_top(problem: SpectralProblem, tol: float):
     """Eigenvalues (zeros of psi1(1; .)) and degenerate candidates.
 
-    Sign-change brackets between top-shelf nodes are bisected in lockstep
-    until every width is <= tol.  One sweep evaluates a depth-_TREE_DEPTH
-    bisection tree per bracket in a single batch and then descends it with
-    the sequential update rule, testing the width before each level.  The
-    midpoints and rounds are those of one-midpoint-per-round bisection, with
-    a quarter of the sweeps; psi1 at a midpoint does not depend on its batch.
+    Sign-change brackets between top-shelf nodes are searched in lockstep
+    until every width is <= tol.  One sweep cuts every bracket into
+    _SECTIONS equal parts, evaluates psi1 at the cuts in one batch and keeps
+    every part across which psi1 changes sign, so a bracket holding several
+    zeros splits into one bracket per zero the cuts separate.  psi1 at a cut
+    does not depend on its batch.
     """
     top = shelf_path(problem, "top")
-    lams = top.ts
-    p1 = top.psi1
+    lams, p1 = top.ts, top.psi1
     zero = np.abs(p1) <= 1e-9
-    eigs = [float(lams[k]) for k in np.where(zero)[0]]
+    eigs = [float(v) for v in lams[zero]]
 
     # brackets from sign changes between non-zero nodes
-    a_list, b_list, fa_list = [], [], []
-    for k in range(len(lams) - 1):
-        if zero[k] or zero[k + 1]:
-            continue
-        if (p1[k] < 0) != (p1[k + 1] < 0):
-            a_list.append(lams[k])
-            b_list.append(lams[k + 1])
-            fa_list.append(p1[k])
-    if a_list:
-        a = np.array(a_list)
-        b = np.array(b_list)
-        fa = np.array(fa_list)
-        rows = np.arange(len(a))
-        while np.max(b - a) > tol:
-            mids = _bisection_tree(a, b, _TREE_DEPTH)
-            fms = _psi1_at_one(problem, mids.ravel()).reshape(mids.shape)
-            node = np.zeros(len(a), dtype=int)  # heap index: children 2k+1, 2k+2
-            for _ in range(_TREE_DEPTH):
-                if not np.max(b - a) > tol:
-                    break
-                mid, fm = mids[rows, node], fms[rows, node]
-                left = (fm < 0) == (fa < 0)
-                a = np.where(left, mid, a)
-                fa = np.where(left, fm, fa)
-                b = np.where(left, b, mid)
-                node = 2 * node + 1 + left
-        eigs.extend(float(v) for v in 0.5 * (a + b))
+    k = np.flatnonzero(~zero[:-1] & ~zero[1:] & ((p1[:-1] < 0) != (p1[1:] < 0)))
+    nodes = np.stack((lams[k], lams[k + 1]), axis=1)
+    vals = np.stack((p1[k], p1[k + 1]), axis=1)
+    cuts = np.arange(1, _SECTIONS) / _SECTIONS
+    while len(nodes) and np.max(nodes[:, 1] - nodes[:, 0]) > tol:
+        a, b = nodes[:, :1], nodes[:, 1:]
+        mids = a + (b - a) * cuts
+        fm = _psi1_at_one(problem, mids.ravel()).reshape(mids.shape)
+        nodes = np.hstack((a, mids, b))
+        vals = np.hstack((vals[:, :1], fm, vals[:, 1:]))
+        keep = (vals[:, :-1] < 0) != (vals[:, 1:] < 0)
+        nodes = np.stack((nodes[:, :-1][keep], nodes[:, 1:][keep]), axis=1)
+        vals = np.stack((vals[:, :-1][keep], vals[:, 1:][keep]), axis=1)
+    eigs.extend(float(v) for v in 0.5 * (nodes[:, 0] + nodes[:, 1]))
 
     # dips below 1e-7 that never change sign: degenerate candidates
-    degenerate = []
-    absr = np.abs(p1)
-    for k in range(1, len(lams) - 1):
-        if zero[k] or absr[k] >= 1e-7:
-            continue
-        if absr[k] <= absr[k - 1] and absr[k] <= absr[k + 1]:
-            if (p1[k - 1] < 0) == (p1[k + 1] < 0):
-                degenerate.append(float(lams[k]))
-    return sorted(eigs), degenerate
+    r = np.abs(p1)
+    dip = (~zero[1:-1] & (r[1:-1] < 1e-7) & (r[1:-1] <= r[:-2]) & (r[1:-1] <= r[2:])
+           & ((p1[:-2] < 0) == (p1[2:] < 0)))
+    return sorted(eigs), [float(v) for v in lams[1:-1][dip]]
 
 
 def localize_eigenvalues_top(problem: SpectralProblem, tol: float = 1e-8) -> List[float]:
-    """Zeros of psi1(1; .) on the spectral interval, bisected to width <= tol.
+    """Zeros of psi1(1; .) on the spectral interval, bracketed to width <= tol.
 
     These are exactly the lambda at which the forward family meets the
-    boundary space at x=1, i.e. the eigenvalues.  Each sweep evaluates a
-    bisection tree whose nodes are the midpoints sequential bisection would
-    form, so the search takes sequential bisection's midpoints and rounds.
-    Non-sign-changing dips are reported separately by compute_box as
+    boundary space at x=1, i.e. the eigenvalues.  Each sweep cuts every
+    sign-change bracket into 16 equal parts, so a bracket of width w takes
+    ceil(log16(w / tol)) sweeps, as many as bisection at four rounds per
+    sweep.  Non-sign-changing dips are reported separately by compute_box as
     degenerate candidates.
     """
     eigs, _ = _localize_top(problem, tol)

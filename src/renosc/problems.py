@@ -322,6 +322,25 @@ class ProblemConfig:
         return out
 
 
+def _number(value, what: str) -> float:
+    """A finite float from a config value; ConfigError otherwise."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not np.isfinite(out):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _integer(value, what: str) -> int:
+    """An integer from a config value (1000 or 1000.0); ConfigError otherwise."""
+    out = _number(value, what)
+    if out != int(out):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(out)
+
+
 def config_from_dict(doc: dict) -> ProblemConfig:
     unknown = set(doc) - _ALLOWED_KEYS
     if unknown:
@@ -337,11 +356,11 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     lam = doc.get("lambda")
     if (not isinstance(lam, (list, tuple))) or len(lam) != 2:
         raise ConfigError("'lambda' must be [lambda1, lambda2]")
-    lam = (float(lam[0]), float(lam[1]))
+    lam = (_number(lam[0], "lambda1"), _number(lam[1], "lambda2"))
     if not lam[0] < lam[1]:
         raise ConfigError("need lambda1 < lambda2")
-    x_steps = int(doc.get("x_steps", 1000))
-    lambda_steps = int(doc.get("lambda_steps", 600))
+    x_steps = _integer(doc.get("x_steps", 1000), "'x_steps'")
+    lambda_steps = _integer(doc.get("lambda_steps", 600), "'lambda_steps'")
 
     if kind == "higher-order":
         n = doc.get("n")
@@ -349,7 +368,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         kappas = doc.get("kappas")
         if n is None or alphas is None or kappas is None:
             raise ConfigError("higher-order configs need 'n', 'alphas', 'kappas'")
-        n = int(n)
+        n = _integer(n, "'n'")
         if len(alphas) != n + 1:
             raise ConfigError(f"need {n + 1} alpha expressions, got {len(alphas)}")
         if len(kappas) != n - 1:
@@ -357,7 +376,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         cfg = ProblemConfig(
             kind=kind, n=n, m=0, lam=lam,
             alphas=[str(a) for a in alphas],
-            kappas=[float(k) for k in kappas],
+            kappas=[_number(k, "a kappa value") for k in kappas],
             P=doc.get("P", "neumann"), Q=doc.get("Q", "dirichlet"),
             x_steps=x_steps, lambda_steps=lambda_steps,
         )
@@ -365,7 +384,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         l = doc.get("l")
         if l is None:
             raise ConfigError("second-order configs need 'l'")
-        l = int(l)
+        l = _integer(l, "'l'")
         B = doc.get("B", [1.0] * l)
         V = doc.get("V")
         W = doc.get("W")
@@ -378,7 +397,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
             raise ConfigError(f"'B' must list {l} diagonal entries")
         cfg = ProblemConfig(
             kind=kind, n=2 * l, m=0, lam=lam,
-            B=[float(b) for b in B],
+            B=[_number(b, "a 'B' entry") for b in B],
             V=[[str(v) for v in row] for row in V],
             W=[[str(w) for w in row] for row in W],
             P=doc.get("P", "neumann"), Q=doc.get("Q", "neumann"),
@@ -393,7 +412,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
             m = cfg.n // 2
         else:
             raise ConfigError("'m' is required when P is a named preset")
-    cfg.m = int(m)
+    cfg.m = _integer(m, "'m'")
     if not 1 <= cfg.m <= cfg.n - 1:
         raise ConfigError(f"m must be in 1..{cfg.n - 1}")
     return cfg

@@ -6,7 +6,9 @@ frame at x = 1 (integrated backward).  The kernel, `_kernels.rk4_grid`, runs
 classical RK4 in propagator form: every step's matrix P_k (F_{k+1} = P_k F_k)
 is built in one batched pass, and the steps are chained by a blocked prefix
 product, blocks of ceil(sqrt(steps)) steps, so a leg costs about
-2 sqrt(steps) numpy-level iterations.  Temporaries are bounded by
+2 sqrt(steps) numpy-level iterations.  One call can run a chain of uniform
+runs (a lead leg and a window, or the gaps between points) with one step
+size per step, over one half-step table.  Temporaries are bounded by
 `_kernels.STEP_BUDGET` bytes each, by chunking lines and, for long legs,
 x segments.  Column rescaling keeps stiff problems in range: inside a block
 every step matrix is divided by a power of two s, adding m log s to
@@ -182,58 +184,75 @@ def check_structure_b(field: CoefficientField, samples: int = 7, tol: float = 1e
     return True
 
 
-def _half_step_table(field: CoefficientField, from_x: float, h: float, steps: int):
-    """The affine field's lambda-free table at x = from_x + j*h/2, cached."""
+def _half_steps(from_x: float, runs):
+    """Step sizes and half-step grid of a chain of runs (to_x, steps).
+
+    A run takes `steps` equal steps from where the previous one ended
+    (from_x for the first), and consecutive runs share their junction node.
+    Returns h, a scalar for one run and one size per step otherwise, and the
+    grid (2*steps+1,) in propagation order; its even entries are the nodes.
+    """
+    hs, xh, x0 = [], [[from_x]], from_x
+    for to_x, steps in runs:
+        hs.append((to_x - x0) / steps)
+        xh.append(x0 + 0.5 * hs[-1] * np.arange(1, 2 * steps + 1))
+        x0 = to_x
+    h = hs[0] if len(hs) == 1 else np.repeat(hs, [steps for _, steps in runs])
+    return h, np.concatenate(xh)
+
+
+def _half_step_table(field: CoefficientField, xh, key):
+    """The affine field's lambda-free table on the half-step grid xh, cached
+    under the chain `key`; past 64 chains the cache is cleared, to bound it."""
     cache = field.meta.setdefault("_table_cache", {})
-    key = (from_x, h, steps)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    xs = from_x + 0.5 * h * np.arange(2 * steps + 1)
-    table = np.ascontiguousarray(field.base_table(xs))
-    if len(cache) > 128:
+    table = np.ascontiguousarray(field.base_table(xh))
+    if len(cache) > 64:
         cache.clear()
     cache[key] = table
     return table
 
 
-def _sweep(field, init, lams, from_x, to_x, steps, rescale):
-    """RK4 at every lambda of `lams`, in one kernel call.
+def _sweep(field, init, lams, from_x, runs, rescale):
+    """RK4 at every lambda of `lams` along a chain of runs, in one kernel call.
 
-    `init` is one (n, m) frame shared by every lambda line, or one frame per
-    line, shaped (len(lams), n, m).  An affine field shares one cached
-    half-step table across the batch; any other field supplies one table per
-    lambda (never cached, since the cache key does not see lambda) and runs
-    with E = 0.  Returns (xs, frames, scale_log) on an increasing x grid;
-    raises BlowUpError with the first x at which some lambda line leaves
-    double-precision range.
+    `runs` holds (to_x, steps) pairs in one x direction (see _half_steps), so
+    a lead leg and a window, or the gaps between points, are one sweep over
+    one half-step table.  `init` is one (n, m) frame shared by every lambda
+    line, or one frame per line, shaped (len(lams), n, m).  An affine field
+    shares one half-step table across the batch, cached per chain; any other
+    field supplies one table per lambda (never cached, since the cache key
+    does not see lambda) and runs with E = 0.  Returns (xs, frames,
+    scale_log) on an increasing x grid; raises BlowUpError with the first x
+    at which some lambda line leaves double-precision range.
     """
     init = np.ascontiguousarray(init, dtype=float)
     lams = np.asarray(lams, dtype=float)
     if init.shape[:-2] not in ((), lams.shape) or init.shape[-2:-1] != (field.n,):
         raise InvalidInputError(f"init must be one {field.n} x m frame or one per lambda")
-    if steps < 1:
+    runs = tuple((float(to_x), int(steps)) for to_x, steps in runs)
+    if not runs or any(steps < 1 for _, steps in runs):
         raise InvalidInputError("steps must be positive")
-    if from_x == to_x:
-        raise InvalidInputError("from_x and to_x must differ")
-    h = (to_x - from_x) / steps
+    dx = np.diff([from_x] + [to_x for to_x, _ in runs])
+    if not (np.all(dx > 0) or np.all(dx < 0)):
+        raise InvalidInputError("the stops of a chain must differ and keep one direction")
+    h, xh = _half_steps(from_x, runs)
     if field.is_affine:
-        a_half = _half_step_table(field, from_x, h, steps)
-        frames, slog = _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, rescale)
+        a_half = _half_step_table(field, xh, (from_x, runs))
+        E, lam_E = field.lambda_mat, lams
     else:
-        xh = from_x + 0.5 * h * np.arange(2 * steps + 1)
         a_half = np.stack([field.table(xh, float(lam)) for lam in lams])
-        frames, slog = _kernels.rk4_grid(
-            a_half, np.zeros((field.n, field.n)), np.zeros(len(lams)), init, h, rescale
-        )
+        E, lam_E = np.zeros((field.n, field.n)), np.zeros(len(lams))
+    frames, slog = _kernels.rk4_grid(a_half, E, lam_E, init, h, rescale)
 
+    xs = xh[::2].copy()
     if not np.all(np.isfinite(frames)):
-        bad = int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))
-        x = from_x + bad * h
+        x = xs[int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))]
         raise BlowUpError(f"propagation blew up near x = {x:.6g}", x=x)
 
-    xs = from_x + h * np.arange(steps + 1)
-    if h < 0:
+    if dx[0] < 0:
         xs = xs[::-1].copy()
         frames = frames[:, ::-1].copy()
         slog = slog[:, ::-1].copy()
@@ -255,7 +274,7 @@ def integrate_frame(
     x grid.  Raises BlowUpError (with the offending x) if the state leaves
     double-precision range.
     """
-    xs, frames, slog = _sweep(field, init, [lam], from_x, to_x, steps, rescale)
+    xs, frames, slog = _sweep(field, init, [lam], from_x, [(to_x, steps)], rescale)
     direction = "forward" if to_x > from_x else "backward"
     return FramePath(lam=lam, xs=xs, frames=frames[0], scale_log=slog[0],
                      direction=direction)
@@ -276,4 +295,4 @@ def propagate_lambda_grid(
     Returns (xs, frames, scale_log) with frames shaped (L, steps+1, n, m) on
     an increasing x grid.
     """
-    return _sweep(field, init, lams, from_x, to_x, steps, rescale)
+    return _sweep(field, init, lams, from_x, [(to_x, steps)], rescale)

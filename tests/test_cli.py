@@ -46,6 +46,20 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert run(["left-shelf", str(bad), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("override", [
+    {"x_steps": "abc"}, {"x_steps": None}, {"x_steps": float("nan")},
+    {"x_steps": 400.5}, {"l": "two"}, {"m": "x"}, {"B": ["a"]},
+    {"B": [float("nan")]}, {"lambda": ["a", 1]}, {"lambda": [0, float("inf")]},
+], ids=repr)
+def test_malformed_config_value_exits_1(small_harmonic_config, override, tmp_path, capsys):
+    with open(small_harmonic_config) as fh:
+        doc = {**json.load(fh), **override}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["left-shelf", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_left_shelf_outputs(small_harmonic_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["left-shelf", small_harmonic_config, "--out", str(out)]) == 0

@@ -20,7 +20,9 @@ rng = np.random.default_rng(5)
 
 @np.errstate(over="ignore", invalid="ignore")  # the stiff leg overflows
 def reference_rk4(a_half, E, lams, init, h, rescale):
-    """Classical RK4 on F' = (a_half + lam E) F, one step at a time."""
+    """Classical RK4 on F' = (a_half + lam E) F, one step at a time.
+
+    h is the step size or one step size per step."""
     a_half = np.asarray(a_half, dtype=float)
     steps = (a_half.shape[-3] - 1) // 2
     if a_half.ndim == 4:
@@ -33,7 +35,9 @@ def reference_rk4(a_half, E, lams, init, h, rescale):
     slog = np.zeros((L, steps + 1))
     frames[:, 0] = F
     acc = np.zeros(L)
+    hs = np.broadcast_to(h, steps)
     for k in range(steps):
+        h = hs[k]
         A0, A1, A2 = a_half[2 * k], a_half[2 * k + 1], a_half[2 * k + 2]
         k1 = A0 @ F + lam * (E @ F)
         Fs = F + (h / 2.0) * k1
@@ -52,8 +56,9 @@ def reference_rk4(a_half, E, lams, init, h, rescale):
     return frames, slog
 
 
-def random_leg(steps, L, m, per_line, backward, n=4):
-    """A random leg: shared table with lambda * E, or one table per line."""
+def random_leg(steps, L, m, per_line, backward, n=4, per_step=False):
+    """A random leg: shared table with lambda * E, or one table per line; one
+    step size, or (per_step) one step size per step."""
     a_half = rng.normal(size=(2 * steps + 1, n, n)) * 0.8
     E = rng.normal(size=(n, n)) * 0.5
     lams = rng.uniform(-2, 2, size=L)
@@ -61,7 +66,10 @@ def random_leg(steps, L, m, per_line, backward, n=4):
     if per_line:
         a_half = a_half[None] + lams[:, None, None, None] * E
         E, lams = np.zeros_like(E), np.zeros_like(lams)
-    return a_half, E, lams, init, (-1.0 if backward else 1.0) / steps
+    h = (-1.0 if backward else 1.0) / steps
+    if per_step:
+        h = h * rng.uniform(0.5, 1.5, size=steps)
+    return a_half, E, lams, init, h
 
 
 def assert_rel_close(a, b, rtol=1e-12):
@@ -71,9 +79,9 @@ def assert_rel_close(a, b, rtol=1e-12):
 
 @pytest.mark.parametrize("steps", [1, 2, 31, 32, 33, 1000])
 def test_rk4_matches_sequential_reference(steps):
-    for L, m, per_line, backward in itertools.product((1, 7), (1, 2), (False, True),
-                                                      (False, True)):
-        leg = random_leg(steps, L, m, per_line, backward)
+    for L, m, per_line, backward, per_step in itertools.product(
+            (1, 7), (1, 2), (False, True), (False, True), (False, True)):
+        leg = random_leg(steps, L, m, per_line, backward, per_step=per_step)
         out = {}
         for rescale in (True, False):
             frames, slog = _kernels.rk4_grid(*leg, rescale)
@@ -93,11 +101,12 @@ def test_rk4_step_budget_splits_segments_and_lines(budget, monkeypatch):
     # at n = 4, 640 bytes hold 5 steps of one line, so 33 steps run in 7 x
     # segments; 15360 bytes hold three lines of all 33 steps, so 5 lines run
     # in chunks of 3 and 2.  Both agree with the reference, and a line's bits
-    # do not depend on the lines that share its chunk.
+    # do not depend on the lines that share its chunk.  Per-step sizes are
+    # cut into the same segments.
     monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
-    a_half, E, lams, _, h = random_leg(33, 5, 2, False, False)
     inits = rng.normal(size=(5, 4, 2))
-    for rescale in (True, False):
+    for rescale, per_step in itertools.product((True, False), (False, True)):
+        a_half, E, lams, _, h = random_leg(33, 5, 2, False, False, per_step=per_step)
         frames, slog = _kernels.rk4_grid(a_half, E, lams, inits, h, rescale)
         ref_frames, ref_slog = reference_rk4(a_half, E, lams, inits, h, rescale)
         assert_rel_close(frames, ref_frames)

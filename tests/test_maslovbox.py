@@ -25,6 +25,7 @@ from renosc import (
 )
 from renosc import _kernels
 from renosc.maslovbox import _psi1_at_one
+from renosc.propagation import _sweep
 from renosc.winding import detect_crossings
 
 SQ50 = np.sqrt(50.0)
@@ -195,6 +196,44 @@ def test_omega_at_points_matches_shelf(example1):
         assert w2[i] / d[i] == pytest.approx(samples.psi2[k], rel=1e-7, abs=1e-9)
 
 
+def count_rk4_calls(monkeypatch):
+    calls = []
+    real = _kernels.rk4_grid
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "rk4_grid", counted)
+    return calls
+
+
+def test_point_inputs_validated(example1):
+    for points in ([np.nan], [0.2, np.nan], [-0.1], [1.5]):
+        with pytest.raises(InvalidInputError):
+            omega_at_points(example1, -0.5, points)
+    with pytest.raises(InvalidInputError):
+        omega_at_points(example1, np.nan, [0.5])
+    for x, h in ((0.5, 0.0), (0.5, -1e-4), (0.5, np.nan), (0.01, 0.01)):
+        with pytest.raises(InvalidInputError):
+            derivative_identity_residual(example1, x, -0.5, h=h)
+
+
+def test_point_evaluations_make_one_sweep_per_family(example2, monkeypatch):
+    problem = replace(example2, x_steps=300)
+    shelf_path(problem, "left")  # the shelf sweeps are cached before counting
+    calls = count_rk4_calls(monkeypatch)
+    derivative_identity_residual(problem, 0.4, -1.0)
+    assert calls == [1, 1]
+    calls.clear()
+    ratios = monotonicity_audit(problem)
+    assert len(ratios) >= 2 and calls == [1, 1]
+    # points at either end need no run of the family that starts there
+    calls.clear()
+    omega_at_points(problem, -1.0, [0.0, 0.5, 0.5, 1.0])
+    assert calls == [1, 1]
+
+
 def test_identity_residual_small_on_catalog(example1, example2):
     rng = np.random.default_rng(42)
     for problem in (example1, example2):
@@ -292,16 +331,16 @@ def test_psi_window_batch_equals_single_lambda_legs(name):
     xs, p1, p2 = psi_window(problem, lams, x_lo, x_hi, nx)
     assert p1.shape == p2.shape == (len(lams), nx + 1)
     assert np.array_equal(xs, np.linspace(x_lo, x_hi, nx + 1))
-    H1 = integrate_frame(field, problem.Q.entries, 1.0, x_hi,
-                         lead_steps(problem, 1.0 - x_hi), problem.lambda2).frames[0]
-    h = integrate_frame(field, H1, x_hi, x_lo, nx, problem.lambda2).frames
+    h_runs = [(x_hi, lead_steps(problem, 1.0 - x_hi)), (x_lo, nx)]
+    h = _sweep(field, problem.Q.entries, [problem.lambda2], 1.0, h_runs,
+               problem.rescale)[1][0, :nx + 1]
+    g_runs = [(x_lo, lead_steps(problem, x_lo)), (x_hi, nx)]
     for i, lam in enumerate(lams):
         _, q1, q2 = psi_window(problem, [lam], x_lo, x_hi, nx)
         assert np.array_equal(p1[i], q1[0]) and np.array_equal(p2[i], q2[0])
-        # the same legs chained one lambda at a time
-        G0 = integrate_frame(field, problem.P.entries, 0.0, x_lo,
-                             lead_steps(problem, x_lo), lam).frames[-1]
-        g = integrate_frame(field, G0, x_lo, x_hi, nx, lam).frames
+        # the same run chain, one lambda at a time
+        g = _sweep(field, problem.P.entries, [lam], 0.0, g_runs,
+                   problem.rescale)[1][0, -(nx + 1):]
         w1, w2, d = _kernels.omega_tables(g, h, AT.block_g, AT.block_h)
         assert np.array_equal(p1[i], w1 / d) and np.array_equal(p2[i], w2 / d)
 
@@ -353,7 +392,7 @@ def test_psi_window_honors_no_rescale(example2, monkeypatch):
 
     monkeypatch.setattr(_kernels, "rk4_grid", spy)
     got = [psi_window(raw, lams, 0.2, 0.3, 8), psi_window(raw, lams, 0.5, 0.5, 0)]
-    assert len(seen) == 6 and not any(seen)
+    assert len(seen) == 4 and not any(seen)
     for (_, p1, p2), (_, q1, q2) in zip(got, ref):
         assert np.max(np.abs(p1 - q1)) < 1e-9
         assert np.max(np.abs(p2 - q2)) < 1e-9
@@ -366,12 +405,12 @@ def test_psi_window_validates_its_window(example1):
             psi_window(example1, [0.0], *args)
 
 
-# -- bisection tree on the top shelf ---------------------------------------------
+# -- the 16-section search on the top shelf ---------------------------------------
 
 
 def sequential_bisection(problem, tol):
-    """The loop the tree replaces: one midpoint per bracket per round, one
-    sweep per round.  Returns (sorted eigenvalues, rounds)."""
+    """Bisection, one midpoint per bracket per round and one sweep per round.
+    Returns (sorted eigenvalues, rounds)."""
     top = shelf_path(problem, "top")
     lams, p1 = top.ts, top.psi1
     zero = np.abs(p1) <= 1e-9
@@ -413,15 +452,25 @@ def test_bisection_tree_equals_sequential_bisection(name, tol, monkeypatch):
                           lambda_steps=60)
     want, rounds = sequential_bisection(problem, tol)  # also caches the top shelf
     assert len(want) == {"harmonic-dirichlet": 2, "example1": 1, "decoupled": 3}[name]
-    calls = []
-    real = _kernels.rk4_grid
-
-    def counted(*args):
-        calls.append(len(args[2]))
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "rk4_grid", counted)
+    calls = count_rk4_calls(monkeypatch)
     got = localize_eigenvalues_top(problem, tol=tol)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= tol for g, w in zip(got, want))
     assert rounds > 4
     assert len(calls) <= -(-rounds // 4)
+
+
+def test_three_zeros_in_one_top_cell_yield_three_eigenvalues(monkeypatch):
+    """-phi'' = lam phi, Dirichlet at both ends: on [0, 200] with two lambda
+    cells, the cell [0, 100] holds pi^2, 4 pi^2 and 9 pi^2 and the cell
+    [100, 200] holds 16 pi^2.  The cuts of the first sweep separate the
+    three zeros of the first cell."""
+    problem = replace(load_problem(builtin_catalog("harmonic-dirichlet")),
+                      lambda1=0.0, lambda2=200.0, x_steps=400, lambda_steps=2)
+    shelf_path(problem, "top")  # the shelf sweeps are cached before counting
+    calls = count_rk4_calls(monkeypatch)
+    got = localize_eigenvalues_top(problem, tol=1e-8)
+    want = [k * k * np.pi ** 2 for k in (1, 2, 3, 4)]
+    assert got == pytest.approx(want, rel=1e-6)
+    # 15 cuts per bracket: two brackets, then four; ceil(log16(100 / 1e-8)) sweeps
+    assert calls == [30] + [60] * 8

@@ -16,6 +16,7 @@ from renosc import (
     load_problem,
     propagate_lambda_grid,
 )
+from renosc.propagation import _sweep
 
 
 def constant_field(matrix):
@@ -233,6 +234,8 @@ def test_invalid_inputs():
         integrate_frame(field, np.zeros((3, 1)), 0.0, 1.0, 10, 0.0)
     with pytest.raises(InvalidInputError):
         integrate_frame(field, np.array([[1.0], [0.0]]), 0.5, 0.5, 10, 0.0)
+    with pytest.raises(InvalidInputError):  # a chain must keep one direction
+        _sweep(field, np.array([[1.0], [0.0]]), [0.0], 0.0, [(0.5, 4), (0.2, 4)], True)
 
 
 def test_companion_builders_vectorize_over_x():
@@ -296,3 +299,30 @@ def test_general_field_lambda_grid_matches_closed_form():
         assert np.max(np.abs(raw - expect)) <= 1e-7 * lam
         single = integrate_frame(field, init, 0.0, 1.0, 400, lam)
         assert np.allclose(frames[i], single.frames, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("field", [harmonic_field(), squared_harmonic_field()],
+                         ids=["affine", "general"])
+@pytest.mark.parametrize("backward", [False, True])
+def test_chain_of_runs_matches_chained_legs(field, backward):
+    # one sweep through runs of 7, 50 and 3 steps against three integrate_frame
+    # legs, each started from the previous leg's end frame
+    lams = np.array([1.0, 4.0])
+    init = np.array([[0.0], [1.0]])
+    x0, stops = (1.0, [0.8, 0.3, 0.25]) if backward else (0.0, [0.2, 0.7, 0.75])
+    runs = list(zip(stops, [7, 50, 3]))
+    xs, frames, slog = _sweep(field, init, lams, x0, runs, False)
+    assert frames.shape == (2, 61, 2, 1)
+    for i, lam in enumerate(lams):
+        F, start, legs = init, x0, []
+        for to_x, steps in runs:
+            leg = integrate_frame(field, F, start, to_x, steps, lam, rescale=False)
+            legs.append(leg)
+            F, start = (leg.frames[0] if backward else leg.frames[-1]), to_x
+        if backward:
+            legs = legs[::-1]
+        want_xs = np.concatenate([legs[0].xs] + [leg.xs[1:] for leg in legs[1:]])
+        want = np.concatenate([legs[0].frames] + [leg.frames[1:] for leg in legs[1:]])
+        assert np.allclose(xs, want_xs, rtol=0, atol=1e-15)
+        assert np.max(np.abs(frames[i] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.any(slog[i])
