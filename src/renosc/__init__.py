@@ -72,6 +72,7 @@ from .propagation import (
     eval_companion_higher_order,
     eval_companion_second_order,
     integrate_frame,
+    propagate_chain,
     propagate_lambda_grid,
 )
 from .winding import (

@@ -112,7 +112,7 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
     lams = np.ascontiguousarray(lams, dtype=float)
     init = np.ascontiguousarray(init, dtype=float)
     steps = (a_half.shape[-3] - 1) // 2
-    h = float(h) if np.ndim(h) == 0 else np.asarray(h, dtype=float).reshape(steps, 1, 1)
+    h = np.broadcast_to(np.asarray(h, dtype=float), (steps,)).reshape(steps, 1, 1)
     shared = a_half.ndim == 3
     n, m = init.shape[-2:]
     L = lams.shape[0]
@@ -128,8 +128,7 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
         lam_E = lams[lines, None, None, None] * E
         for s0 in range(0, steps, seg):
             s1 = min(s0 + seg, steps)
-            hk = h if np.ndim(h) == 0 else h[s0:s1]
-            P = _propagators(table[:, 2 * s0:2 * s1 + 1], lam_E, hk)
+            P = _propagators(table[:, 2 * s0:2 * s1 + 1], lam_E, h[s0:s1])
             _chain(P, frames[lines, s0:s1 + 1], slog[lines, s0:s1 + 1], rescale)
     return frames, slog
 
@@ -137,7 +136,7 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
 def _propagators(table, lam_E, h):
     """The RK4 step matrices P_k of F_{k+1} = P_k F_k, (lines, steps, n, n).
 
-    h is a scalar or one step size per step, shaped (steps, 1, 1).
+    h holds one step size per step, shaped (steps, 1, 1).
     """
     A = table[:, 0::2] + lam_E  # at the nodes
     Ah = table[:, 1::2] + lam_E  # at the midpoints

@@ -23,7 +23,8 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidInputError, RankDeficiencyError, ShelfAssertionError
 from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde, psi_rho
-from .propagation import CoefficientField, _sweep, integrate_frame, propagate_lambda_grid
+from .propagation import (CoefficientField, integrate_frame, propagate_chain,
+                          propagate_lambda_grid)
 from .winding import PathSamples, detect_crossings, winding_index
 
 SHELVES = ("bottom", "right", "top", "left")
@@ -211,22 +212,14 @@ def _gap_steps(problem: SpectralProblem, dx):
     return np.maximum(4, np.ceil(dx * problem.x_steps).astype(int))
 
 
-def _chain(problem: SpectralProblem, init, lams, x0: float, runs, rescale: bool):
-    """One family's frames along one sweep of `runs` from x0, in sweep order,
-    shaped (len(lams), 1 + steps, n, k); the initial frame alone if no run."""
-    if not runs:
-        return np.broadcast_to(init, (len(lams), 1) + init.shape)
-    frames = _sweep(problem.field, init, lams, x0, runs, rescale)[1]
-    return frames[:, ::-1] if runs[0][0] < x0 else frames
-
-
 def _point_frames(problem: SpectralProblem, init, lam: float, x0: float, xs):
     """One family's unrescaled frames at the distinct points xs, ordered away
     from x0, in one sweep: each gap between stops is one run."""
     gaps = np.abs(np.diff(np.concatenate(([x0], xs))))
     steps = np.where(gaps > 0, _gap_steps(problem, gaps), 0)  # a point at x0 takes none
     runs = [(x, s) for x, s in zip(xs, steps) if s]
-    return _chain(problem, init, [lam], x0, runs, False)[0][np.cumsum(steps)]
+    frames = propagate_chain(problem.field, init, [lam], x0, runs, False)[1]
+    return frames[0, np.cumsum(steps)]
 
 
 def omega_at_points(problem: SpectralProblem, lam: float, points):
@@ -272,7 +265,8 @@ def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int
         x0 to x_near, then nx steps to x_far."""
         runs = [(x_near, _gap_steps(problem, abs(x_near - x0)))] if x_near != x0 else []
         runs += [(x_far, nx)] if nx else []
-        return _chain(problem, init, lams, x0, runs, problem.rescale)[:, -(nx + 1):]
+        frames = propagate_chain(problem.field, init, lams, x0, runs, problem.rescale)[1]
+        return frames[:, -(nx + 1):]
 
     G = window(problem.P.entries, lams, 0.0, x_lo, x_hi)
     H = window(problem.Q.entries, [problem.lambda2], 1.0, x_hi, x_lo)[0, ::-1]

@@ -189,16 +189,15 @@ def _half_steps(from_x: float, runs):
 
     A run takes `steps` equal steps from where the previous one ended
     (from_x for the first), and consecutive runs share their junction node.
-    Returns h, a scalar for one run and one size per step otherwise, and the
-    grid (2*steps+1,) in propagation order; its even entries are the nodes.
+    Returns h, one size per step, and the grid (2*steps+1,) in propagation
+    order; its even entries are the nodes.
     """
     hs, xh, x0 = [], [[from_x]], from_x
     for to_x, steps in runs:
         hs.append((to_x - x0) / steps)
         xh.append(x0 + 0.5 * hs[-1] * np.arange(1, 2 * steps + 1))
         x0 = to_x
-    h = hs[0] if len(hs) == 1 else np.repeat(hs, [steps for _, steps in runs])
-    return h, np.concatenate(xh)
+    return np.repeat(hs, [steps for _, steps in runs]), np.concatenate(xh)
 
 
 def _half_step_table(field: CoefficientField, xh, key):
@@ -215,26 +214,31 @@ def _half_step_table(field: CoefficientField, xh, key):
     return table
 
 
-def _sweep(field, init, lams, from_x, runs, rescale):
+def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=False):
     """RK4 at every lambda of `lams` along a chain of runs, in one kernel call.
 
     `runs` holds (to_x, steps) pairs in one x direction (see _half_steps), so
     a lead leg and a window, or the gaps between points, are one sweep over
-    one half-step table.  `init` is one (n, m) frame shared by every lambda
-    line, or one frame per line, shaped (len(lams), n, m).  An affine field
-    shares one half-step table across the batch, cached per chain; any other
-    field supplies one table per lambda (never cached, since the cache key
-    does not see lambda) and runs with E = 0.  Returns (xs, frames,
-    scale_log) on an increasing x grid; raises BlowUpError with the first x
-    at which some lambda line leaves double-precision range.
+    one half-step table; no run leaves the initial frame alone.  `init` is
+    one (n, m) frame shared by every lambda line, or one frame per line,
+    shaped (len(lams), n, m).  An affine field shares one half-step table
+    across the batch, cached per chain; any other field supplies one table
+    per lambda (never cached, since the cache key does not see lambda) and
+    runs with E = 0.  Returns (xs, frames, scale_log) in sweep order, xs[0]
+    = from_x, or on an increasing x grid if `increasing`, with frames shaped
+    (len(lams), 1 + steps, n, m); raises BlowUpError with the first x at
+    which some lambda line leaves double-precision range.
     """
     init = np.ascontiguousarray(init, dtype=float)
     lams = np.asarray(lams, dtype=float)
     if init.shape[:-2] not in ((), lams.shape) or init.shape[-2:-1] != (field.n,):
         raise InvalidInputError(f"init must be one {field.n} x m frame or one per lambda")
     runs = tuple((float(to_x), int(steps)) for to_x, steps in runs)
-    if not runs or any(steps < 1 for _, steps in runs):
+    if any(steps < 1 for _, steps in runs):
         raise InvalidInputError("steps must be positive")
+    if not runs:
+        frames = np.broadcast_to(init[..., None, :, :], (len(lams), 1) + init.shape[-2:])
+        return np.array([float(from_x)]), frames, np.zeros((len(lams), 1))
     dx = np.diff([from_x] + [to_x for to_x, _ in runs])
     if not (np.all(dx > 0) or np.all(dx < 0)):
         raise InvalidInputError("the stops of a chain must differ and keep one direction")
@@ -251,8 +255,7 @@ def _sweep(field, init, lams, from_x, runs, rescale):
     if not np.all(np.isfinite(frames)):
         x = xs[int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))]
         raise BlowUpError(f"propagation blew up near x = {x:.6g}", x=x)
-
-    if dx[0] < 0:
+    if increasing and xs[0] > xs[-1]:
         xs = xs[::-1].copy()
         frames = frames[:, ::-1].copy()
         slog = slog[:, ::-1].copy()
@@ -274,7 +277,8 @@ def integrate_frame(
     x grid.  Raises BlowUpError (with the offending x) if the state leaves
     double-precision range.
     """
-    xs, frames, slog = _sweep(field, init, [lam], from_x, [(to_x, steps)], rescale)
+    xs, frames, slog = propagate_chain(field, init, [lam], from_x, [(to_x, steps)],
+                                       rescale, increasing=True)
     direction = "forward" if to_x > from_x else "backward"
     return FramePath(lam=lam, xs=xs, frames=frames[0], scale_log=slog[0],
                      direction=direction)
@@ -295,4 +299,5 @@ def propagate_lambda_grid(
     Returns (xs, frames, scale_log) with frames shaped (L, steps+1, n, m) on
     an increasing x grid.
     """
-    return _sweep(field, init, lams, from_x, [(to_x, steps)], rescale)
+    return propagate_chain(field, init, lams, from_x, [(to_x, steps)], rescale,
+                           increasing=True)

@@ -25,7 +25,7 @@ from renosc import (
 )
 from renosc import _kernels
 from renosc.maslovbox import _psi1_at_one
-from renosc.propagation import _sweep
+from renosc.propagation import propagate_chain
 from renosc.winding import detect_crossings
 
 SQ50 = np.sqrt(50.0)
@@ -332,15 +332,15 @@ def test_psi_window_batch_equals_single_lambda_legs(name):
     assert p1.shape == p2.shape == (len(lams), nx + 1)
     assert np.array_equal(xs, np.linspace(x_lo, x_hi, nx + 1))
     h_runs = [(x_hi, lead_steps(problem, 1.0 - x_hi)), (x_lo, nx)]
-    h = _sweep(field, problem.Q.entries, [problem.lambda2], 1.0, h_runs,
-               problem.rescale)[1][0, :nx + 1]
+    h = propagate_chain(field, problem.Q.entries, [problem.lambda2], 1.0, h_runs,
+                        problem.rescale)[1][0, -(nx + 1):][::-1]
     g_runs = [(x_lo, lead_steps(problem, x_lo)), (x_hi, nx)]
     for i, lam in enumerate(lams):
         _, q1, q2 = psi_window(problem, [lam], x_lo, x_hi, nx)
         assert np.array_equal(p1[i], q1[0]) and np.array_equal(p2[i], q2[0])
         # the same run chain, one lambda at a time
-        g = _sweep(field, problem.P.entries, [lam], 0.0, g_runs,
-                   problem.rescale)[1][0, -(nx + 1):]
+        g = propagate_chain(field, problem.P.entries, [lam], 0.0, g_runs,
+                            problem.rescale)[1][0, -(nx + 1):]
         w1, w2, d = _kernels.omega_tables(g, h, AT.block_g, AT.block_h)
         assert np.array_equal(p1[i], w1 / d) and np.array_equal(p2[i], w2 / d)
 

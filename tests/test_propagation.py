@@ -16,7 +16,7 @@ from renosc import (
     load_problem,
     propagate_lambda_grid,
 )
-from renosc.propagation import _sweep
+from renosc.propagation import propagate_chain
 
 
 def constant_field(matrix):
@@ -235,7 +235,7 @@ def test_invalid_inputs():
     with pytest.raises(InvalidInputError):
         integrate_frame(field, np.array([[1.0], [0.0]]), 0.5, 0.5, 10, 0.0)
     with pytest.raises(InvalidInputError):  # a chain must keep one direction
-        _sweep(field, np.array([[1.0], [0.0]]), [0.0], 0.0, [(0.5, 4), (0.2, 4)], True)
+        propagate_chain(field, np.array([[1.0], [0.0]]), [0.0], 0.0, [(0.5, 4), (0.2, 4)])
 
 
 def test_companion_builders_vectorize_over_x():
@@ -311,7 +311,7 @@ def test_chain_of_runs_matches_chained_legs(field, backward):
     init = np.array([[0.0], [1.0]])
     x0, stops = (1.0, [0.8, 0.3, 0.25]) if backward else (0.0, [0.2, 0.7, 0.75])
     runs = list(zip(stops, [7, 50, 3]))
-    xs, frames, slog = _sweep(field, init, lams, x0, runs, False)
+    xs, frames, slog = propagate_chain(field, init, lams, x0, runs, False, increasing=True)
     assert frames.shape == (2, 61, 2, 1)
     for i, lam in enumerate(lams):
         F, start, legs = init, x0, []
