@@ -49,20 +49,32 @@ step is a matrix, F_{k+1} = P_k F_k, with
 
 (A0, Ah, A1: A at the step's start, midpoint and end; h may differ from
 step to step, for a chain of runs), so a leg is a prefix product of step
-matrices.  Every P_k is built in one batched pass.  The steps
-are then grouped in blocks of b = ceil(sqrt(steps)): b batched products give
-every block's partial products Q_j = P_j ... P_1, the block starts are carried
-one block after another, and every node is expanded as Q_j F_start.  That is
-about 2 sqrt(steps) numpy-level iterations per leg instead of `steps`.  With
-rescaling, each P_k is divided by a power of two s_k before the products (an
-exact operation), so every partial product is the true one divided by the
-scalar s = s_1 ... s_j and cannot overflow inside a block; the expanded node is
-then column-normalized as if it had been normalized after every step, and its
-scale_log is the block start's plus m log s plus the log of the m column norms.
-Temporaries shaped (lines, steps, n, n) are held under STEP_BUDGET bytes each:
-lines are processed in chunks, and a leg whose single line exceeds the budget
-is cut into x segments.  The segments depend on steps and n only, so a line's
-result does not depend on the lines that share its chunk.
+matrices.  Since A = a + lam E is affine in lambda, K_j is a polynomial of
+degree j in lambda and P_k one of degree 4, P_k(lam) = sum_j lam^j C_j.  The
+coefficients C_0..C_4 of every step are built once per call (per x segment),
+by exact polynomial-matrix arithmetic on (a + lam E): three stages, each
+one batched product with the a table and one with E, about 18 (steps, n, n)
+products in all.  Every line's P_k is then C_0 + lam (C_1 + lam (...)) by
+elementwise Horner, with no BLAS call, so a line's bits do not depend on its
+batch, and no interpolation nodes, so no lambda is an extrapolation.  Per-line
+tables (a field not affine in lambda) go through the same build with E = 0.
+The steps are then grouped in blocks of b = ceil(sqrt(steps)): b batched
+products give every block's partial products Q_j = P_j ... P_1, the block
+starts are carried one block after another, and every node is expanded as
+Q_j F_start.  That is about 2 sqrt(steps) numpy-level iterations per leg
+instead of `steps`.  In endpoint mode the products and carries are the same
+but only the last node is expanded and normalized, so it equals the last
+node of the full result bit for bit at a fraction of the cost and memory.
+With rescaling, each P_k is divided by a power of two s_k before the
+products (an exact operation), so every partial product is the true one
+divided by the scalar s = s_1 ... s_j and cannot overflow inside a block;
+the expanded node is then column-normalized as if it had been normalized
+after every step, and its scale_log is the block start's plus m log s plus
+the log of the m column norms.  Temporaries shaped (lines, steps, n, n) are
+held under STEP_BUDGET bytes each: lines are processed in chunks, and a leg
+whose single line exceeds the budget is cut into x segments.  The segments
+depend on steps and n only, so a line's result does not depend on the lines
+that share its chunk.
 """
 
 from __future__ import annotations
@@ -94,7 +106,7 @@ COLLAPSE_TOL = 2.0 ** -52
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # blow-ups are caught by callers
-def rk4_grid(a_half, E, lams, init, h, rescale):
+def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False):
     """Propagate initial frames over a batch of lambda values.
 
     a_half is one half-step table (2*steps+1, n, n) shared by every line, or
@@ -103,9 +115,10 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
     init is one (n, m) frame that every line starts from, or one frame per
     line, (L, n, m); each line's result does not depend on the other lines of
     the batch.  Returns (frames, scale_log) with shapes (L, steps+1, n, m)
-    and (L, steps+1).  scale_log accumulates the log of the product of column
-    rescaling factors, so raw-form values can be reconstructed as
-    value * exp(scale_log).
+    and (L, steps+1), or, with `endpoint`, (L, 1, n, m) and (L, 1): the last
+    node alone, equal bit for bit to the last node of the full result.
+    scale_log accumulates the log of the product of column rescaling
+    factors, so raw-form values can be reconstructed as value * exp(scale_log).
     """
     a_half = np.ascontiguousarray(a_half, dtype=float)
     E = np.ascontiguousarray(E, dtype=float)
@@ -116,45 +129,77 @@ def rk4_grid(a_half, E, lams, init, h, rescale):
     shared = a_half.ndim == 3
     n, m = init.shape[-2:]
     L = lams.shape[0]
-    frames = np.empty((L, steps + 1, n, m))
-    slog = np.zeros((L, steps + 1))
+    frames = np.empty((L, 2 if endpoint else steps + 1, n, m))
+    slog = np.zeros(frames.shape[:2])
     frames[:, 0] = init
     matrix_bytes = 8 * n * n
     seg = max(1, min(steps, STEP_BUDGET // matrix_bytes))
     chunk = max(1, STEP_BUDGET // (matrix_bytes * seg))
-    for lo in range(0, L, chunk):
-        lines = slice(lo, lo + chunk)
-        table = a_half[None] if shared else a_half[lines]
-        lam_E = lams[lines, None, None, None] * E
-        for s0 in range(0, steps, seg):
-            s1 = min(s0 + seg, steps)
-            P = _propagators(table[:, 2 * s0:2 * s1 + 1], lam_E, h[s0:s1])
-            _chain(P, frames[lines, s0:s1 + 1], slog[lines, s0:s1 + 1], rescale)
-    return frames, slog
+    for s0 in range(0, steps, seg):
+        s1 = min(s0 + seg, steps)
+        half = slice(2 * s0, 2 * s1 + 1)
+        nodes = slice(None) if endpoint else slice(s0, s1 + 1)
+        if shared:
+            C = _coefficients(a_half[half], E, h[s0:s1])
+        for lo in range(0, L, chunk):
+            lines = slice(lo, lo + chunk)
+            if not shared:
+                C = _coefficients(a_half[lines, half], E, h[s0:s1])
+            _chain(_horner(C, lams[lines]), frames[lines, nodes], slog[lines, nodes], rescale)
+        if endpoint:  # the segment's end starts the next one
+            frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]
+    return (frames[:, :1], slog[:, :1]) if endpoint else (frames, slog)
 
 
-def _propagators(table, lam_E, h):
-    """The RK4 step matrices P_k of F_{k+1} = P_k F_k, (lines, steps, n, n).
+def _times(a, E, X):
+    """(a + lam E) X for a polynomial matrix X, coefficients along axis 0."""
+    Z = np.empty((len(X) + 1,) + np.broadcast_shapes(a.shape, X.shape[1:]))
+    np.matmul(a, X, out=Z[:-1])
+    Z[-1] = 0.0
+    Z[1:] += E @ X
+    return Z
 
-    h holds one step size per step, shaped (steps, 1, 1).
+
+def _coefficients(table, E, h):
+    """Monomial coefficients C_0..C_4 of the RK4 step matrices, P_k(lam) = sum lam^j C_j.
+
+    table holds the lambda-free half-step values (..., 2*steps+1, n, n), E
+    the constant lambda matrix and h one step size per step, (steps, 1, 1).
+    The RK4 stages are multiplied out exactly in polynomial-matrix
+    arithmetic on (a + lam E); returns (5, ..., steps, n, n).
     """
-    A = table[:, 0::2] + lam_E  # at the nodes
-    Ah = table[:, 1::2] + lam_E  # at the midpoints
-    A0, A1 = A[:, :-1], A[:, 1:]
-    K = Ah @ A0
-    K *= h / 2.0
-    K += Ah  # K2
-    P = A0 + 2.0 * K
-    K = Ah @ K
-    K *= h / 2.0
-    K += Ah  # K3
-    P += 2.0 * K
-    K = A1 @ K
-    K *= h
-    K += A1  # K4
-    P += K
+    a0, ah, a1 = table[..., 0:-1:2, :, :], table[..., 1::2, :, :], table[..., 2::2, :, :]
+
+    def stage(a, X, c):  # a + lam E + c (a + lam E) X
+        K = _times(a, E, X)
+        K *= c
+        K[0] += a
+        K[1] += E
+        return K
+
+    K1 = np.stack(np.broadcast_arrays(a0, E))
+    K2 = stage(ah, K1, h / 2.0)
+    K3 = stage(ah, K2, h / 2.0)
+    K4 = stage(a1, K3, h)
+    P = K4  # K1 + 2 K2 + 2 K3 + K4, degree by degree
+    P[:4] += 2.0 * K3
+    P[:3] += 2.0 * K2
+    P[:2] += K1
     P *= h / 6.0
-    P += np.eye(A.shape[-1])
+    P[0] += np.eye(table.shape[-1])
+    return P
+
+
+def _horner(C, lams):
+    """Every line's step matrices sum_j lam^j C_j, (lines, steps, n, n),
+    by elementwise Horner (no BLAS call, so a line's bits do not depend on
+    its batch)."""
+    lam = lams[:, None, None, None]
+    P = C[-1] * lam
+    for c in C[-2:0:-1]:
+        P += c
+        P *= lam
+    P += C[0]
     return P
 
 
@@ -162,7 +207,9 @@ def _chain(P, frames, slog, rescale):
     """Chain the step matrices P from frames[:, 0] into frames[:, 1:].
 
     frames (lines, steps+1, n, m) and slog (lines, steps+1) are written in
-    place; frames[:, 0] and slog[:, 0] hold the start.  P is overwritten.
+    place; frames[:, 0] and slog[:, 0] hold the start.  Given two nodes,
+    (lines, 2, n, m), only the last node is expanded, by the same products
+    and reductions.  P is overwritten.
     """
     lines, steps, n = P.shape[:3]
     m = frames.shape[-1]
@@ -175,7 +222,7 @@ def _chain(P, frames, slog, rescale):
     if rescale:
         e = np.frexp(np.max(np.abs(Q), axis=(-2, -1)))[1]
         np.ldexp(Q, -e[..., None, None], out=Q)
-        m_log_s = np.cumsum(e, axis=2) * (m * math.log(2.0))
+        m_log_s = (np.cumsum(e, axis=2) * (m * math.log(2.0))).reshape(lines, nb * b)
     for j in range(1, b):
         np.matmul(Q[:, :, j], Q[:, :, j - 1], out=Q[:, :, j])
     F, acc = frames[:, 0], slog[:, 0]
@@ -185,17 +232,23 @@ def _chain(P, frames, slog, rescale):
         if rescale:
             nrm = np.sqrt(np.sum(F * F, axis=-2))
             F = F / nrm[..., None, :]
-            acc = acc + m_log_s[:, i, -1] + np.sum(np.log(nrm), axis=-1)
+            acc = acc + m_log_s[:, i * b + b - 1] + np.sum(np.log(nrm), axis=-1)
         starts.append(F)
         accs.append(acc)
-    nodes = (Q @ np.stack(starts, axis=1)[:, :, None]).reshape(lines, nb * b, n, m)
-    s = np.repeat(np.stack(accs, axis=1), b, axis=1)
+    if frames.shape[1] == steps + 1:  # every node
+        nodes = (Q @ np.stack(starts, axis=1)[:, :, None]).reshape(lines, nb * b, n, m)
+        nodes, s = nodes[:, :steps], np.repeat(np.stack(accs, axis=1), b, axis=1)[:, :steps]
+        k = slice(0, steps)
+    else:  # the last node: block i, position j
+        i, j = divmod(steps - 1, b)
+        nodes, s = Q[:, i, j:j + 1] @ starts[i][:, None], accs[i][:, None]
+        k = slice(steps - 1, steps)
     if rescale:
         nrm = np.sqrt(np.sum(nodes * nodes, axis=-2))
         nodes /= nrm[..., None, :]
-        s += m_log_s.reshape(lines, nb * b) + np.sum(np.log(nrm), axis=-1)
-    frames[:, 1:] = nodes[:, :steps]
-    slog[:, 1:] = s[:, :steps]
+        s = s + (m_log_s[:, k] + np.sum(np.log(nrm), axis=-1))
+    frames[:, 1:] = nodes
+    slog[:, 1:] = s
 
 
 def gram_volumes(F):

@@ -91,6 +91,7 @@ def _emit(summary, outdir):
 def cmd_box(args) -> int:
     cfg, problem = _load(args)
     outdir = artifacts.ensure_outdir(args.out)
+    problem.lambda_grid_frames()  # the figure needs the grid; the top shelf reuses it
     report = compute_box(problem)
     for shelf, samples in report.shelf_samples.items():
         artifacts.write_path_csv(os.path.join(outdir, f"shelf_{shelf}.csv"), samples)

@@ -101,6 +101,21 @@ class SpectralProblem:
             )
         return self._cache[key]
 
+    def top_frames(self) -> np.ndarray:
+        """G frames at x = 1 for every lambda grid line, shape (L, n, m).
+
+        The cached grid's last column when there is one; otherwise one
+        endpoint sweep, cached, which equals that column bit for bit.
+        """
+        if "lambda_grid_frames" in self._cache:
+            return self._cache["lambda_grid_frames"][:, -1]
+        if "top_frames" not in self._cache:
+            self._cache["top_frames"] = propagate_chain(
+                self.field, self.P.entries, self.lambda_grid(), 0.0,
+                [(1.0, self.x_steps)], self.rescale, endpoint=True,
+            )[1][:, 0]
+        return self._cache["top_frames"]
+
     def lambda_grid_frames(self) -> np.ndarray:
         """G frames for every lambda grid line, shape (L, x_steps+1, n, m)."""
         if "lambda_grid_frames" not in self._cache:
@@ -194,8 +209,7 @@ def shelf_path(problem: SpectralProblem, shelf: str) -> PathSamples:
         )
     if shelf == "top":
         lams = problem.lambda_grid()
-        g_end = problem.lambda_grid_frames()[:, -1]
-        w1, w2, d = _kernels.omega_tables(g_end, problem.Q.entries, ATg, ATh)
+        w1, w2, d = _kernels.omega_tables(problem.top_frames(), problem.Q.entries, ATg, ATh)
         return _samples_from_tables(lams, w1, w2, d, "top")
 
     lam = problem.lambda2 if shelf == "right" else problem.lambda1
@@ -265,7 +279,8 @@ def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int
         x0 to x_near, then nx steps to x_far."""
         runs = [(x_near, _gap_steps(problem, abs(x_near - x0)))] if x_near != x0 else []
         runs += [(x_far, nx)] if nx else []
-        frames = propagate_chain(problem.field, init, lams, x0, runs, problem.rescale)[1]
+        frames = propagate_chain(problem.field, init, lams, x0, runs, problem.rescale,
+                                 endpoint=not nx)[1]
         return frames[:, -(nx + 1):]
 
     G = window(problem.P.entries, lams, 0.0, x_lo, x_hi)
@@ -338,13 +353,16 @@ _SECTIONS = 16
 def _localize_top(problem: SpectralProblem, tol: float):
     """Eigenvalues (zeros of psi1(1; .)) and degenerate candidates.
 
-    Sign-change brackets between top-shelf nodes are searched in lockstep
-    until every width is <= tol.  One sweep cuts every bracket into
-    _SECTIONS equal parts, evaluates psi1 at the cuts in one batch and keeps
-    every part across which psi1 changes sign, so a bracket holding several
-    zeros splits into one bracket per zero the cuts separate.  psi1 at a cut
-    does not depend on its batch.
+    Sign-change brackets between top-shelf nodes are cut until each width is
+    <= tol, or <= 4 ulps of its larger end, below which a cut no longer
+    narrows it.  One sweep cuts every open bracket into _SECTIONS equal
+    parts, evaluates psi1 at the cuts in one batch and keeps every part
+    across which psi1 changes sign, so a bracket holding several zeros
+    splits into one bracket per zero the cuts separate.  psi1 at a cut does
+    not depend on its batch.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError(f"tol must be finite and positive, got {tol!r}")
     top = shelf_path(problem, "top")
     lams, p1 = top.ts, top.psi1
     zero = np.abs(p1) <= 1e-9
@@ -355,7 +373,14 @@ def _localize_top(problem: SpectralProblem, tol: float):
     nodes = np.stack((lams[k], lams[k + 1]), axis=1)
     vals = np.stack((p1[k], p1[k + 1]), axis=1)
     cuts = np.arange(1, _SECTIONS) / _SECTIONS
-    while len(nodes) and np.max(nodes[:, 1] - nodes[:, 0]) > tol:
+    done = [nodes[:0]]
+    while len(nodes):
+        floor = 4.0 * np.spacing(np.max(np.abs(nodes), axis=1))
+        wide = nodes[:, 1] - nodes[:, 0] > np.maximum(tol, floor)
+        done.append(nodes[~wide])
+        nodes, vals = nodes[wide], vals[wide]
+        if not len(nodes):
+            break
         a, b = nodes[:, :1], nodes[:, 1:]
         mids = a + (b - a) * cuts
         fm = _psi1_at_one(problem, mids.ravel()).reshape(mids.shape)
@@ -364,6 +389,7 @@ def _localize_top(problem: SpectralProblem, tol: float):
         keep = (vals[:, :-1] < 0) != (vals[:, 1:] < 0)
         nodes = np.stack((nodes[:, :-1][keep], nodes[:, 1:][keep]), axis=1)
         vals = np.stack((vals[:, :-1][keep], vals[:, 1:][keep]), axis=1)
+    nodes = np.concatenate(done)
     eigs.extend(float(v) for v in 0.5 * (nodes[:, 0] + nodes[:, 1]))
 
     # dips below 1e-7 that never change sign: degenerate candidates
@@ -380,8 +406,9 @@ def localize_eigenvalues_top(problem: SpectralProblem, tol: float = 1e-8) -> Lis
     boundary space at x=1, i.e. the eigenvalues.  Each sweep cuts every
     sign-change bracket into 16 equal parts, so a bracket of width w takes
     ceil(log16(w / tol)) sweeps, as many as bisection at four rounds per
-    sweep.  Non-sign-changing dips are reported separately by compute_box as
-    degenerate candidates.
+    sweep; a tol below 4 ulps of the eigenvalue stops at 4 ulps.  tol must
+    be finite and positive (InvalidInputError otherwise).  Non-sign-changing
+    dips are reported separately by compute_box as degenerate candidates.
     """
     eigs, _ = _localize_top(problem, tol)
     return eigs

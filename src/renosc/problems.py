@@ -333,6 +333,21 @@ def _number(value, what: str) -> float:
     return out
 
 
+def _list(value, what: str) -> list:
+    """A list-valued config entry; ConfigError for anything else."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return list(value)
+
+
+def _matrix(value, what: str) -> list:
+    """A matrix-valued config entry: a non-empty list of equal-length rows."""
+    rows = [_list(row, f"a row of {what}") for row in _list(value, what)]
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigError(f"{what} must be a non-empty list of equal-length rows")
+    return rows
+
+
 def _integer(value, what: str) -> int:
     """An integer from a config value (1000 or 1000.0); ConfigError otherwise."""
     out = _number(value, what)
@@ -369,6 +384,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         if n is None or alphas is None or kappas is None:
             raise ConfigError("higher-order configs need 'n', 'alphas', 'kappas'")
         n = _integer(n, "'n'")
+        alphas, kappas = _list(alphas, "'alphas'"), _list(kappas, "'kappas'")
         if len(alphas) != n + 1:
             raise ConfigError(f"need {n + 1} alpha expressions, got {len(alphas)}")
         if len(kappas) != n - 1:
@@ -385,13 +401,14 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         if l is None:
             raise ConfigError("second-order configs need 'l'")
         l = _integer(l, "'l'")
-        B = doc.get("B", [1.0] * l)
+        B = _list(doc.get("B", [1.0] * l), "'B'")
         V = doc.get("V")
         W = doc.get("W")
         if V is None or W is None:
             raise ConfigError("second-order configs need 'V' and 'W'")
+        V, W = _matrix(V, "'V'"), _matrix(W, "'W'")
         for name, M in (("V", V), ("W", W)):
-            if len(M) != l or any(len(row) != l for row in M):
+            if len(M) != l or len(M[0]) != l:
                 raise ConfigError(f"'{name}' must be an {l}x{l} matrix of expressions")
         if len(B) != l:
             raise ConfigError(f"'B' must list {l} diagonal entries")
@@ -404,6 +421,12 @@ def config_from_dict(doc: dict) -> ProblemConfig:
             x_steps=x_steps, lambda_steps=lambda_steps,
         )
 
+    for key in ("P", "Q"):  # a named preset, or a matrix of numbers
+        spec = getattr(cfg, key)
+        if not isinstance(spec, str):
+            for row in _matrix(spec, f"'{key}'"):
+                for value in row:
+                    _number(value, f"an entry of '{key}'")
     m = doc.get("m")
     if m is None:
         if isinstance(cfg.P, list):

@@ -4,11 +4,15 @@ The evolving subspaces are represented by matrix solutions of F' = A(x; lam) F.
 The G-family starts from the boundary frame at x = 0, the H-family from the
 frame at x = 1 (integrated backward).  The kernel, `_kernels.rk4_grid`, runs
 classical RK4 in propagator form: every step's matrix P_k (F_{k+1} = P_k F_k)
-is built in one batched pass, and the steps are chained by a blocked prefix
-product, blocks of ceil(sqrt(steps)) steps, so a leg costs about
-2 sqrt(steps) numpy-level iterations.  One call can run a chain of uniform
-runs (a lead leg and a window, or the gaps between points) with one step
-size per step, over one half-step table.  Temporaries are bounded by
+is a degree-4 polynomial in lambda, whose coefficients are built once per
+call from the half-step table and evaluated per lambda line by Horner, and
+the steps are chained by a blocked prefix product, blocks of
+ceil(sqrt(steps)) steps, so a leg costs about 2 sqrt(steps) numpy-level
+iterations.  One call can run a chain of uniform runs (a lead leg and a
+window, or the gaps between points) with one step size per step, over one
+half-step table.  A query that reads only the end of a chain (a psi point, a
+top-edge sweep) runs in endpoint mode, which expands only the last node and
+equals the full sweep's last node bit for bit.  Temporaries are bounded by
 `_kernels.STEP_BUDGET` bytes each, by chunking lines and, for long legs,
 x segments.  Column rescaling keeps stiff problems in range: inside a block
 every step matrix is divided by a power of two s, adding m log s to
@@ -214,7 +218,8 @@ def _half_step_table(field: CoefficientField, xh, key):
     return table
 
 
-def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=False):
+def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=False,
+                    endpoint=False):
     """RK4 at every lambda of `lams` along a chain of runs, in one kernel call.
 
     `runs` holds (to_x, steps) pairs in one x direction (see _half_steps), so
@@ -227,7 +232,10 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
     runs with E = 0.  Returns (xs, frames, scale_log) in sweep order, xs[0]
     = from_x, or on an increasing x grid if `increasing`, with frames shaped
     (len(lams), 1 + steps, n, m); raises BlowUpError with the first x at
-    which some lambda line leaves double-precision range.
+    which some lambda line leaves double-precision range.  With `endpoint`
+    only the chain's last node is expanded: xs, frames and scale_log hold
+    that node alone, bit for bit the last node of the full sweep, and a
+    blow-up is reported at its x.
     """
     init = np.ascontiguousarray(init, dtype=float)
     lams = np.asarray(lams, dtype=float)
@@ -249,9 +257,9 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
     else:
         a_half = np.stack([field.table(xh, float(lam)) for lam in lams])
         E, lam_E = np.zeros((field.n, field.n)), np.zeros(len(lams))
-    frames, slog = _kernels.rk4_grid(a_half, E, lam_E, init, h, rescale)
+    frames, slog = _kernels.rk4_grid(a_half, E, lam_E, init, h, rescale, endpoint)
 
-    xs = xh[::2].copy()
+    xs = xh[-1:] if endpoint else xh[::2].copy()
     if not np.all(np.isfinite(frames)):
         x = xs[int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))]
         raise BlowUpError(f"propagation blew up near x = {x:.6g}", x=x)

@@ -60,6 +60,31 @@ def test_malformed_config_value_exits_1(small_harmonic_config, override, tmp_pat
     assert capsys.readouterr().err.startswith("error: ")
 
 
+HIGHER_ORDER = {
+    "kind": "higher-order", "n": 2, "m": 1, "alphas": ["0", "0", "1"],
+    "kappas": [1.0], "P": "dirichlet", "Q": "dirichlet", "lambda": [0.0, 50.0],
+    "x_steps": 200, "lambda_steps": 20,
+}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("B", 2.0), ("V", 2.0), ("W", [0.0]), ("alphas", 2.0), ("kappas", 1.0),
+    ("P", [["a"], ["b"]]), ("Q", [["a"], ["b"]]),
+])
+def test_malformed_list_or_frame_exits_1(small_harmonic_config, key, value, tmp_path, capsys):
+    # a scalar where a list is required, or a frame that is not a matrix of
+    # numbers, is a ConfigError (exit 1), not a raw traceback
+    with open(small_harmonic_config) as fh:
+        doc = HIGHER_ORDER if key in ("alphas", "kappas") else json.load(fh)
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(doc))
+    assert run(["left-shelf", str(path), "--out", str(tmp_path / "ok")]) == 0
+    path.write_text(json.dumps({**doc, key: value}))
+    capsys.readouterr()
+    assert run(["left-shelf", str(path), "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_left_shelf_outputs(small_harmonic_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["left-shelf", small_harmonic_config, "--out", str(out)]) == 0

@@ -2,7 +2,10 @@
 
 `reference_rk4` is the sequential RK4 loop, one step of every line at a time;
 `_kernels.rk4_grid` builds every step's propagator at once and chains them by
-a blocked prefix product, and must agree with it.  `reference_forms` is the
+a blocked prefix product, and must agree with it.  `direct_propagators`
+builds the step matrices line by line from A = a + lam E with three batched
+matmuls per stage; the kernel's polynomial build must agree with it.
+`reference_forms` is the
 definition of the forms, one node at a time: det([G H]), the
 column-replacement sum of determinants and sqrt(det(F^T F));
 `_kernels.omega_tables` pairs Pluecker vectors instead, and must agree with it.
@@ -54,6 +57,29 @@ def reference_rk4(a_half, E, lams, init, h, rescale):
         frames[:, k + 1] = F
         slog[:, k + 1] = acc
     return frames, slog
+
+
+def direct_propagators(table, lam_E, h):
+    """The RK4 step matrices P_k of F_{k+1} = P_k F_k, (lines, steps, n, n),
+    from the matrices A = table + lam_E themselves; h is (steps, 1, 1)."""
+    A = table[:, 0::2] + lam_E  # at the nodes
+    Ah = table[:, 1::2] + lam_E  # at the midpoints
+    A0, A1 = A[:, :-1], A[:, 1:]
+    K = Ah @ A0
+    K *= h / 2.0
+    K += Ah  # K2
+    P = A0 + 2.0 * K
+    K = Ah @ K
+    K *= h / 2.0
+    K += Ah  # K3
+    P += 2.0 * K
+    K = A1 @ K
+    K *= h
+    K += A1  # K4
+    P += K
+    P *= h / 6.0
+    P += np.eye(A.shape[-1])
+    return P
 
 
 def random_leg(steps, L, m, per_line, backward, n=4, per_step=False):
@@ -153,6 +179,45 @@ def test_rk4_per_line_init_matches_separate_lines():
         for i in range(len(lams)):
             fi, si = _kernels.rk4_grid(a_half, E, lams[i:i + 1], inits[i], h, rescale)
             assert np.array_equal(f[i], fi[0]) and np.array_equal(s[i], si[0])
+
+
+@pytest.mark.parametrize("steps", [1, 7, 200])
+def test_polynomial_build_matches_direct_build(steps):
+    # P_k(lam) is a degree-4 polynomial in lam: the Horner values of its
+    # monomial coefficients agree with the direct build far outside any
+    # spectral interval, with per-step h, for a shared table and per-line
+    # tables (E = 0)
+    n = 4
+    table = rng.normal(size=(2 * steps + 1, n, n)) * 0.8
+    E = rng.normal(size=(n, n)) * 0.5
+    h = (rng.uniform(0.5, 1.5, size=steps) / max(steps, 200)).reshape(steps, 1, 1)
+    lams = np.concatenate((np.linspace(-1e3, 1e3, 41), [0.0, 1e-3, -7.5]))
+    ref = direct_propagators(table[None], lams[:, None, None, None] * E, h)
+    per_line = table[None] + lams[:, None, None, None] * E
+    for got in (_kernels._horner(_kernels._coefficients(table, E, h), lams),
+                _kernels._horner(_kernels._coefficients(per_line, 0.0 * E, h), 0.0 * lams)):
+        assert got.shape == ref.shape == (len(lams), steps, n, n)
+        scale = np.max(np.abs(ref), axis=(1, 2, 3), keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("budget", [None, 8 * 16 * 5])
+def test_rk4_endpoint_is_the_last_node(budget, monkeypatch):
+    # the endpoint mode expands only the last node, by the same products and
+    # reductions: its frame and scale_log equal the full result's last node
+    # bit for bit, rescaled or not, across x segments (640 bytes hold 5
+    # steps at n = 4) and with per-line inits or tables
+    if budget:
+        monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
+    for steps, m, per_line, rescale in itertools.product(
+            (1, 2, 33, 1000), (1, 2), (False, True), (True, False)):
+        a_half, E, lams, init, h = random_leg(steps, 5, m, per_line, False, per_step=True)
+        for start in (init, rng.normal(size=(len(lams), 4, m))):
+            frames, slog = _kernels.rk4_grid(a_half, E, lams, start, h, rescale)
+            last, last_log = _kernels.rk4_grid(a_half, E, lams, start, h, rescale, True)
+            assert last.shape == (5, 1, 4, m) and last_log.shape == (5, 1)
+            assert np.array_equal(last, frames[:, -1:], equal_nan=True)
+            assert np.array_equal(last_log, slog[:, -1:], equal_nan=True)
 
 
 def reference_forms(G, H, ATg, ATh):

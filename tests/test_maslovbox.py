@@ -370,12 +370,28 @@ def test_psi1_at_one_equals_top_shelf():
 
 
 def test_psi1_at_one_does_not_depend_on_its_batch():
+    # at 300 steps and n = 4 the kernel runs 6 lines per chunk, so the 45
+    # lines share chunks with different neighbours than a line run alone
     problem = replace(load_problem(builtin_catalog("example2")),
                       x_steps=300, lambda_steps=50)
-    lams = np.linspace(problem.lambda1, problem.lambda2, 7)
+    lams = np.linspace(problem.lambda1, problem.lambda2, 45)
     batch = _psi1_at_one(problem, lams)
     for i, lam in enumerate(lams):
         assert np.array_equal(_psi1_at_one(problem, lams[i:i + 1]), batch[i:i + 1])
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_top_shelf_does_not_depend_on_the_grid_cache(name):
+    # without a cached grid the top shelf takes one endpoint sweep, which
+    # equals the grid's last column bit for bit
+    base = replace(load_problem(builtin_catalog(name)), x_steps=300, lambda_steps=50)
+    alone, after_grid = replace(base), replace(base)
+    after_grid.lambda_grid_frames()
+    got, want = shelf_path(alone, "top"), shelf_path(after_grid, "top")
+    assert "lambda_grid_frames" not in alone._cache
+    for key in ("ts", "omega1", "omega2", "d", "psi1", "psi2", "rho"):
+        assert np.array_equal(getattr(got, key), getattr(want, key))
+    assert got.label == want.label == "top"
 
 
 def test_psi_window_honors_no_rescale(example2, monkeypatch):
@@ -458,6 +474,25 @@ def test_bisection_tree_equals_sequential_bisection(name, tol, monkeypatch):
     assert all(abs(g - w) <= tol for g, w in zip(got, want))
     assert rounds > 4
     assert len(calls) <= -(-rounds // 4)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+def test_localize_refuses_a_tol_that_is_not_positive(harmonic_dirichlet, tol):
+    with pytest.raises(InvalidInputError):
+        localize_eigenvalues_top(harmonic_dirichlet, tol=tol)
+
+
+def test_localize_below_the_double_spacing_stops_at_four_ulps(monkeypatch):
+    # a tol below the spacing of doubles at an eigenvalue cannot be met; the
+    # search stops once a bracket is 4 ulps wide, within ~log16(2^52) sweeps
+    problem = replace(load_problem(builtin_catalog("harmonic-dirichlet")),
+                      x_steps=200, lambda_steps=20)
+    want = localize_eigenvalues_top(problem, tol=1e-12)
+    calls = count_rk4_calls(monkeypatch)
+    got = localize_eigenvalues_top(problem, tol=1e-300)
+    assert len(got) == len(want) == 2
+    assert got == pytest.approx(want, abs=1e-12)
+    assert 0 < len(calls) <= 14
 
 
 def test_three_zeros_in_one_top_cell_yield_three_eigenvalues(monkeypatch):

@@ -182,6 +182,11 @@ def test_blow_up_reports_location():
     first_overflow = (int(np.log(np.finfo(float).max) / np.log(g)) + 1) / 100
     assert single.value.x == grid.value.x
     assert single.value.x == pytest.approx(first_overflow, abs=1e-12)
+    # an endpoint sweep sees only its last node, so it reports the chain's end
+    with pytest.raises(BlowUpError) as end:
+        propagate_chain(field, np.array([[1.0]]), [0.0], 0.0, [(0.5, 50), (1.0, 50)],
+                        False, endpoint=True)
+    assert end.value.x == 1.0
 
 
 def test_rescaling_tracks_log_factors():
