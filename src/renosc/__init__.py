@@ -68,7 +68,6 @@ from .problems import (
 from .propagation import (
     CoefficientField,
     FramePath,
-    check_structure_b,
     eval_companion_higher_order,
     eval_companion_second_order,
     integrate_frame,

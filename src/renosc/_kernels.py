@@ -36,10 +36,8 @@ node, fit FORM_BUDGET bytes at any n.
 
 Coefficient matrices enter through a half-step table: ``a_half[j]`` holds the
 lambda-independent part of A at x = x0 + j*h/2, and the full matrix is
-``a_half[j] + lam * E``.  This is exact for companion-form problems, where
-lambda enters affinely through a constant matrix E.  A field that is not
-affine in lambda passes one table per lambda line, shaped (L, 2*steps+1, n, n),
-with E = 0.
+``a_half[j] + lam * E``: every coefficient field is affine in lambda, with a
+constant matrix E, so one table serves every lambda line.
 
 RK4 runs in propagator form.  For the linear ODE F' = A F one classical RK4
 step is a matrix, F_{k+1} = P_k F_k, with
@@ -56,8 +54,7 @@ by exact polynomial-matrix arithmetic on (a + lam E): three stages, each
 one batched product with the a table and one with E, about 18 (steps, n, n)
 products in all.  Every line's P_k is then C_0 + lam (C_1 + lam (...)) by
 elementwise Horner, with no BLAS call, so a line's bits do not depend on its
-batch, and no interpolation nodes, so no lambda is an extrapolation.  Per-line
-tables (a field not affine in lambda) go through the same build with E = 0.
+batch, and no interpolation nodes, so no lambda is an extrapolation.
 The steps are then grouped in blocks of b = ceil(sqrt(steps)): b batched
 products give every block's partial products Q_j = P_j ... P_1, the block
 starts are carried one block after another, and every node is expanded as
@@ -109,9 +106,10 @@ COLLAPSE_TOL = 2.0 ** -52
 def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False):
     """Propagate initial frames over a batch of lambda values.
 
-    a_half is one half-step table (2*steps+1, n, n) shared by every line, or
-    one table per line, (L, 2*steps+1, n, n).  h is the step size, or one
-    step size per step, (steps,), for a chain of runs of different steps.
+    a_half is the half-step table (2*steps+1, n, n) of the lambda-free part,
+    shared by every line, and E the constant lambda matrix.  h is the step
+    size, or one step size per step, (steps,), for a chain of runs of
+    different steps.
     init is one (n, m) frame that every line starts from, or one frame per
     line, (L, n, m); each line's result does not depend on the other lines of
     the batch.  Returns (frames, scale_log) with shapes (L, steps+1, n, m)
@@ -124,9 +122,8 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False):
     E = np.ascontiguousarray(E, dtype=float)
     lams = np.ascontiguousarray(lams, dtype=float)
     init = np.ascontiguousarray(init, dtype=float)
-    steps = (a_half.shape[-3] - 1) // 2
+    steps = (a_half.shape[0] - 1) // 2
     h = np.broadcast_to(np.asarray(h, dtype=float), (steps,)).reshape(steps, 1, 1)
-    shared = a_half.ndim == 3
     n, m = init.shape[-2:]
     L = lams.shape[0]
     frames = np.empty((L, 2 if endpoint else steps + 1, n, m))
@@ -139,12 +136,9 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False):
         s1 = min(s0 + seg, steps)
         half = slice(2 * s0, 2 * s1 + 1)
         nodes = slice(None) if endpoint else slice(s0, s1 + 1)
-        if shared:
-            C = _coefficients(a_half[half], E, h[s0:s1])
+        C = _coefficients(a_half[half], E, h[s0:s1])
         for lo in range(0, L, chunk):
             lines = slice(lo, lo + chunk)
-            if not shared:
-                C = _coefficients(a_half[lines, half], E, h[s0:s1])
             _chain(_horner(C, lams[lines]), frames[lines, nodes], slog[lines, nodes], rescale)
         if endpoint:  # the segment's end starts the next one
             frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]
@@ -153,7 +147,7 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False):
 
 def _times(a, E, X):
     """(a + lam E) X for a polynomial matrix X, coefficients along axis 0."""
-    Z = np.empty((len(X) + 1,) + np.broadcast_shapes(a.shape, X.shape[1:]))
+    Z = np.empty((len(X) + 1,) + X.shape[1:])
     np.matmul(a, X, out=Z[:-1])
     Z[-1] = 0.0
     Z[1:] += E @ X
@@ -163,12 +157,12 @@ def _times(a, E, X):
 def _coefficients(table, E, h):
     """Monomial coefficients C_0..C_4 of the RK4 step matrices, P_k(lam) = sum lam^j C_j.
 
-    table holds the lambda-free half-step values (..., 2*steps+1, n, n), E
-    the constant lambda matrix and h one step size per step, (steps, 1, 1).
+    table holds the lambda-free half-step values (2*steps+1, n, n), E the
+    constant lambda matrix and h one step size per step, (steps, 1, 1).
     The RK4 stages are multiplied out exactly in polynomial-matrix
-    arithmetic on (a + lam E); returns (5, ..., steps, n, n).
+    arithmetic on (a + lam E); returns (5, steps, n, n).
     """
-    a0, ah, a1 = table[..., 0:-1:2, :, :], table[..., 1::2, :, :], table[..., 2::2, :, :]
+    a0, ah, a1 = table[0:-1:2], table[1::2], table[2::2]
 
     def stage(a, X, c):  # a + lam E + c (a + lam E) X
         K = _times(a, E, X)

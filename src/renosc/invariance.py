@@ -233,17 +233,13 @@ def constants_report(problem: SpectralProblem) -> InvarianceReport:
     field = problem.field
     n, m = problem.n, problem.m
     xs = problem.x_grid()
-    lams = problem.lambda_grid()
 
     trace = np.abs(np.trace(field.table(xs, problem.lambda2), axis1=1, axis2=2))
     C_a = float(np.max(trace))
 
-    if field.is_affine:
-        # the operator norm of an affine-in-lambda pencil is convex in
-        # lambda, so the grid maximum is attained at the interval endpoints
-        C_A = _spectral_norm_max(field, xs, (problem.lambda1, problem.lambda2))
-    else:
-        C_A = _spectral_norm_max(field, xs, lams)
+    # the operator norm of the affine pencil A = base + lambda E is convex in
+    # lambda, so the grid maximum is attained at the interval endpoints
+    C_A = _spectral_norm_max(field, xs, (problem.lambda1, problem.lambda2))
 
     hp = problem.h_path()
     c_h = float(np.min(_column_volume_ratio(hp.frames)))

@@ -3,14 +3,15 @@
 Problems are described by small JSON documents (or built-in catalog entries)
 holding coefficient formulas as strings in the variable x, boundary frames,
 and the spectral interval.  Coefficients depend on x only; lambda enters
-through the companion-form structure.
+through the one constant matrix E (the field's lambda_mat) that each
+companion-form builder sets beside its lambda-free table.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Union
 
@@ -300,7 +301,6 @@ class ProblemConfig:
     Q: Union[str, list] = "neumann"
     x_steps: int = 1000
     lambda_steps: int = 600
-    extra: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.x_steps < 2 or self.lambda_steps < 2:
@@ -498,8 +498,8 @@ def _higher_order_field(cfg: ProblemConfig) -> CoefficientField:
     E = np.zeros((n, n))
     E[n - 1, 0] = 1.0
     return CoefficientField(
-        n=n, table=partial(eval_companion_higher_order, alphas, kappas),
-        lambda_mat=E, structure_b=True, kind="higher-order",
+        n=n, base_table=partial(eval_companion_higher_order, alphas, kappas),
+        lambda_mat=E, kind="higher-order",
         meta={"kappas": kappas, "alpha_n": alphas[n], "alphas": alphas},
     )
 
@@ -523,9 +523,9 @@ def _second_order_field(cfg: ProblemConfig) -> CoefficientField:
         E[l + k, k] = -1.0
     return CoefficientField(
         n=2 * l,
-        table=partial(eval_companion_second_order, np.diag(cfg.B),
-                      partial(_matrix_table, Wtrees), partial(_matrix_table, Vtrees)),
-        lambda_mat=E, structure_b=True, kind="second-order",
+        base_table=partial(eval_companion_second_order, np.diag(cfg.B),
+                           partial(_matrix_table, Wtrees), partial(_matrix_table, Vtrees)),
+        lambda_mat=E, kind="second-order",
         meta={"B": cfg.B, "l": l},
     )
 

@@ -24,7 +24,7 @@ therefore changes nothing at the psi level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,49 +34,51 @@ from .errors import BlowUpError, DegenerateCoefficientError, InvalidInputError
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """The n x n coefficient matrix A(x; lambda), built a grid at a time.
+    """The n x n coefficient matrix A(x; lambda) = base_table(x) + lambda E.
 
-    table(xs, lam) returns A at every x of a 1-D grid, shape (len(xs), n, n).
-    lambda_mat, when present, declares the affine split
-    A(x; lam) = table(x, 0) + lam * lambda_mat that lets the propagation
-    kernel batch over lambda; companion-form builders always provide it.
+    base_table(xs) returns the lambda-free part at every x of a 1-D grid,
+    shape (len(xs), n, n); lambda_mat is the constant matrix E, which the
+    propagation kernel needs to batch over lambda.  A field is built only
+    with a finite (n, n) E (InvalidInputError otherwise).
 
-    structure_b means the diagonal is lambda-independent and off-diagonal
-    lambda-differences are x-independent (what makes the renormalized
-    crossing flow monotone).
+    structure_b, the structural assumption that makes the renormalized
+    crossing flow monotone (a lambda-independent diagonal and x-independent
+    off-diagonal lambda-differences), is read off E: it holds exactly when
+    the diagonal of E vanishes.
     """
 
     n: int
-    table: Callable[[np.ndarray, float], np.ndarray]
-    lambda_mat: Optional[np.ndarray] = None
-    structure_b: bool = False
+    base_table: Callable[[np.ndarray], np.ndarray]
+    lambda_mat: np.ndarray
     kind: str = "general"
     meta: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        try:
+            E = np.array(self.lambda_mat, dtype=float)
+        except (TypeError, ValueError):  # ragged or not numbers
+            E = None
+        if E is None or E.shape != (self.n, self.n) or not np.all(np.isfinite(E)):
+            raise InvalidInputError(f"lambda_mat must be a finite {self.n} x {self.n} matrix")
+        E.setflags(write=False)
+        object.__setattr__(self, "lambda_mat", E)
+
     @property
-    def is_affine(self) -> bool:
-        return self.lambda_mat is not None
+    def structure_b(self) -> bool:
+        return not np.any(np.diag(self.lambda_mat))
+
+    def table(self, xs, lam: float) -> np.ndarray:
+        """A(x; lam) at every x of `xs`, shape (len(xs), n, n)."""
+        return self.base_table(np.asarray(xs, dtype=float)) + lam * self.lambda_mat
 
     def evaluate(self, x: float, lam: float) -> np.ndarray:
         """A(x; lam) at one point, shape (n, n)."""
-        return self.table(np.array([float(x)]), lam)[0]
-
-    def base_table(self, xs) -> np.ndarray:
-        """The lambda-free part table(xs, 0) of an affine field."""
-        return self.table(np.asarray(xs, dtype=float), 0.0)
+        return self.table([float(x)], lam)[0]
 
     def tables(self, xs, lams):
-        """Yield table(xs, lam) for each lam of `lams`, in order.
-
-        An affine field builds its base table once and adds lam * lambda_mat,
-        which equals table(xs, lam) bit for bit for the companion builders.
-        """
-        xs = np.asarray(xs, dtype=float)
-        if not self.is_affine:
-            for lam in lams:
-                yield self.table(xs, lam)
-            return
-        base = self.base_table(xs)
+        """Yield table(xs, lam) for each lam of `lams`, in order, from one
+        base table."""
+        base = self.base_table(np.asarray(xs, dtype=float))
         for lam in lams:
             yield base + lam * self.lambda_mat
 
@@ -97,14 +99,16 @@ class FramePath:
     direction: str  # "forward" (from x=0 side) or "backward" (from x=1 side)
 
 
-def eval_companion_higher_order(alphas, kappas, x, lam: float) -> np.ndarray:
-    """Companion matrix of a single n-th order operator, at x or on a grid.
+def eval_companion_higher_order(alphas, kappas, x) -> np.ndarray:
+    """Lambda-free companion matrix of a single n-th order operator, at x or on a grid.
 
     alphas: callables of x (applied to the whole grid at once) or constants
     alpha_0 .. alpha_n; kappas: the scaling constants kappa_2 .. kappa_n
     attached to alpha_2 .. alpha_n.  Phase-space coordinates are y_1 = phi,
     y_j = kappa_j phi^(j-1) for 2 <= j <= n-1 and y_n = alpha_n(x) phi^(n-1).
-    Returns shape x.shape + (n, n): (n, n) at a scalar x, (N, n, n) on a grid.
+    The eigenvalue parameter adds lambda to entry (n-1, 0), through the
+    field's lambda_mat.  Returns shape x.shape + (n, n): (n, n) at a scalar
+    x, (N, n, n) on a grid.
     """
     n = len(alphas) - 1
     if n < 2:
@@ -130,20 +134,22 @@ def eval_companion_higher_order(alphas, kappas, x, lam: float) -> np.ndarray:
     for i in range(n - 2):
         A[..., i, i + 1] = scale[i] / scale[i + 1]
     A[..., n - 2, n - 1] = scale[n - 2] / lead
-    A[..., n - 1, 0] = -a[0] + lam
+    A[..., n - 1, 0] = -a[0]
     for j in range(1, n - 1):
         A[..., n - 1, j] = -a[j] / scale[j]
     A[..., n - 1, n - 1] = -a[n - 1] / lead
     return A
 
 
-def eval_companion_second_order(B, W, V, x, lam: float) -> np.ndarray:
-    """First-order form of -B phi'' + W phi' + V phi = lam phi, at x or on a grid.
+def eval_companion_second_order(B, W, V, x) -> np.ndarray:
+    """Lambda-free first-order form of -B phi'' + W phi' + V phi = lam phi, at x
+    or on a grid.
 
     B is a positive diagonal l x l matrix (given as a matrix or a diagonal
     vector); W and V are matrix-valued callables of x (applied to the whole
     grid at once) or constant matrices.  Coordinates are y = (phi, B phi').
-    Returns shape x.shape + (2l, 2l).
+    The eigenvalue parameter adds -lambda I to the lower-left block, through
+    the field's lambda_mat.  Returns shape x.shape + (2l, 2l).
     """
     Bm = np.asarray(B, dtype=float)
     if Bm.ndim == 1:
@@ -160,32 +166,9 @@ def eval_companion_second_order(B, W, V, x, lam: float) -> np.ndarray:
                          xs.shape + (l, l))
     A = np.zeros(xs.shape + (2 * l, 2 * l))
     A[..., :l, l:] = Binv
-    A[..., l:, :l] = Vx - lam * np.eye(l)
+    A[..., l:, :l] = Vx
     A[..., l:, l:] = Wx @ Binv
     return A
-
-
-def check_structure_b(field: CoefficientField, samples: int = 7, tol: float = 1e-12,
-                      lam_bounds=(-1.0, 1.0)) -> bool:
-    """Numeric test of the structural assumption behind monotone crossings.
-
-    Samples x, x' and lambda values and checks that the diagonal of A is
-    lambda-independent and that off-diagonal lambda-differences are
-    x-independent.
-    """
-    lam1, lam2 = lam_bounds
-    xs = np.linspace(0.0, 1.0, samples)
-    a_ref = np.asarray(field.table(xs, lam2), dtype=float)
-    off = ~np.eye(field.n, dtype=bool)
-    scale = max(float(np.max(np.abs(a_ref))), 1.0)
-    for lam in np.linspace(lam1, lam2, samples):
-        diff = np.asarray(field.table(xs, lam), dtype=float) - a_ref
-        if np.max(np.abs(np.diagonal(diff, axis1=1, axis2=2))) > tol * scale:
-            return False
-        offd = diff[:, off]
-        if np.max(np.abs(offd - offd[0])) > tol * scale:
-            return False
-    return True
 
 
 def _half_steps(from_x: float, runs):
@@ -205,7 +188,7 @@ def _half_steps(from_x: float, runs):
 
 
 def _half_step_table(field: CoefficientField, xh, key):
-    """The affine field's lambda-free table on the half-step grid xh, cached
+    """The field's lambda-free table on the half-step grid xh, cached
     under the chain `key`; past 64 chains the cache is cleared, to bound it."""
     cache = field.meta.setdefault("_table_cache", {})
     hit = cache.get(key)
@@ -226,13 +209,12 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
     a lead leg and a window, or the gaps between points, are one sweep over
     one half-step table; no run leaves the initial frame alone.  `init` is
     one (n, m) frame shared by every lambda line, or one frame per line,
-    shaped (len(lams), n, m).  An affine field shares one half-step table
-    across the batch, cached per chain; any other field supplies one table
-    per lambda (never cached, since the cache key does not see lambda) and
-    runs with E = 0.  Returns (xs, frames, scale_log) in sweep order, xs[0]
-    = from_x, or on an increasing x grid if `increasing`, with frames shaped
-    (len(lams), 1 + steps, n, m); raises BlowUpError with the first x at
-    which some lambda line leaves double-precision range.  With `endpoint`
+    shaped (len(lams), n, m).  Every line shares one half-step table of the
+    field's lambda-free part, cached per chain.  Returns (xs, frames,
+    scale_log) in sweep order, xs[0] = from_x, or on an increasing x grid if
+    `increasing`, with frames shaped (len(lams), 1 + steps, n, m); raises
+    BlowUpError with the first x at which some lambda line leaves
+    double-precision range.  With `endpoint`
     only the chain's last node is expanded: xs, frames and scale_log hold
     that node alone, bit for bit the last node of the full sweep, and a
     blow-up is reported at its x.
@@ -251,13 +233,9 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
     if not (np.all(dx > 0) or np.all(dx < 0)):
         raise InvalidInputError("the stops of a chain must differ and keep one direction")
     h, xh = _half_steps(from_x, runs)
-    if field.is_affine:
-        a_half = _half_step_table(field, xh, (from_x, runs))
-        E, lam_E = field.lambda_mat, lams
-    else:
-        a_half = np.stack([field.table(xh, float(lam)) for lam in lams])
-        E, lam_E = np.zeros((field.n, field.n)), np.zeros(len(lams))
-    frames, slog = _kernels.rk4_grid(a_half, E, lam_E, init, h, rescale, endpoint)
+    a_half = _half_step_table(field, xh, (from_x, runs))
+    frames, slog = _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, rescale,
+                                     endpoint)
 
     xs = xh[-1:] if endpoint else xh[::2].copy()
     if not np.all(np.isfinite(frames)):

@@ -49,9 +49,7 @@ def test_example1_certificate(example1):
 
 def test_zero_field_certificate():
     field = CoefficientField(
-        n=2, table=lambda xs, lam: np.zeros((len(xs), 2, 2)),
-        lambda_mat=np.zeros((2, 2)),
-        structure_b=True, kind="general",
+        n=2, base_table=lambda xs: np.zeros((len(xs), 2, 2)), lambda_mat=np.zeros((2, 2)),
     )
     problem = SpectralProblem(
         field=field, P=Frame([[1.0], [0.0]]), Q=Frame([[0.0], [1.0]]),
@@ -139,9 +137,7 @@ def test_example2_scan_finds_no_loss_points(example2):
 
 def test_zero_field_scan_constant():
     field = CoefficientField(
-        n=2, table=lambda xs, lam: np.zeros((len(xs), 2, 2)),
-        lambda_mat=np.zeros((2, 2)),
-        structure_b=True,
+        n=2, base_table=lambda xs: np.zeros((len(xs), 2, 2)), lambda_mat=np.zeros((2, 2)),
     )
     problem = SpectralProblem(
         field=field, P=Frame([[1.0], [0.0]]), Q=Frame([[0.0], [1.0]]),

@@ -1,4 +1,4 @@
-"""The batched numpy kernels: chunking, per-line tables and the backend name.
+"""The batched numpy kernels: chunking, per-line inits and the backend name.
 
 `reference_rk4` is the sequential RK4 loop, one step of every line at a time;
 `_kernels.rk4_grid` builds every step's propagator at once and chains them by
@@ -27,9 +27,7 @@ def reference_rk4(a_half, E, lams, init, h, rescale):
 
     h is the step size or one step size per step."""
     a_half = np.asarray(a_half, dtype=float)
-    steps = (a_half.shape[-3] - 1) // 2
-    if a_half.ndim == 4:
-        a_half = np.moveaxis(a_half, 1, 0)
+    steps = (a_half.shape[0] - 1) // 2
     n, m = init.shape[-2:]
     L = len(lams)
     lam = np.asarray(lams, dtype=float)[:, None, None]
@@ -82,16 +80,13 @@ def direct_propagators(table, lam_E, h):
     return P
 
 
-def random_leg(steps, L, m, per_line, backward, n=4, per_step=False):
-    """A random leg: shared table with lambda * E, or one table per line; one
-    step size, or (per_step) one step size per step."""
+def random_leg(steps, L, m, backward, n=4, per_step=False):
+    """A random leg: a shared table with lambda * E; one step size, or
+    (per_step) one step size per step."""
     a_half = rng.normal(size=(2 * steps + 1, n, n)) * 0.8
     E = rng.normal(size=(n, n)) * 0.5
     lams = rng.uniform(-2, 2, size=L)
     init = rng.normal(size=(n, m))
-    if per_line:
-        a_half = a_half[None] + lams[:, None, None, None] * E
-        E, lams = np.zeros_like(E), np.zeros_like(lams)
     h = (-1.0 if backward else 1.0) / steps
     if per_step:
         h = h * rng.uniform(0.5, 1.5, size=steps)
@@ -105,9 +100,9 @@ def assert_rel_close(a, b, rtol=1e-12):
 
 @pytest.mark.parametrize("steps", [1, 2, 31, 32, 33, 1000])
 def test_rk4_matches_sequential_reference(steps):
-    for L, m, per_line, backward, per_step in itertools.product(
-            (1, 7), (1, 2), (False, True), (False, True), (False, True)):
-        leg = random_leg(steps, L, m, per_line, backward, per_step=per_step)
+    for L, m, backward, per_step in itertools.product(
+            (1, 7), (1, 2), (False, True), (False, True)):
+        leg = random_leg(steps, L, m, backward, per_step=per_step)
         out = {}
         for rescale in (True, False):
             frames, slog = _kernels.rk4_grid(*leg, rescale)
@@ -132,7 +127,7 @@ def test_rk4_step_budget_splits_segments_and_lines(budget, monkeypatch):
     monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
     inits = rng.normal(size=(5, 4, 2))
     for rescale, per_step in itertools.product((True, False), (False, True)):
-        a_half, E, lams, _, h = random_leg(33, 5, 2, False, False, per_step=per_step)
+        a_half, E, lams, _, h = random_leg(33, 5, 2, False, per_step=per_step)
         frames, slog = _kernels.rk4_grid(a_half, E, lams, inits, h, rescale)
         ref_frames, ref_slog = reference_rk4(a_half, E, lams, inits, h, rescale)
         assert_rel_close(frames, ref_frames)
@@ -159,20 +154,8 @@ def test_rk4_stiff_leg_rescales_inside_blocks():
     assert 0 < first == np.argmin(np.isfinite(ref_raw[0, :, 0, 0]))
 
 
-def test_rk4_per_line_tables_match_affine_batch():
-    # one table per lambda line, with E = 0, is the general-field path
-    a_half, E, lams, init, h = random_leg(60, 5, 2, False, False)
-    per_line = a_half[None] + lams[:, None, None, None] * E
-    for rescale in (True, False):
-        f1, s1 = _kernels.rk4_grid(a_half, E, lams, init, h, rescale)
-        f2, s2 = _kernels.rk4_grid(per_line, np.zeros_like(E), np.zeros_like(lams),
-                                   init, h, rescale)
-        assert np.max(np.abs(f1 - f2)) < 1e-12
-        assert np.max(np.abs(s1 - s2)) < 1e-12
-
-
 def test_rk4_per_line_init_matches_separate_lines():
-    a_half, E, lams, _, h = random_leg(60, 5, 2, False, False)
+    a_half, E, lams, _, h = random_leg(60, 5, 2, False)
     inits = rng.normal(size=(len(lams), 4, 2))
     for rescale in (True, False):
         f, s = _kernels.rk4_grid(a_half, E, lams, inits, h, rescale)
@@ -185,20 +168,17 @@ def test_rk4_per_line_init_matches_separate_lines():
 def test_polynomial_build_matches_direct_build(steps):
     # P_k(lam) is a degree-4 polynomial in lam: the Horner values of its
     # monomial coefficients agree with the direct build far outside any
-    # spectral interval, with per-step h, for a shared table and per-line
-    # tables (E = 0)
+    # spectral interval, with per-step h
     n = 4
     table = rng.normal(size=(2 * steps + 1, n, n)) * 0.8
     E = rng.normal(size=(n, n)) * 0.5
     h = (rng.uniform(0.5, 1.5, size=steps) / max(steps, 200)).reshape(steps, 1, 1)
     lams = np.concatenate((np.linspace(-1e3, 1e3, 41), [0.0, 1e-3, -7.5]))
     ref = direct_propagators(table[None], lams[:, None, None, None] * E, h)
-    per_line = table[None] + lams[:, None, None, None] * E
-    for got in (_kernels._horner(_kernels._coefficients(table, E, h), lams),
-                _kernels._horner(_kernels._coefficients(per_line, 0.0 * E, h), 0.0 * lams)):
-        assert got.shape == ref.shape == (len(lams), steps, n, n)
-        scale = np.max(np.abs(ref), axis=(1, 2, 3), keepdims=True)
-        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+    got = _kernels._horner(_kernels._coefficients(table, E, h), lams)
+    assert got.shape == ref.shape == (len(lams), steps, n, n)
+    scale = np.max(np.abs(ref), axis=(1, 2, 3), keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("budget", [None, 8 * 16 * 5])
@@ -206,12 +186,11 @@ def test_rk4_endpoint_is_the_last_node(budget, monkeypatch):
     # the endpoint mode expands only the last node, by the same products and
     # reductions: its frame and scale_log equal the full result's last node
     # bit for bit, rescaled or not, across x segments (640 bytes hold 5
-    # steps at n = 4) and with per-line inits or tables
+    # steps at n = 4) and with per-line inits
     if budget:
         monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
-    for steps, m, per_line, rescale in itertools.product(
-            (1, 2, 33, 1000), (1, 2), (False, True), (True, False)):
-        a_half, E, lams, init, h = random_leg(steps, 5, m, per_line, False, per_step=True)
+    for steps, m, rescale in itertools.product((1, 2, 33, 1000), (1, 2), (True, False)):
+        a_half, E, lams, init, h = random_leg(steps, 5, m, False, per_step=True)
         for start in (init, rng.normal(size=(len(lams), 4, m))):
             frames, slog = _kernels.rk4_grid(a_half, E, lams, start, h, rescale)
             last, last_log = _kernels.rk4_grid(a_half, E, lams, start, h, rescale, True)

@@ -243,42 +243,37 @@ def test_identity_residual_small_on_catalog(example1, example2):
             assert derivative_identity_residual(problem, x, lam) <= 1e-5
 
 
+def constant_pencil(c, P, Q):
+    """A = [[0, 1], [0, 0]] + lambda E with E = [[c, 0], [-1, 0]] on [5, 40]:
+    y2' = -lambda y1 plus, for c != 0, a lambda-dependent diagonal entry."""
+    base = np.array([[0.0, 1.0], [0.0, 0.0]])
+    field = CoefficientField(n=2, base_table=lambda xs: np.broadcast_to(base, (len(xs), 2, 2)),
+                             lambda_mat=[[c, 0.0], [-1.0, 0.0]])
+    return SpectralProblem(field=field, P=Frame(P), Q=Frame(Q), lambda1=5.0, lambda2=40.0,
+                           x_steps=400, lambda_steps=50)
+
+
 def test_negative_control_breaks_monotonicity():
-    """With an x-dependent off-diagonal lambda-difference the crossing-rate
-    identity fails and the audit ratios leave [0.999, 1.001]."""
-
-    def table(xs, lam):
-        A = np.zeros((len(xs), 2, 2))
-        A[:, 0, 1] = 1.0
-        A[:, 1, 0] = -lam * (1.0 + xs)
-        return A
-
-    field = CoefficientField(
-        n=2, table=table,
-        structure_b=True,  # deliberately wrong flag to expose the audit
-    )
-    problem = SpectralProblem(
-        field=field,
-        P=Frame([[0.0], [1.0]]),
-        Q=Frame([[0.0], [1.0]]),
-        lambda1=5.0,
-        lambda2=40.0,
-        x_steps=400,
-        lambda_steps=50,
-    )
-    ratios = monotonicity_audit(problem)
+    """With a lambda-dependent diagonal the crossing-rate identity fails and
+    the audit ratios leave [0.999, 1.001]; the same system with c = 0 keeps
+    them inside, so the control is genuine."""
+    ratios = monotonicity_audit(constant_pencil(0.1, [[0.0], [1.0]], [[0.0], [1.0]]))
     assert ratios, "control problem should have left-shelf crossings"
     assert any(abs(r - 1.0) > 1e-3 for _, r in ratios)
+    control = monotonicity_audit(constant_pencil(0.0, [[0.0], [1.0]], [[0.0], [1.0]]))
+    assert control and all(abs(r - 1.0) <= 1e-3 for _, r in control)
 
 
-def test_renormalized_count_requires_structure(harmonic_dirichlet):
-    field = CoefficientField(n=2, table=lambda xs, lam: np.zeros((len(xs), 2, 2)))
-    problem = SpectralProblem(
-        field=field, P=Frame([[1.0], [0.0]]), Q=Frame([[0.0], [1.0]]),
-        lambda1=0.0, lambda2=1.0, x_steps=10, lambda_steps=5,
-    )
+def test_renormalized_count_requires_structure():
+    # structure_b is read off E: a nonzero diagonal turns the count and the
+    # audit off, and c = 0 turns them back on
+    problem = constant_pencil(0.1, [[1.0], [0.0]], [[1.0], [0.0]])
+    assert not problem.field.structure_b
     with pytest.raises(InvalidInputError):
         renormalized_count(problem)
+    rep = compute_box(problem)
+    assert rep.audit_ratios == [] and rep.monotonicity_violations == []
+    assert compute_box(constant_pencil(0.0, [[1.0], [0.0]], [[1.0], [0.0]])).audit_ratios
 
 
 # -- theorem consistency --------------------------------------------------------------

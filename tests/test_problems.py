@@ -9,8 +9,8 @@ from renosc import (
     ConfigError,
     ExpressionEvalError,
     ExpressionSyntaxError,
+    CATALOG,
     builtin_catalog,
-    check_structure_b,
     config_from_dict,
     eval_expression,
     load_problem,
@@ -219,11 +219,21 @@ def test_example1_coefficients_match_hand_values():
 
 
 def test_builder_fields_satisfy_structure():
-    for name in ("example1", "example2", "example3"):
+    # structure_b is read off E; check it independently on samples of the
+    # table: lambda-differences have a zero diagonal and an x-independent
+    # off-diagonal part
+    xs = np.linspace(0.0, 1.0, 7)
+    for name in CATALOG:
         problem = load_problem(builtin_catalog(name))
-        assert problem.field.structure_b
-        assert check_structure_b(problem.field,
-                                 lam_bounds=(problem.lambda1, problem.lambda2))
+        field = problem.field
+        assert field.structure_b
+        ref = field.table(xs, problem.lambda2)
+        scale = max(float(np.max(np.abs(ref))), 1.0)
+        off = ~np.eye(field.n, dtype=bool)
+        for lam in np.linspace(problem.lambda1, problem.lambda2, 7):
+            diff = field.table(xs, lam) - ref
+            assert np.max(np.abs(np.diagonal(diff, axis1=1, axis2=2))) <= 1e-12 * scale
+            assert np.max(np.abs(diff[:, off] - diff[0, off])) <= 1e-12 * scale
 
 
 def test_config_roundtrip_through_dict():

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from renosc import (
     DegenerateCoefficientError,
     InvalidInputError,
     builtin_catalog,
-    check_structure_b,
+    config_from_dict,
     eval_companion_higher_order,
     eval_companion_second_order,
     integrate_frame,
@@ -23,7 +24,7 @@ def constant_field(matrix):
     A = np.asarray(matrix, dtype=float)
     return CoefficientField(
         n=A.shape[0],
-        table=lambda xs, lam: np.broadcast_to(A, (len(xs),) + A.shape),
+        base_table=lambda xs: np.broadcast_to(A, (len(xs),) + A.shape),
         lambda_mat=np.zeros_like(A),
     )
 
@@ -33,21 +34,20 @@ def harmonic_field():
     base = np.array([[0.0, 1.0], [0.0, 0.0]])
     E = np.array([[0.0, 0.0], [-1.0, 0.0]])
     return CoefficientField(
-        n=2,
-        table=lambda xs, lam: np.broadcast_to(base + lam * E, (len(xs), 2, 2)),
-        lambda_mat=E,
+        n=2, base_table=lambda xs: np.broadcast_to(base, (len(xs), 2, 2)), lambda_mat=E,
     )
 
 
-def squared_harmonic_field():
-    # y1' = y2, y2' = -lam^2 y1: not affine in lambda, so no lambda_mat
-    def table(xs, lam):
+def varying_field():
+    # y1' = y2, y2' = (x - lam) y1: an Airy-type field whose table depends on x
+    def base_table(xs):
         A = np.zeros((len(xs), 2, 2))
         A[:, 0, 1] = 1.0
-        A[:, 1, 0] = -lam * lam
+        A[:, 1, 0] = xs
         return A
 
-    return CoefficientField(n=2, table=table)
+    return CoefficientField(n=2, base_table=base_table,
+                            lambda_mat=[[0.0, 0.0], [-1.0, 0.0]])
 
 
 # -- companion builders -------------------------------------------------------
@@ -60,36 +60,42 @@ def test_higher_order_example1_entries():
         10.0,
         60.0,
     ]
-    A = eval_companion_higher_order(alphas, [10.0, 60.0], 0.0, -1.0)
+    A = eval_companion_higher_order(alphas, [10.0, 60.0], 0.0)
     assert A[0, 1] == pytest.approx(1 / 10)
     assert A[1, 2] == pytest.approx(10 / 60)
-    assert A[2, 0] == pytest.approx(-0.7)
+    assert A[2, 0] == pytest.approx(0.3)  # -alpha_0(0); lambda enters through E
     assert A[2, 1] == pytest.approx(0.0)
     assert A[2, 2] == pytest.approx(-1 / 6)
     assert A[0, 0] == A[1, 1] == 0.0
 
 
 def test_higher_order_n2_oscillator():
-    A = eval_companion_higher_order([0.0, 0.0, 1.0], [1.0], 0.3, 4.0)
+    A = eval_companion_higher_order([-4.0, 0.0, 1.0], [1.0], 0.3)
     assert np.allclose(A, [[0.0, 1.0], [4.0, 0.0]])
 
 
 def test_higher_order_diagonal_lambda_free():
     alphas = [lambda x: np.sin(x), lambda x: x, 2.0, lambda x: 3.0 + x]
+    A = eval_companion_higher_order(alphas, [2.0, 1.0], 0.4)
+    assert np.allclose(np.diag(A)[:-1], 0.0)
+    assert A[2, 2] == pytest.approx(-2.0 / 3.4)
+    # lambda enters the companion field off the diagonal only
+    field = load_problem(builtin_catalog("example1")).field
+    E = np.zeros((3, 3))
+    E[2, 0] = 1.0
+    assert np.array_equal(field.lambda_mat, E)
     for lam in (-2.0, 0.5, 7.0):
-        A = eval_companion_higher_order(alphas, [2.0, 1.0], 0.4, lam)
-        assert np.allclose(np.diag(A)[:-1], 0.0)
-        assert A[2, 2] == pytest.approx(-2.0 / 3.4)
+        assert np.array_equal(np.diag(field.evaluate(0.4, lam)),
+                              np.diag(field.evaluate(0.4, 0.0)))
 
 
 def test_higher_order_rejects_bad_leading_coefficient():
     with pytest.raises(DegenerateCoefficientError):
-        eval_companion_higher_order([0.0, 0.0, -1.0], [1.0], 0.0, 0.0)
+        eval_companion_higher_order([0.0, 0.0, -1.0], [1.0], 0.0)
 
 
 def test_second_order_block_layout():
-    A = eval_companion_second_order(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
-                                    0.0, 1.0)
+    A = eval_companion_second_order(np.eye(2), np.zeros((2, 2)), -np.eye(2), 0.0)
     assert np.allclose(A[:2, 2:], np.eye(2))
     assert np.allclose(A[2:, :2], -np.eye(2))
     assert np.allclose(A[:2, :2], 0.0)
@@ -105,13 +111,14 @@ def test_second_order_example2_v_block():
 
 
 def test_second_order_lambda_difference_structure():
-    B = np.diag([2.0, 3.0])
-    W = lambda x: np.array([[x, 1.0], [0.0, x]])
-    V = lambda x: np.array([[np.sin(x), 0.0], [x, 1.0]])
+    field = load_problem(config_from_dict({
+        "kind": "second-order", "l": 2, "B": [2.0, 3.0],
+        "W": [["x", "1"], ["0", "x"]], "V": [["sin(x)", "0"], ["x", "1"]],
+        "lambda": [-1.5, 2.0],
+    })).field
     lam, lam2 = -1.5, 2.0
     for x in (0.0, 0.3, 0.9):
-        D = eval_companion_second_order(B, W, V, x, lam2) - \
-            eval_companion_second_order(B, W, V, x, lam)
+        D = field.evaluate(x, lam2) - field.evaluate(x, lam)
         expect = np.zeros((4, 4))
         expect[2, 0] = expect[3, 1] = -(lam2 - lam)
         assert np.allclose(D, expect)
@@ -120,7 +127,7 @@ def test_second_order_lambda_difference_structure():
 def test_second_order_singular_B():
     with pytest.raises(InvalidInputError):
         eval_companion_second_order(np.zeros((2, 2)), np.zeros((2, 2)),
-                                    np.zeros((2, 2)), 0.0, 0.0)
+                                    np.zeros((2, 2)), 0.0)
 
 
 # -- integration ---------------------------------------------------------------
@@ -209,28 +216,33 @@ def test_lambda_grid_matches_single_runs():
 
 
 def test_structure_check_on_companion_builders():
+    # structure_b is read off E: it holds exactly when diag(E) vanishes
     rng = np.random.default_rng(11)
+    E = np.zeros((3, 3))
+    E[2, 0] = 1.0
     for _ in range(3):
         c = rng.uniform(0.5, 2.0, size=4)
         alphas = [lambda x, a=c[0]: a * np.sin(3 * x),
                   lambda x, a=c[1]: a * x,
                   float(c[2] + 1.0), float(c[3] + 2.0)]
         field = CoefficientField(
-            n=3,
-            table=lambda xs, lam, al=alphas: eval_companion_higher_order(
-                al, [float(c[2] + 1.0), float(c[3] + 2.0)], xs, lam
-            ),
+            n=3, lambda_mat=E,
+            base_table=partial(eval_companion_higher_order, alphas,
+                               [float(c[2] + 1.0), float(c[3] + 2.0)]),
         )
-        assert check_structure_b(field, lam_bounds=(-1.0, 1.0))
+        assert field.structure_b
+    for diag in (0.1, -1e-300):
+        bad = CoefficientField(n=3, base_table=field.base_table,
+                               lambda_mat=E + diag * np.eye(3)[2])
+        assert not bad.structure_b
 
-    def bad_table(xs, lam):
-        A = np.zeros((len(xs), 2, 2))
-        A[:, 0, 1] = 1.0
-        A[:, 1, 0] = -lam * (1 + xs)
-        return A
 
-    bad = CoefficientField(n=2, table=bad_table)
-    assert not check_structure_b(bad, lam_bounds=(0.0, 2.0))
+@pytest.mark.parametrize("lambda_mat", [np.eye(3), np.zeros(2), [[0.0, np.nan], [0.0, 0.0]]],
+                         ids=["wrong-size", "not-a-matrix", "nan"])
+def test_malformed_lambda_mat_is_refused(lambda_mat):
+    # refused when the field is built, not as a numpy error or a blow-up mid-run
+    with pytest.raises(InvalidInputError):
+        CoefficientField(n=2, base_table=harmonic_field().base_table, lambda_mat=lambda_mat)
 
 
 def test_invalid_inputs():
@@ -250,64 +262,65 @@ def test_companion_builders_vectorize_over_x():
                             np.stack([np.zeros_like(x), x], -1)], -2)
     V = np.array([[1.0, 0.5], [0.0, 4.0]])
     xs = np.linspace(0.0, 1.0, 7)
-    grid_ho = eval_companion_higher_order(alphas, [2.0, 1.0], xs, 1.5)
-    grid_so = eval_companion_second_order(B, W, V, xs, 1.5)
+    grid_ho = eval_companion_higher_order(alphas, [2.0, 1.0], xs)
+    grid_so = eval_companion_second_order(B, W, V, xs)
     assert grid_ho.shape == (7, 3, 3) and grid_so.shape == (7, 4, 4)
     for k, x in enumerate(xs):
-        point_ho = eval_companion_higher_order(alphas, [2.0, 1.0], x, 1.5)
-        point_so = eval_companion_second_order(B, W, V, x, 1.5)
+        point_ho = eval_companion_higher_order(alphas, [2.0, 1.0], x)
+        point_so = eval_companion_second_order(B, W, V, x)
         assert point_ho.shape == (3, 3) and point_so.shape == (4, 4)
         assert np.array_equal(grid_ho[k], point_ho)
         assert np.array_equal(grid_so[k], point_so)
 
 
 def test_field_evaluate_and_base_table_derive_from_table():
+    # table(xs, lam) is base_table(xs) + lam E; evaluate and tables are views of it
     field = load_problem(builtin_catalog("example1")).field
     xs = np.linspace(0.0, 1.0, 11)
-    assert np.array_equal(field.base_table(xs), field.table(xs, 0.0))
-    for x in xs:
-        for lam in (-1.0, 0.25):
-            A = field.evaluate(x, lam)
-            assert np.array_equal(A, field.table(np.array([x]), lam)[0])
-            assert np.allclose(A, field.base_table([x])[0] + lam * field.lambda_mat,
-                               rtol=0, atol=1e-15)
+    lams = (-1.0, 0.25)
+    for lam, A in zip(lams, field.tables(xs, lams)):
+        assert np.array_equal(A, field.base_table(xs) + lam * field.lambda_mat)
+        assert np.array_equal(A, field.table(xs, lam))
+        for k, x in enumerate(xs):
+            assert np.array_equal(field.evaluate(x, lam), A[k])
+    with pytest.raises(ValueError):  # E is fixed with the field
+        field.lambda_mat[0, 0] = 1.0
 
 
-def _rotation_frame(lam, x):
-    # fundamental matrix of y1' = y2, y2' = -lam^2 y1 from the identity at x = 0
-    c, s = np.cos(lam * x), np.sin(lam * x)
-    return np.stack([np.stack([c, s / lam], -1), np.stack([-lam * s, c], -1)], -2)
+def _rotation_frame(k, x):
+    # fundamental matrix of y1' = y2, y2' = -k^2 y1 from the identity at x = 0
+    c, s = np.cos(k * x), np.sin(k * x)
+    return np.stack([np.stack([c, s / k], -1), np.stack([-k * s, c], -1)], -2)
 
 
-def test_general_field_integrate_frame_matches_closed_form():
-    field = squared_harmonic_field()
-    assert not field.is_affine
-    for lam in (1.0, 3.0, 5.5):
-        fwd = integrate_frame(field, np.eye(2), 0.0, 1.0, 400, lam, rescale=False)
+def test_harmonic_field_integrate_frame_matches_closed_form():
+    field = harmonic_field()
+    for k in (1.0, 3.0, 5.5):
+        fwd = integrate_frame(field, np.eye(2), 0.0, 1.0, 400, k * k, rescale=False)
         assert fwd.direction == "forward"
-        assert np.max(np.abs(fwd.frames - _rotation_frame(lam, fwd.xs))) <= 1e-7
+        assert np.max(np.abs(fwd.frames - _rotation_frame(k, fwd.xs))) <= 1e-7
         # backward from the identity at x = 1 gives the propagator from 1 to x
-        back = integrate_frame(field, np.eye(2), 1.0, 0.0, 400, lam, rescale=False)
+        back = integrate_frame(field, np.eye(2), 1.0, 0.0, 400, k * k, rescale=False)
         assert back.direction == "backward"
-        assert np.max(np.abs(back.frames - _rotation_frame(lam, back.xs - 1.0))) <= 1e-7
+        assert np.max(np.abs(back.frames - _rotation_frame(k, back.xs - 1.0))) <= 1e-7
 
 
-def test_general_field_lambda_grid_matches_closed_form():
-    field = squared_harmonic_field()
-    lams = np.array([1.0, 3.0, 5.5])
+def test_harmonic_field_lambda_grid_matches_closed_form():
+    field = harmonic_field()
+    ks = np.array([1.0, 3.0, 5.5])
     init = np.array([[1.0], [0.0]])
-    xs, frames, slog = propagate_lambda_grid(field, init, lams, 0.0, 1.0, 400)
+    xs, frames, slog = propagate_lambda_grid(field, init, ks * ks, 0.0, 1.0, 400)
     assert frames.shape == (3, 401, 2, 1)
-    for i, lam in enumerate(lams):
+    for i, k in enumerate(ks):
         raw = frames[i, :, :, 0] * np.exp(slog[i])[:, None]
-        expect = _rotation_frame(lam, xs)[:, :, 0]
-        assert np.max(np.abs(raw - expect)) <= 1e-7 * lam
-        single = integrate_frame(field, init, 0.0, 1.0, 400, lam)
+        expect = _rotation_frame(k, xs)[:, :, 0]
+        assert np.max(np.abs(raw - expect)) <= 1e-7 * k
+        single = integrate_frame(field, init, 0.0, 1.0, 400, k * k)
         assert np.allclose(frames[i], single.frames, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("field", [harmonic_field(), squared_harmonic_field()],
-                         ids=["affine", "general"])
+@pytest.mark.parametrize("field", [harmonic_field(), varying_field()],
+                         ids=["affine", "varying"])
 @pytest.mark.parametrize("backward", [False, True])
 def test_chain_of_runs_matches_chained_legs(field, backward):
     # one sweep through runs of 7, 50 and 3 steps against three integrate_frame
