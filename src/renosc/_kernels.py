@@ -3,9 +3,9 @@
 Both kernels are batched numpy: `rk4_grid` propagates every lambda line of a
 batch at once, `omega_tables` evaluates the forms over all nodes in chunks.
 It is the one evaluator of omega2 and of the Gram normalization d, and
-`gram_volumes` the one place the Gram volume is taken; the scalar functions
-of `multilinear` are validated one-node views of them.  Per-call timings on
-an example2-sized problem are part of the pipeline benchmark
+`gram_volumes` and `volume_rates` give a frame's volume data; the scalar
+functions of `multilinear` are validated one-node views of them.  Per-call
+timings on an example2-sized problem are part of the pipeline benchmark
 (`python3 benchmarks/pipeline/run.py --trace 1`).
 
 The forms are evaluated in Pluecker coordinates (the compound-matrix method
@@ -24,9 +24,11 @@ action of A on k-vectors as a derivation, so that D_m(ATg) ghat is the sum of
 the single-column replacements g_k -> ATg g_k, and omega2 is the
 column-replacement sum.  K is scattered from cached tables once per call.
 |ghat|^2 = det(G^T G) by Cauchy-Binet, so d is the Gram normalization
-without forming a Gram matrix.  The H side (J hhat, K hhat, |hhat|) is
-computed once per distinct H frame; each G node then costs its minors and
-two C(n, m)-term dot products.  Collapse rule: d is NaN where either frame's
+without forming a Gram matrix; likewise, as F' = A F induces ghat' =
+D_m(A) ghat, the Gram log-derivative is ghat^T D_m(A) ghat / |ghat|^2
+(`volume_rates`), with no Gram solve to square the frame's condition number.
+The H side (J hhat, K hhat, |hhat|) is computed once per distinct H frame;
+each G node then costs its minors and two C(n, m)-term dot products.  Collapse rule: d is NaN where either frame's
 squared volume is at most COLLAPSE_TOL = 2^-52 times the product of its
 squared column norms, the rounding floor of det(F^T F), below which a
 propagated frame has lost its subdominant directions (the Pluecker norm
@@ -349,6 +351,37 @@ def _compound_terms(n, k):
                 if a not in rest:
                     I = tuple(sorted(rest + (a,)))
                     yield index[I], col, a, b, (-1.0) ** (I.index(a) + t)
+
+
+@functools.lru_cache(maxsize=None)
+def _rate_terms(n, m):
+    """The terms of ghat^T D_m(A) ghat as (I, K, a*n + b, np.add or np.subtract)."""
+    return tuple((I, K, a * n + b, np.add if s > 0 else np.subtract)
+                 for I, K, a, b, s in _compound_terms(n, m))
+
+
+def volume_rates(F, A):
+    """Column-volume ratio and volume log-derivative of frames under F' = A F.
+
+    F: frames (..., n, m); A: coefficient matrices (..., n, n), one per node.
+    Returns ratio = |ghat| / prod |f_k|, NaN where the frame collapsed, and
+    rate = d/dx log |ghat| = ghat^T D_m(A) ghat / |ghat|^2, each of shape
+    F.shape[:-2].  The terms are accumulated one at a time, elementwise, so
+    a node's values do not depend on its batch.
+    """
+    F = np.asarray(F, dtype=float)
+    n, m = F.shape[-2:]
+    A = np.broadcast_to(np.asarray(A, dtype=float), F.shape[:-2] + (n, n))
+    M, vol = _plucker(np.moveaxis(F, (-2, -1), (0, 1)))
+    ratio = vol / np.prod(np.sqrt(np.sum(F * F, axis=-2)), axis=-1)
+    At = np.moveaxis(A, (-2, -1), (0, 1)).reshape((n * n,) + A.shape[:-2])
+    acc = np.zeros(F.shape[:-2])
+    term = np.empty_like(acc)
+    for I, K, ab, accumulate in _rate_terms(n, m):
+        np.multiply(M[I], M[K], out=term)
+        term *= At[ab]
+        accumulate(acc, term, out=acc)
+    return ratio, acc / (vol * vol)
 
 
 @functools.lru_cache(maxsize=None)

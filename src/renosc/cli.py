@@ -71,12 +71,9 @@ def _load(args):
         cfg = builtin_catalog(name)
     else:
         raise ConfigError(f"no such file or catalog entry: {name}")
-    steps = {"x_steps": args.x_steps, "lambda_steps": args.lambda_steps}
-    cfg = replace(cfg, **{k: v for k, v in steps.items() if v is not None})
-    if args.lam:
-        if not args.lam[0] < args.lam[1]:
-            raise ConfigError("need L1 < L2")
-        cfg.lam = (args.lam[0], args.lam[1])
+    override = {"x_steps": args.x_steps, "lambda_steps": args.lambda_steps,
+                "lam": tuple(args.lam) if args.lam else None}
+    cfg = replace(cfg, **{k: v for k, v in override.items() if v is not None})
     problem = load_problem(cfg)
     if args.no_rescale:
         problem = replace(problem, rescale=False)
@@ -118,6 +115,8 @@ def cmd_box(args) -> int:
 
 
 def cmd_invariance(args) -> int:
+    if args.refine < 0:
+        raise ConfigError(f"--refine must be at least 0, got {args.refine}")
     cfg, problem = _load(args)
     outdir = artifacts.ensure_outdir(args.out)
     report = constants_report(problem)

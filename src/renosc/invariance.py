@@ -6,16 +6,17 @@ x = 0 data: with C_a bounding |trace A|, C_d bounding |d'/d|, delta bounding
 
     margin = rho(0) - delta^2 / (2C) * (exp(C) - 1)
 
-guarantees rho > 0 on the whole rectangle.  The scan route simply evaluates
-rho on the full grid; wherever it vanishes, the local spectral-curve branch
-structure determines the contribution 2 (i_plus - i_minus) to the boundary
-index.
+guarantees rho > 0 on the whole rectangle.  The volume data behind C_d,
+c_g and c_h come from the Pluecker minors (`_kernels.volume_rates`), with
+no Gram matrix and no solve.  The scan route simply evaluates rho on the
+full grid; wherever it vanishes, the local spectral-curve branch structure
+determines the contribution 2 (i_plus - i_minus) to the boundary index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -53,19 +54,11 @@ class InvarianceReport:
     C_g_measured: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n, "m": self.m,
-            "C_a": self.C_a, "C_A": self.C_A,
-            "c_g": self.c_g, "c_h": self.c_h,
-            "C_g": self.C_g, "C_h": self.C_h, "C_d": self.C_d,
-            "delta": self.delta, "C": self.C,
-            "rho0": self.rho0,
-            "margin": self.margin if math.isfinite(self.margin) else None,
-            "certified": self.certified,
-            "cg_mode": self.cg_mode, "delta_mode": self.delta_mode,
-        }
-        if self.C_g_measured is not None:
-            out["C_g_measured"] = self.C_g_measured
+        out = asdict(self)
+        if not math.isfinite(self.margin):
+            out["margin"] = None
+        if self.C_g_measured is None:
+            del out["C_g_measured"]
         return out
 
 
@@ -114,43 +107,22 @@ class ScanResult:
 
 
 def gram_log_derivatives(field, frames, xs, lam):
-    """Per-node d/dx log of the Gram volume: 0.5 tr(Gram^-1 Gram')."""
-    return _gram_log_derivatives(field.table(xs, lam), frames)
+    """Per-node d/dx log of the frames' volume, ghat^T D_m(A) ghat / |ghat|^2."""
+    return _volume_rates(frames, field.table(xs, lam))[1]
 
 
-def _gram_log_derivatives(A, frames):
-    """gram_log_derivatives on the coefficient table A at the frames' nodes."""
-    Fdot = A @ frames
-    gram = np.swapaxes(frames, 1, 2) @ frames
-    gram_dot = np.swapaxes(Fdot, 1, 2) @ frames + np.swapaxes(frames, 1, 2) @ Fdot
-    sol = np.linalg.solve(gram, gram_dot)
-    return 0.5 * np.trace(sol, axis1=1, axis2=2)
-
-
-def _column_volume_ratio(frames):
-    """Gram volume over the product of column norms, per node of (..., n, m).
-
-    Refuses a collapsed frame by the forms' collapse rule (COLLAPSE_TOL).
-    """
-    norms = np.sqrt(np.sum(frames * frames, axis=-2))
-    ratio = _kernels.gram_volumes(frames) / np.prod(norms, axis=-1)
-    if not np.all(ratio * ratio > _kernels.COLLAPSE_TOL):
-        raise RankDeficiencyError("degenerate Gram volume: a propagated frame collapsed")
-    return ratio
+def _volume_rates(frames, A):
+    """`_kernels.volume_rates`, refusing a collapsed frame (RankDeficiencyError)."""
+    ratio, rate = _kernels.volume_rates(frames, A)
+    if np.isnan(ratio).any():
+        raise RankDeficiencyError("degenerate frame volume: a propagated frame collapsed")
+    return ratio, rate
 
 
 def _line_blocks(frames):
     """Slices of about _BLOCK_NODES nodes, in whole lines, of a (lines, nodes, ...) grid."""
     step = max(1, _BLOCK_NODES // frames.shape[1])
     return [slice(lo, lo + step) for lo in range(0, frames.shape[0], step)]
-
-
-def _spectral_norm_max(field, xs, lams):
-    best = 0.0
-    for A in field.tables(xs, lams):
-        s = np.linalg.svd(A, compute_uv=False)
-        best = max(best, float(np.max(s[:, 0])))
-    return best
 
 
 def _psi_grids(problem: SpectralProblem):
@@ -187,39 +159,41 @@ def delta_bound_higher_order(problem: SpectralProblem, c_g: float, c_h: float) -
     return (problem.lambda2 - problem.lambda1) / (c_g * c_h) * peak
 
 
-def _g_family_extrema(problem: SpectralProblem, dh_log, measure_cg: bool,
-                      fd_delta: bool):
-    """Grid extrema of the G family's Gram data over every lambda line.
+def _g_family_extrema(problem: SpectralProblem, dh_log):
+    """Grid extrema of the G family's volume data, in one blocked pass.
 
-    Returns (c_g, C_g_measured, delta), each None unless asked for: the
-    minimum column-volume ratio and the maximum |d/dx log d_g| (measure_cg),
-    and the grid maximum of |d(omega2)/dx / d| = |d(psi2)/dx + psi2 d'/d|
-    (fd_delta).  psi2 is scale-invariant, so its centered difference is
-    legitimate even on rescaled frames; d'/d is evaluated analytically per
-    node.  Each line's Gram log-derivative is computed once and serves both
-    maxima.
+    Returns (c_g, C_g_measured, delta): the minimum column-volume ratio and
+    the maximum |d/dx log |ghat|| when m > 1, and, unless the field is
+    higher-order, the grid maximum of |d(omega2)/dx / d| = |d(psi2)/dx +
+    psi2 d'/d|; None otherwise.  psi2 is scale-invariant, so its centered
+    difference is legitimate even on rescaled frames; d'/d is the two
+    families' rates, analytic per node.  A collapsed frame is refused.
     """
+    measure_cg = problem.m > 1
+    fd_delta = problem.field.kind != "higher-order"
+    if not (measure_cg or fd_delta):
+        return None, None, None
     frames = problem.lambda_grid_frames()
     xs = problem.x_grid()
     lams = problem.lambda_grid()
-    ratio_min = dg_max = delta = None
-    if measure_cg:
-        ratio_min = min(float(np.min(_column_volume_ratio(frames[lines])))
-                        for lines in _line_blocks(frames))
-        dg_max = 0.0
+    base, E = problem.field.base_table(xs), problem.field.lambda_mat
     if fd_delta:
         psi2 = _psi_grids(problem)[1]
         h = xs[1] - xs[0]
-        delta = 0.0
-    for li, A in enumerate(problem.field.tables(xs, lams)):
-        dg_log = _gram_log_derivatives(A, frames[li])
-        if measure_cg:
-            dg_max = max(dg_max, float(np.max(np.abs(dg_log))))
+    ratio_min, dg_max, delta = math.inf, 0.0, 0.0
+    for lines in _line_blocks(frames):
+        A = base + lams[lines, None, None, None] * E
+        ratio, dg_log = _volume_rates(frames[lines], A)
+        ratio_min = min(ratio_min, float(np.min(ratio)))
+        dg_max = max(dg_max, float(np.max(np.abs(dg_log))))
         if fd_delta:
-            dlog = dg_log + dh_log
-            fd = (psi2[li, 2:] - psi2[li, :-2]) / (2 * h)
-            delta = max(delta, float(np.max(np.abs(fd + psi2[li, 1:-1] * dlog[1:-1]))))
-    return ratio_min, dg_max, delta
+            p2 = psi2[lines]
+            fd = (p2[:, 2:] - p2[:, :-2]) / (2 * h)
+            dlog = (dg_log + dh_log)[:, 1:-1]
+            delta = max(delta, float(np.max(np.abs(fd + p2[:, 1:-1] * dlog))))
+    if not measure_cg:
+        ratio_min = dg_max = None
+    return ratio_min, dg_max, delta if fd_delta else None
 
 
 def constants_report(problem: SpectralProblem) -> InvarianceReport:
@@ -227,39 +201,36 @@ def constants_report(problem: SpectralProblem) -> InvarianceReport:
 
     c_g is exactly 1 when the forward family is one-dimensional; otherwise it
     is measured as a grid minimum over the propagated lambda-grid paths, and
-    C_g enters C_d through the bound m! C_A / c_g^2 (the measured Gram
-    log-derivative maximum is kept alongside as a cross-check).
+    C_g enters C_d through the bound m! C_A / c_g^2 (the measured maximum of
+    |d/dx log |ghat|| is kept alongside as a cross-check).
     """
     field = problem.field
     n, m = problem.n, problem.m
     xs = problem.x_grid()
+    A2 = field.table(xs, problem.lambda2)
 
-    trace = np.abs(np.trace(field.table(xs, problem.lambda2), axis1=1, axis2=2))
-    C_a = float(np.max(trace))
+    C_a = float(np.max(np.abs(np.trace(A2, axis1=1, axis2=2))))
 
     # the operator norm of the affine pencil A = base + lambda E is convex in
     # lambda, so the grid maximum is attained at the interval endpoints
-    C_A = _spectral_norm_max(field, xs, (problem.lambda1, problem.lambda2))
+    C_A = max(float(np.max(np.linalg.svd(A, compute_uv=False)[:, 0]))
+              for A in (field.table(xs, problem.lambda1), A2))
 
     hp = problem.h_path()
-    c_h = float(np.min(_column_volume_ratio(hp.frames)))
-    dh_log = gram_log_derivatives(field, hp.frames, xs, problem.lambda2)
+    ratio_h, dh_log = _volume_rates(hp.frames, A2)
+    c_h = float(np.min(ratio_h))
     C_h = float(np.max(np.abs(dh_log)))
 
-    fd_delta = field.kind != "higher-order"
-    c_g_grid = C_g_measured = delta = None
-    if m > 1 or fd_delta:
-        c_g_grid, C_g_measured, delta = _g_family_extrema(problem, dh_log, m > 1,
-                                                          fd_delta)
+    c_g_grid, C_g_measured, delta = _g_family_extrema(problem, dh_log)
     c_g, cg_mode = (1.0, "exact") if m == 1 else (c_g_grid, "measured")
     C_g = math.factorial(m) * C_A / c_g ** 2
     C_d = C_g + C_h
 
-    if fd_delta:
-        delta_mode = "grid-fd"
-    else:
+    if delta is None:
         delta = delta_bound_higher_order(problem, c_g, c_h)
         delta_mode = "hadamard"
+    else:
+        delta_mode = "grid-fd"
 
     rho0 = psi_rho(problem.P.entries, hp.frames[0], problem.a_tilde()).rho
     C = 2 * C_d + max(2 * C_a, 1.0) + 1.0

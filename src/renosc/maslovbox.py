@@ -59,8 +59,8 @@ class SpectralProblem:
             raise InvalidInputError(
                 f"dim P + dim Q must equal n: {self.P.cols} + {self.Q.cols} != {n}"
             )
-        if not self.lambda1 < self.lambda2:
-            raise InvalidInputError("need lambda1 < lambda2")
+        if not -np.inf < self.lambda1 < self.lambda2 < np.inf:
+            raise InvalidInputError("need finite lambda1 < lambda2")
         if self.x_steps < 2 or self.lambda_steps < 2:
             raise InvalidInputError("grid resolutions must be at least 2")
 
@@ -265,14 +265,16 @@ def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int
     family from x = 1 to x_hi at lambda2 once (max(4, ceil(dx * x_steps))
     steps each), then `nx` steps across the window.  nx = 0 with
     x_lo == x_hi evaluates one point.  Every sweep follows problem.rescale.
-    Returns xs (nx+1,) and psi1, psi2 shaped (len(lams), nx+1); a collapsed
-    frame raises RankDeficiencyError.
+    Returns xs (nx+1,) and psi1, psi2 shaped (len(lams), nx+1); a non-finite
+    lambda raises InvalidInputError and a collapsed frame RankDeficiencyError.
     """
     if not (0.0 <= x_lo <= x_hi <= 1.0 and (nx > 0) == (x_lo < x_hi)):
         raise InvalidInputError(
             "need 0 <= x_lo <= x_hi <= 1, with nx = 0 exactly when x_lo == x_hi"
         )
     lams = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise InvalidInputError("lambda must be finite")
 
     def window(init, lams, x0, x_near, x_far):
         """Frames at the window's nx+1 nodes in sweep order: a lead run from

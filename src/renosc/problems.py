@@ -303,6 +303,8 @@ class ProblemConfig:
     lambda_steps: int = 600
 
     def __post_init__(self):
+        if not -np.inf < self.lam[0] < self.lam[1] < np.inf:
+            raise ConfigError(f"need finite lambda1 < lambda2, got {list(self.lam)}")
         if self.x_steps < 2 or self.lambda_steps < 2:
             raise ConfigError("grid resolutions must be at least 2")
 
@@ -372,8 +374,6 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     if (not isinstance(lam, (list, tuple))) or len(lam) != 2:
         raise ConfigError("'lambda' must be [lambda1, lambda2]")
     lam = (_number(lam[0], "lambda1"), _number(lam[1], "lambda2"))
-    if not lam[0] < lam[1]:
-        raise ConfigError("need lambda1 < lambda2")
     x_steps = _integer(doc.get("x_steps", 1000), "'x_steps'")
     lambda_steps = _integer(doc.get("lambda_steps", 600), "'lambda_steps'")
 

@@ -75,13 +75,6 @@ class CoefficientField:
         """A(x; lam) at one point, shape (n, n)."""
         return self.table([float(x)], lam)[0]
 
-    def tables(self, xs, lams):
-        """Yield table(xs, lam) for each lam of `lams`, in order, from one
-        base table."""
-        base = self.base_table(np.asarray(xs, dtype=float))
-        for lam in lams:
-            yield base + lam * self.lambda_mat
-
 
 @dataclass(frozen=True)
 class FramePath:

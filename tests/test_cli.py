@@ -201,8 +201,11 @@ def test_invariance_command_with_scan(tmp_path, capsys):
 
 
 def test_lambda_override_validated(tmp_path, capsys):
-    assert run(["box", "harmonic-neumann", "--lambda", "3", "1",
-                "--out", str(tmp_path)]) == 1
+    for lam in (["3", "1"], ["-5", "inf"], ["0", "nan"]):
+        out = tmp_path / "_".join(lam)
+        assert run(["box", "harmonic-neumann", "--lambda", *lam, "--out", str(out)]) == 1
+        assert "need finite lambda1 < lambda2" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("flag", ["--x-steps", "--lambda-steps"])
@@ -211,6 +214,14 @@ def test_grid_size_override_validated(flag, value, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["left-shelf", "harmonic-neumann", flag, value, "--out", str(out)]) == 1
     assert "grid resolutions must be at least 2" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_negative_refine_rounds_exit_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["invariance", "harmonic-neumann", "--scan", "--refine", "-1",
+                "--out", str(out)]) == 1
+    assert "--refine must be at least 0" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 

@@ -19,7 +19,6 @@ from renosc import (
 from renosc import _kernels, invariance
 from renosc.invariance import (
     LossPoint,
-    _column_volume_ratio,
     _newton_polish,
     _psi_grids,
     gram_log_derivatives,
@@ -107,8 +106,23 @@ def test_gram_bounds_hold_on_example1_paths(example1):
     # scalar column: |d/dx log |g|| <= ||A|| exactly, i.e. m! C_A / c_g^2
     assert np.max(dg) <= rep.C_g + 1e-9
     # and the normalization factors away from zero:
-    ch_path = _column_volume_ratio(hp.frames)
+    ch_path = _kernels.volume_rates(hp.frames, example1.field.table(xs, example1.lambda2))[0]
     assert np.min(ch_path) >= rep.c_h - 1e-12
+
+
+def test_gram_log_derivatives_match_long_double_reference():
+    # example3's G frames are ill-conditioned (c_g about 0.0026); a solve with
+    # their Gram matrix squares the condition number, the Pluecker rate does not
+    from test_kernels import reference_volume_rates
+
+    cfg = builtin_catalog("example3")
+    cfg.x_steps, cfg.lambda_steps = 230, 120
+    problem = load_problem(cfg)
+    xs = problem.x_grid()
+    for lam, frames in zip(problem.lambda_grid(), problem.lambda_grid_frames()):
+        got = gram_log_derivatives(problem.field, frames, xs, lam)
+        want = reference_volume_rates(frames, problem.field.table(xs, lam))[1]
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_bc_determinants_example1(example1):

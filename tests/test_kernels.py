@@ -9,6 +9,9 @@ matmuls per stage; the kernel's polynomial build must agree with it.
 definition of the forms, one node at a time: det([G H]), the
 column-replacement sum of determinants and sqrt(det(F^T F));
 `_kernels.omega_tables` pairs Pluecker vectors instead, and must agree with it.
+`reference_volume_rates` is the Gram definition of the column-volume ratio and
+the volume log-derivative, tr((F^T F)^-1 F^T A F), in long double;
+`_kernels.volume_rates` takes both from the Pluecker vector instead.
 """
 
 import itertools
@@ -238,6 +241,63 @@ def test_omega_tables_match_reference_forms(n, m):
                           out[2])
 
 
+def reference_volume_rates(F, A):
+    """sqrt(det(F^T F)) / prod |f_k| and tr((F^T F)^-1 F^T A F) at each node
+    of (..., n, m) frames, in long double.  The Gram matrix is symmetric
+    positive definite, so it is eliminated without pivoting; det(F^T F) is
+    the product of its pivots."""
+    F = np.asarray(F, dtype=np.longdouble)
+    A = np.asarray(A, dtype=np.longdouble)
+    gram = np.einsum("...ki,...kj->...ij", F, F)
+    rhs = np.einsum("...ki,...kl,...lj->...ij", F, A, F)
+    norms2 = np.diagonal(gram, axis1=-2, axis2=-1).copy()
+    m = F.shape[-1]
+    for k in range(m):
+        for i in range(k + 1, m):
+            f = (gram[..., i, k] / gram[..., k, k])[..., None]
+            gram[..., i, :] -= f * gram[..., k, :]
+            rhs[..., i, :] -= f * rhs[..., k, :]
+    X = np.zeros_like(rhs)
+    for i in reversed(range(m)):
+        acc = rhs[..., i, :].copy()
+        for j in range(i + 1, m):
+            acc -= gram[..., i, j, None] * X[..., j, :]
+        X[..., i, :] = acc / gram[..., i, i, None]
+    pivots = np.diagonal(gram, axis1=-2, axis2=-1)
+    ratio = np.sqrt(np.prod(pivots, axis=-1) / np.prod(norms2, axis=-1))
+    return ratio, np.trace(X, axis1=-2, axis2=-1)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
+                                 (6, 3), (8, 4)])
+def test_volume_rates_match_long_double_reference(n, m):
+    nodes = 40
+    G = rng.normal(size=(nodes, n, m)) * rng.uniform(0.1, 10.0, size=(nodes, 1, m))
+    A = rng.normal(size=(nodes, n, n))
+    ratio, rate = _kernels.volume_rates(G, A)
+    ref_ratio, ref_rate = reference_volume_rates(G, A)
+    assert ratio.shape == rate.shape == (nodes,)
+    assert np.all(np.abs(ratio - ref_ratio) <= 1e-15 * m)
+    # |rate| <= m |A|_2, and the rounding of the minors is amplified by 1 / ratio^2
+    scale = m * np.linalg.norm(A, ord=2, axis=(1, 2)) / ref_ratio.astype(float) ** 2
+    assert np.all(np.abs(rate - ref_rate) <= 4e-15 * scale)
+    # the ratio is the Gram volume over the product of the column norms, bit for bit
+    norms = np.sqrt(np.sum(G * G, axis=-2))
+    assert np.array_equal(ratio, _kernels.gram_volumes(G) / np.prod(norms, axis=-1))
+
+
+def test_volume_rates_do_not_depend_on_the_batch():
+    G = rng.normal(size=(3, 5, 4, 2))
+    A = rng.normal(size=(3, 5, 4, 4))
+    whole = _kernels.volume_rates(G, A)
+    shared = _kernels.volume_rates(G, A[0, 0])  # one A broadcast to every node
+    for i, k in itertools.product(range(3), range(5)):
+        for got, want in zip(_kernels.volume_rates(G[i, k], A[i, k]), whole):
+            assert got.shape == () and got == want[i, k]
+        for got, want in zip(_kernels.volume_rates(G[i, k], A[0, 0]), shared):
+            assert got == want[i, k]
+
+
 def test_collapse_rule():
     # two columns parallel to within 1e-10: the squared volume ratio, 1e-20,
     # is below the 2^-52 floor, so d is NaN; a volume ratio of 1e-3 (the
@@ -253,6 +313,7 @@ def test_collapse_rule():
         G = np.stack([g, g + eps * u], axis=1)
         ratio = _kernels.gram_volumes(G) / np.prod(np.linalg.norm(G, axis=0))
         assert ratio == pytest.approx(eps, rel=1e-3)
+        assert np.isnan(_kernels.volume_rates(G, ATg)[0]) == collapsed
         w1, w2, d = (t[0] for t in _kernels.omega_tables(G[None], H, ATg, ATh))
         assert np.isfinite(w1) and np.isfinite(w2)
         assert np.isnan(d) == collapsed

@@ -1,3 +1,4 @@
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -137,14 +138,15 @@ def test_eigenvalue_free_interval_gives_zero(harmonic_dirichlet):
     assert count == 0
 
 
-def test_lambda_interval_must_be_ordered(harmonic_dirichlet):
+@pytest.mark.parametrize("lam1,lam2", [(1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+def test_lambda_interval_must_be_ordered(harmonic_dirichlet, lam1, lam2):
     with pytest.raises(InvalidInputError):
         SpectralProblem(
             field=harmonic_dirichlet.field,
             P=harmonic_dirichlet.P,
             Q=harmonic_dirichlet.Q,
-            lambda1=1.0,
-            lambda2=1.0,
+            lambda1=lam1,
+            lambda2=lam2,
         )
 
 
@@ -414,6 +416,10 @@ def test_psi_window_validates_its_window(example1):
                  (0.5, 1.5, 4)]:
         with pytest.raises(InvalidInputError):
             psi_window(example1, [0.0], *args)
+    with pytest.raises(InvalidInputError):
+        psi_window(example1, [math.nan], 0.3, 0.3, 0)
+    with pytest.raises(InvalidInputError):
+        psi_point(example1, 0.5, math.inf)
 
 
 # -- the 16-section search on the top shelf ---------------------------------------

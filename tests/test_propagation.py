@@ -274,13 +274,12 @@ def test_companion_builders_vectorize_over_x():
 
 
 def test_field_evaluate_and_base_table_derive_from_table():
-    # table(xs, lam) is base_table(xs) + lam E; evaluate and tables are views of it
+    # table(xs, lam) is base_table(xs) + lam E; evaluate is a view of it
     field = load_problem(builtin_catalog("example1")).field
     xs = np.linspace(0.0, 1.0, 11)
-    lams = (-1.0, 0.25)
-    for lam, A in zip(lams, field.tables(xs, lams)):
+    for lam in (-1.0, 0.25):
+        A = field.table(xs, lam)
         assert np.array_equal(A, field.base_table(xs) + lam * field.lambda_mat)
-        assert np.array_equal(A, field.table(xs, lam))
         for k, x in enumerate(xs):
             assert np.array_equal(field.evaluate(x, lam), A[k])
     with pytest.raises(ValueError):  # E is fixed with the field
