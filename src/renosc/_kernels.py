@@ -51,12 +51,17 @@ step is a matrix, F_{k+1} = P_k F_k, with
 step to step, for a chain of runs), so a leg is a prefix product of step
 matrices.  Since A = a + lam E is affine in lambda, K_j is a polynomial of
 degree j in lambda and P_k one of degree 4, P_k(lam) = sum_j lam^j C_j.  The
-coefficients C_0..C_4 of every step are built once per call (per x segment),
-by exact polynomial-matrix arithmetic on (a + lam E): three stages, each
-one batched product with the a table and one with E, about 18 (steps, n, n)
-products in all.  Every line's P_k is then C_0 + lam (C_1 + lam (...)) by
-elementwise Horner, with no BLAS call, so a line's bits do not depend on its
-batch, and no interpolation nodes, so no lambda is an extrapolation.
+coefficients C_0..C_4 of every x segment are built by exact
+polynomial-matrix arithmetic on (a + lam E): three stages, each one batched
+product with the a table and one with E, about 18 (steps, n, n) products in
+all.  They are built once per chain: a caller that passes a dict as
+`coefficients` (propagation keeps one per chain, next to its half-step
+table) gets them kept, keyed by the segment's step range, and every later
+call on the chain skips the build.  Every line's P_k is then
+C_0 + lam (C_1 + lam (...)) by elementwise Horner, with no BLAS call, so a
+line's bits do not depend on its batch, and no interpolation nodes, so no
+lambda is an extrapolation; Horner writes into a buffer padded to whole
+blocks with exact identity steps, so nothing is copied to pad it.
 The steps are then grouped in blocks of b = ceil(sqrt(steps)): b batched
 products give every block's partial products Q_j = P_j ... P_1, the block
 starts are carried one block after another, and every node is expanded as
@@ -69,11 +74,16 @@ products (an exact operation), so every partial product is the true one
 divided by the scalar s = s_1 ... s_j and cannot overflow inside a block;
 the expanded node is then column-normalized as if it had been normalized
 after every step, and its scale_log is the block start's plus m log s plus
-the log of the m column norms.  Temporaries shaped (lines, steps, n, n) are
-held under STEP_BUDGET bytes each: lines are processed in chunks, and a leg
-whose single line exceeds the budget is cut into x segments.  The segments
-depend on steps and n only, so a line's result does not depend on the lines
-that share its chunk.
+the log of the m column norms.  The carry loop does only the products and
+the column normalizations; the logs come after it, and the block starts'
+scale_logs are one cumsum over [acc, m log s, sum log norms, ...], which
+adds in the order of a step-by-step loop.  Temporaries are bounded two
+ways.  An x segment holds STEP_BUDGET bytes of one line's step matrices, so
+a longer leg is cut into segments that depend on steps and n only (a
+larger STEP_BUDGET would move them, and with them the bits of long legs).
+A chunk of lines fills up to 4 * STEP_BUDGET bytes of (lines, steps, n, n)
+temporaries; lines are independent, so the chunk changes no bit, only the
+number of numpy calls.
 """
 
 from __future__ import annotations
@@ -105,7 +115,7 @@ COLLAPSE_TOL = 2.0 ** -52
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # blow-ups are caught by callers
-def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False):
+def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=None):
     """Propagate initial frames over a batch of lambda values.
 
     a_half is the half-step table (2*steps+1, n, n) of the lambda-free part,
@@ -119,6 +129,9 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False):
     node alone, equal bit for bit to the last node of the full result.
     scale_log accumulates the log of the product of column rescaling
     factors, so raw-form values can be reconstructed as value * exp(scale_log).
+    `coefficients` is a dict that keeps the step coefficients of this
+    (a_half, E, h) for later calls, one entry per x segment keyed by its
+    step range; it is filled on first use.
     """
     a_half = np.ascontiguousarray(a_half, dtype=float)
     E = np.ascontiguousarray(E, dtype=float)
@@ -131,17 +144,21 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False):
     frames = np.empty((L, 2 if endpoint else steps + 1, n, m))
     slog = np.zeros(frames.shape[:2])
     frames[:, 0] = init
+    if coefficients is None:
+        coefficients = {}
     matrix_bytes = 8 * n * n
     seg = max(1, min(steps, STEP_BUDGET // matrix_bytes))
-    chunk = max(1, STEP_BUDGET // (matrix_bytes * seg))
+    chunk = max(1, 4 * STEP_BUDGET // (matrix_bytes * seg))
     for s0 in range(0, steps, seg):
         s1 = min(s0 + seg, steps)
-        half = slice(2 * s0, 2 * s1 + 1)
+        C = coefficients.get((s0, s1))
+        if C is None:
+            C = coefficients[s0, s1] = _coefficients(a_half[2 * s0:2 * s1 + 1], E, h[s0:s1])
         nodes = slice(None) if endpoint else slice(s0, s1 + 1)
-        C = _coefficients(a_half[half], E, h[s0:s1])
         for lo in range(0, L, chunk):
             lines = slice(lo, lo + chunk)
-            _chain(_horner(C, lams[lines]), frames[lines, nodes], slog[lines, nodes], rescale)
+            _chain(_horner(C, lams[lines]), s1 - s0, frames[lines, nodes],
+                   slog[lines, nodes], rescale)
         if endpoint:  # the segment's end starts the next one
             frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]
     return (frames[:, :1], slog[:, :1]) if endpoint else (frames, slog)
@@ -186,58 +203,89 @@ def _coefficients(table, E, h):
     return P
 
 
+def _blocks(steps):
+    """Block length b = ceil(sqrt(steps)) of a leg, and its number of blocks."""
+    b = math.isqrt(steps - 1) + 1
+    return b, -(-steps // b)
+
+
 def _horner(C, lams):
-    """Every line's step matrices sum_j lam^j C_j, (lines, steps, n, n),
-    by elementwise Horner (no BLAS call, so a line's bits do not depend on
-    its batch)."""
+    """Every line's step matrices sum_j lam^j C_j, padded with identity steps
+    to whole blocks: (lines, b * blocks, n, n), see _blocks.
+
+    Elementwise Horner (no BLAS call, so a line's bits do not depend on its
+    batch), written straight into the padded buffer.
+    """
+    steps, n = C.shape[1:3]
+    b, nb = _blocks(steps)
+    out = np.empty((len(lams), nb * b, n, n))
+    out[:, steps:] = np.eye(n)
+    P = out[:, :steps]
     lam = lams[:, None, None, None]
-    P = C[-1] * lam
+    np.multiply(C[-1], lam, out=P)
     for c in C[-2:0:-1]:
         P += c
         P *= lam
     P += C[0]
-    return P
+    return out
 
 
-def _chain(P, frames, slog, rescale):
-    """Chain the step matrices P from frames[:, 0] into frames[:, 1:].
+def _max_abs(P):
+    """The largest |entry| of every matrix of P (..., n, n).
 
-    frames (lines, steps+1, n, m) and slog (lines, steps+1) are written in
-    place; frames[:, 0] and slog[:, 0] hold the start.  Given two nodes,
-    (lines, 2, n, m), only the last node is expanded, by the same products
-    and reductions.  P is overwritten.
+    One np.maximum per entry over the contiguous (..., n*n) view: exact, like
+    np.max (NaN included), and several times faster than a reduction over
+    rows as short as n*n.
     """
-    lines, steps, n = P.shape[:3]
+    A = np.abs(P).reshape(-1, P.shape[-1] * P.shape[-2])
+    top = A[:, 0].copy()
+    for c in range(1, A.shape[1]):
+        np.maximum(top, A[:, c], out=top)
+    return top.reshape(P.shape[:-2])
+
+
+def _chain(P, steps, frames, slog, rescale):
+    """Chain the first `steps` step matrices of P from frames[:, 0] into frames[:, 1:].
+
+    P is _horner's padded output, (lines, b * blocks, n, n), and is
+    overwritten.  frames (lines, steps+1, n, m) and slog (lines, steps+1) are
+    written in place; frames[:, 0] and slog[:, 0] hold the start.  Given two
+    nodes, (lines, 2, n, m), only the last node is expanded, by the same
+    products and reductions.
+    """
+    lines, _, n = P.shape[:3]
     m = frames.shape[-1]
-    b = math.isqrt(steps - 1) + 1
-    nb = -(-steps // b)
-    if nb * b > steps:  # pad the last block with identity steps
-        pad = np.broadcast_to(np.eye(n), (lines, nb * b - steps, n, n))
-        P = np.concatenate([P, pad], axis=1)
+    b, nb = _blocks(steps)
     Q = P.reshape(lines, nb, b, n, n)
     if rescale:
-        e = np.frexp(np.max(np.abs(Q), axis=(-2, -1)))[1]
+        e = np.frexp(_max_abs(P).reshape(lines, nb, b))[1]
         np.ldexp(Q, -e[..., None, None], out=Q)
         m_log_s = (np.cumsum(e, axis=2) * (m * math.log(2.0))).reshape(lines, nb * b)
+        nrms = np.empty((lines, nb - 1, m))
     for j in range(1, b):
         np.matmul(Q[:, :, j], Q[:, :, j - 1], out=Q[:, :, j])
-    F, acc = frames[:, 0], slog[:, 0]
-    starts, accs = [F], [acc]
+    starts = np.empty((lines, nb, n, m))  # every block's start frame
+    starts[:, 0] = frames[:, 0]
     for i in range(nb - 1):
-        F = Q[:, i, -1] @ F
+        F = np.matmul(Q[:, i, -1], starts[:, i], out=starts[:, i + 1])
         if rescale:
-            nrm = np.sqrt(np.sum(F * F, axis=-2))
-            F = F / nrm[..., None, :]
-            acc = acc + m_log_s[:, i * b + b - 1] + np.sum(np.log(nrm), axis=-1)
-        starts.append(F)
-        accs.append(acc)
+            nrm = np.sqrt(np.sum(F * F, axis=-2), out=nrms[:, i])
+            F /= nrm[..., None, :]
+    if rescale:  # acc_{i+1} = (acc_i + m log s) + sum log nrm, one cumsum in that order
+        terms = np.empty((lines, 2 * nb - 1))
+        terms[:, 0] = slog[:, 0]
+        terms[:, 1::2] = m_log_s[:, b - 1:(nb - 1) * b:b]
+        terms[:, 2::2] = np.sum(np.log(nrms), axis=-1)
+        accs = np.cumsum(terms, axis=1)[:, ::2]
+    else:
+        accs = np.repeat(slog[:, :1], nb, axis=1)
     if frames.shape[1] == steps + 1:  # every node
-        nodes = (Q @ np.stack(starts, axis=1)[:, :, None]).reshape(lines, nb * b, n, m)
-        nodes, s = nodes[:, :steps], np.repeat(np.stack(accs, axis=1), b, axis=1)[:, :steps]
+        nodes = (Q @ starts[:, :, None]).reshape(lines, nb * b, n, m)[:, :steps]
+        s = np.repeat(accs, b, axis=1)[:, :steps]
         k = slice(0, steps)
     else:  # the last node: block i, position j
         i, j = divmod(steps - 1, b)
-        nodes, s = Q[:, i, j:j + 1] @ starts[i][:, None], accs[i][:, None]
+        nodes, s = Q[:, i, j:j + 1] @ starts[:, i, None], accs[:, i, None]
         k = slice(steps - 1, steps)
     if rescale:
         nrm = np.sqrt(np.sum(nodes * nodes, axis=-2))

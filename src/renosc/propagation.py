@@ -4,17 +4,20 @@ The evolving subspaces are represented by matrix solutions of F' = A(x; lam) F.
 The G-family starts from the boundary frame at x = 0, the H-family from the
 frame at x = 1 (integrated backward).  The kernel, `_kernels.rk4_grid`, runs
 classical RK4 in propagator form: every step's matrix P_k (F_{k+1} = P_k F_k)
-is a degree-4 polynomial in lambda, whose coefficients are built once per
-call from the half-step table and evaluated per lambda line by Horner, and
-the steps are chained by a blocked prefix product, blocks of
-ceil(sqrt(steps)) steps, so a leg costs about 2 sqrt(steps) numpy-level
-iterations.  One call can run a chain of uniform runs (a lead leg and a
-window, or the gaps between points) with one step size per step, over one
-half-step table.  A query that reads only the end of a chain (a psi point, a
-top-edge sweep) runs in endpoint mode, which expands only the last node and
-equals the full sweep's last node bit for bit.  Temporaries are bounded by
-`_kernels.STEP_BUDGET` bytes each, by chunking lines and, for long legs,
-x segments.  Column rescaling keeps stiff problems in range: inside a block
+is a degree-4 polynomial in lambda, whose coefficients are built from the
+half-step table once per chain (kept with the table in the field's
+per-chain cache, so a repeated sweep pays only Horner) and evaluated per
+lambda line by Horner, and the steps are chained by a blocked prefix
+product, blocks of ceil(sqrt(steps)) steps, so a leg costs about
+2 sqrt(steps) numpy-level iterations.  One call can run a chain of uniform
+runs (a lead leg and a window, or the gaps between points) with one step
+size per step, over one half-step table.  A query that reads only the end
+of a chain (a psi point, a top-edge sweep) runs in endpoint mode, which
+expands only the last node and equals the full sweep's last node bit for
+bit.  Temporaries are bounded by
+`_kernels.STEP_BUDGET`: x segments of at most that many bytes of one
+line's step matrices cut long legs, and lines run in chunks of up to four
+times that.  Column rescaling keeps stiff problems in range: inside a block
 every step matrix is divided by a power of two s, adding m log s to
 scale_log, and every node's columns are normalized, adding the log of their
 norms.  It multiplies both determinant forms by a common positive factor and
@@ -45,6 +48,11 @@ class CoefficientField:
     crossing flow monotone (a lambda-independent diagonal and x-independent
     off-diagonal lambda-differences), is read off E: it holds exactly when
     the diagonal of E vanishes.
+
+    `_chains` is propagation's per-chain cache (half-step tables and step
+    coefficients, both built from base_table and E).  It is not a
+    constructor argument, so a field derived by dataclasses.replace starts
+    with an empty one, while `meta` would be shared.
     """
 
     n: int
@@ -52,6 +60,7 @@ class CoefficientField:
     lambda_mat: np.ndarray
     kind: str = "general"
     meta: dict = dc_field(default_factory=dict)
+    _chains: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -180,18 +189,29 @@ def _half_steps(from_x: float, runs):
     return np.repeat(hs, [steps for _, steps in runs]), np.concatenate(xh)
 
 
-def _half_step_table(field: CoefficientField, xh, key):
-    """The field's lambda-free table on the half-step grid xh, cached
-    under the chain `key`; past 64 chains the cache is cleared, to bound it."""
-    cache = field.meta.setdefault("_table_cache", {})
+def _chain_cache(field: CoefficientField, xh, key):
+    """The field's lambda-free table on the half-step grid xh and the dict
+    of the chain's step coefficients (filled by the kernel), cached under the
+    chain `key`; past 64 chains the cache is cleared, to bound it."""
+    cache = field._chains
     hit = cache.get(key)
-    if hit is not None:
-        return hit
-    table = np.ascontiguousarray(field.base_table(xh))
-    if len(cache) > 64:
-        cache.clear()
-    cache[key] = table
-    return table
+    if hit is None:
+        if len(cache) > 64:
+            cache.clear()
+        hit = cache[key] = (np.ascontiguousarray(field.base_table(xh)), {})
+    return hit
+
+
+def _step_count(steps) -> int:
+    """A run's step count as an int; InvalidInputError unless it is a
+    positive integer (10.5 is refused, not truncated)."""
+    try:
+        k = int(steps)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != steps or k < 1:
+        raise InvalidInputError(f"a run's step count must be a positive integer, not {steps!r}")
+    return k
 
 
 def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=False,
@@ -203,22 +223,26 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
     one half-step table; no run leaves the initial frame alone.  `init` is
     one (n, m) frame shared by every lambda line, or one frame per line,
     shaped (len(lams), n, m).  Every line shares one half-step table of the
-    field's lambda-free part, cached per chain.  Returns (xs, frames,
-    scale_log) in sweep order, xs[0] = from_x, or on an increasing x grid if
-    `increasing`, with frames shaped (len(lams), 1 + steps, n, m); raises
-    BlowUpError with the first x at which some lambda line leaves
-    double-precision range.  With `endpoint`
-    only the chain's last node is expanded: xs, frames and scale_log hold
-    that node alone, bit for bit the last node of the full sweep, and a
-    blow-up is reported at its x.
+    field's lambda-free part and the step coefficients built from it, both
+    cached per chain.  `lams` must be a 1-D array of finite numbers and
+    every run's steps a positive integer (InvalidInputError).  Returns (xs,
+    frames, scale_log) in sweep order, xs[0] = from_x, or on an increasing x
+    grid if `increasing`, with frames shaped (len(lams), 1 + steps, n, m);
+    raises BlowUpError with the first x at which some lambda line leaves
+    double-precision range.  With `endpoint` only the chain's last node is
+    expanded: xs, frames and scale_log hold that node alone, bit for bit the
+    last node of the full sweep, and a blow-up is reported at its x.
     """
     init = np.ascontiguousarray(init, dtype=float)
-    lams = np.asarray(lams, dtype=float)
+    try:
+        lams = np.asarray(lams, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        lams = None
+    if lams is None or lams.ndim != 1 or not np.all(np.isfinite(lams)):
+        raise InvalidInputError("lams must be a 1-D array of finite numbers")
     if init.shape[:-2] not in ((), lams.shape) or init.shape[-2:-1] != (field.n,):
         raise InvalidInputError(f"init must be one {field.n} x m frame or one per lambda")
-    runs = tuple((float(to_x), int(steps)) for to_x, steps in runs)
-    if any(steps < 1 for _, steps in runs):
-        raise InvalidInputError("steps must be positive")
+    runs = tuple((float(to_x), _step_count(steps)) for to_x, steps in runs)
     if not runs:
         frames = np.broadcast_to(init[..., None, :, :], (len(lams), 1) + init.shape[-2:])
         return np.array([float(from_x)]), frames, np.zeros((len(lams), 1))
@@ -226,9 +250,9 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
     if not (np.all(dx > 0) or np.all(dx < 0)):
         raise InvalidInputError("the stops of a chain must differ and keep one direction")
     h, xh = _half_steps(from_x, runs)
-    a_half = _half_step_table(field, xh, (from_x, runs))
+    a_half, coefficients = _chain_cache(field, xh, (from_x, runs))
     frames, slog = _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, rescale,
-                                     endpoint)
+                                     endpoint, coefficients)
 
     xs = xh[-1:] if endpoint else xh[::2].copy()
     if not np.all(np.isfinite(frames)):

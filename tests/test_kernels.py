@@ -120,18 +120,39 @@ def test_rk4_matches_sequential_reference(steps):
             assert np.allclose(raw, rescaled, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("budget", [8 * 16 * 5, 8 * 16 * 120])
-def test_rk4_step_budget_splits_segments_and_lines(budget, monkeypatch):
-    # at n = 4, 640 bytes hold 5 steps of one line, so 33 steps run in 7 x
-    # segments; 15360 bytes hold three lines of all 33 steps, so 5 lines run
-    # in chunks of 3 and 2.  Both agree with the reference, and a line's bits
-    # do not depend on the lines that share its chunk.  Per-step sizes are
-    # cut into the same segments.
+def count_chain_lines(monkeypatch):
+    """Record the number of lines of every `_kernels._chain` call."""
+    seen = []
+    real = _kernels._chain
+
+    def counted(P, *args):
+        seen.append(len(P))
+        return real(P, *args)
+
+    monkeypatch.setattr(_kernels, "_chain", counted)
+    return seen
+
+
+@pytest.mark.parametrize("budget, L, chains", [
+    pytest.param(8 * 16 * 5, 5, [4, 1] * 7, id="640"),
+    pytest.param(8 * 16 * 120, 20, [14, 6], id="15360"),
+])
+def test_rk4_step_budget_splits_segments_and_lines(budget, L, chains, monkeypatch):
+    # at n = 4 an x segment holds STEP_BUDGET bytes of one line's step
+    # matrices and a chunk of lines 4 * STEP_BUDGET: 640 bytes cut 33 steps
+    # into 7 segments of at most 5 steps, 4 lines sharing each chunk;
+    # 15360 bytes hold all 33 steps in one segment and 14 lines in a chunk.
+    # Both agree with the reference, and a line's bits do not depend on the
+    # lines that share its chunk.  Per-step sizes are cut into the same
+    # segments.
     monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
-    inits = rng.normal(size=(5, 4, 2))
+    seen = count_chain_lines(monkeypatch)
+    inits = rng.normal(size=(L, 4, 2))
     for rescale, per_step in itertools.product((True, False), (False, True)):
-        a_half, E, lams, _, h = random_leg(33, 5, 2, False, per_step=per_step)
+        a_half, E, lams, _, h = random_leg(33, L, 2, False, per_step=per_step)
+        seen.clear()
         frames, slog = _kernels.rk4_grid(a_half, E, lams, inits, h, rescale)
+        assert seen == chains
         ref_frames, ref_slog = reference_rk4(a_half, E, lams, inits, h, rescale)
         assert_rel_close(frames, ref_frames)
         assert_rel_close(slog, ref_slog)
@@ -171,7 +192,8 @@ def test_rk4_per_line_init_matches_separate_lines():
 def test_polynomial_build_matches_direct_build(steps):
     # P_k(lam) is a degree-4 polynomial in lam: the Horner values of its
     # monomial coefficients agree with the direct build far outside any
-    # spectral interval, with per-step h
+    # spectral interval, with per-step h; the buffer is padded to whole
+    # blocks with exact identity steps
     n = 4
     table = rng.normal(size=(2 * steps + 1, n, n)) * 0.8
     E = rng.normal(size=(n, n)) * 0.5
@@ -179,9 +201,13 @@ def test_polynomial_build_matches_direct_build(steps):
     lams = np.concatenate((np.linspace(-1e3, 1e3, 41), [0.0, 1e-3, -7.5]))
     ref = direct_propagators(table[None], lams[:, None, None, None] * E, h)
     got = _kernels._horner(_kernels._coefficients(table, E, h), lams)
-    assert got.shape == ref.shape == (len(lams), steps, n, n)
+    b, nb = _kernels._blocks(steps)
+    assert nb * b >= steps > (nb - 1) * b
+    assert ref.shape == (len(lams), steps, n, n)
+    assert got.shape == (len(lams), nb * b, n, n)
     scale = np.max(np.abs(ref), axis=(1, 2, 3), keepdims=True)
-    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+    assert np.all(np.abs(got[:, :steps] - ref) <= 1e-14 * scale)
+    assert np.array_equal(got[:, steps:], np.broadcast_to(np.eye(n), got[:, steps:].shape))
 
 
 @pytest.mark.parametrize("budget", [None, 8 * 16 * 5])
@@ -189,7 +215,8 @@ def test_rk4_endpoint_is_the_last_node(budget, monkeypatch):
     # the endpoint mode expands only the last node, by the same products and
     # reductions: its frame and scale_log equal the full result's last node
     # bit for bit, rescaled or not, across x segments (640 bytes hold 5
-    # steps at n = 4) and with per-line inits
+    # steps at n = 4, and a chunk 4 lines of them) and with per-line inits;
+    # each line equals a one-line call
     if budget:
         monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
     for steps, m, rescale in itertools.product((1, 2, 33, 1000), (1, 2), (True, False)):
@@ -200,6 +227,11 @@ def test_rk4_endpoint_is_the_last_node(budget, monkeypatch):
             assert last.shape == (5, 1, 4, m) and last_log.shape == (5, 1)
             assert np.array_equal(last, frames[:, -1:], equal_nan=True)
             assert np.array_equal(last_log, slog[:, -1:], equal_nan=True)
+            for i in range(len(lams)):
+                one = start if start.ndim == 2 else start[i]
+                fi, si = _kernels.rk4_grid(a_half, E, lams[i:i + 1], one, h, rescale, True)
+                assert np.array_equal(last[i], fi[0], equal_nan=True)
+                assert np.array_equal(last_log[i], si[0], equal_nan=True)
 
 
 def reference_forms(G, H, ATg, ATh):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -17,6 +18,7 @@ from renosc import (
     load_problem,
     propagate_lambda_grid,
 )
+from renosc import _kernels
 from renosc.propagation import propagate_chain
 
 
@@ -253,6 +255,105 @@ def test_invalid_inputs():
         integrate_frame(field, np.array([[1.0], [0.0]]), 0.5, 0.5, 10, 0.0)
     with pytest.raises(InvalidInputError):  # a chain must keep one direction
         propagate_chain(field, np.array([[1.0], [0.0]]), [0.0], 0.0, [(0.5, 4), (0.2, 4)])
+
+
+@pytest.mark.parametrize("lams, runs", [
+    (np.zeros((2, 1)), [(1.0, 10)]),
+    ([np.inf], [(1.0, 10)]),
+    ([0.0], [(1.0, 10.5)]),
+], ids=["2-D-lams", "infinite-lambda", "fractional-steps"])
+def test_propagate_chain_refuses_malformed_input(lams, runs):
+    # refused up front, not as a numpy broadcast error, a blow-up or a
+    # truncated step count
+    with pytest.raises(InvalidInputError):
+        propagate_chain(harmonic_field(), np.array([[1.0], [0.0]]), lams, 0.0, runs)
+
+
+# -- per-chain cache ------------------------------------------------------------
+
+
+def cold_copy(field):
+    """The same field with empty caches."""
+    return CoefficientField(n=field.n, base_table=field.base_table,
+                            lambda_mat=field.lambda_mat)
+
+
+def count_coefficient_builds(monkeypatch):
+    built = []
+    real = _kernels._coefficients
+
+    def counted(*args):
+        built.append(len(args[0]) // 2)  # steps of the x segment
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_coefficients", counted)
+    return built
+
+
+@pytest.mark.parametrize("endpoint", [False, True], ids=["full", "endpoint"])
+@pytest.mark.parametrize("rescale", [False, True])
+def test_chain_coefficients_are_built_once(rescale, endpoint, monkeypatch):
+    # the first sweep of a chain builds C_0..C_4 once per x segment (160
+    # bytes hold 5 steps at n = 2, so 60 steps make 12 segments); a later
+    # sweep, at other lambdas too, builds none and gives the bits of a cold
+    # copy of the field
+    monkeypatch.setattr(_kernels, "STEP_BUDGET", 8 * 4 * 5)
+    built = count_coefficient_builds(monkeypatch)
+    field = varying_field()
+    init = np.array([[0.0], [1.0]])
+    runs = [(0.3, 17), (1.0, 43)]
+    for lams in ([1.0, 4.0, 9.0], [2.5]):
+        built.clear()
+        warm = propagate_chain(field, init, lams, 0.0, runs, rescale, endpoint=endpoint)
+        assert built == ([5] * 12 if lams == [1.0, 4.0, 9.0] else [])
+        cold = propagate_chain(cold_copy(field), init, lams, 0.0, runs, rescale,
+                               endpoint=endpoint)
+        for a, b in zip(warm, cold):
+            assert np.array_equal(a, b)
+
+
+def test_chains_with_different_runs_share_no_coefficients(monkeypatch):
+    # two 20-step chains from x = 0 cut into the same segments but differ in
+    # step size: each keeps its own coefficients and its own bits
+    built = count_coefficient_builds(monkeypatch)
+    field = varying_field()
+    init = np.array([[0.0], [1.0]])
+    for to_x in (0.5, 1.0):
+        got = propagate_chain(field, init, [3.0], 0.0, [(to_x, 20)], True)
+        want = propagate_chain(cold_copy(field), init, [3.0], 0.0, [(to_x, 20)], True)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    assert built == [20] * 4
+    kept = [C for _, coefficients in field._chains.values()
+            for C in coefficients.values()]
+    assert len(kept) == 2 and not np.shares_memory(kept[0], kept[1])
+
+
+def test_replaced_field_starts_with_an_empty_chain_cache():
+    # a field derived by dataclasses.replace with another E or table must not
+    # reuse the coefficients or tables of the field it came from
+    field = varying_field()
+    init = np.array([[0.0], [1.0]])
+    runs = [(1.0, 50)]
+    propagate_chain(field, init, [4.0], 0.0, runs, False)
+    for change in ({"lambda_mat": 2.0 * field.lambda_mat},
+                   {"base_table": harmonic_field().base_table}):
+        derived = replace(field, **change)
+        got = propagate_chain(derived, init, [4.0], 0.0, runs, False)
+        want = propagate_chain(cold_copy(derived), init, [4.0], 0.0, runs, False)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_chain_cache_stays_bounded():
+    # past 64 chains the cache is cleared: it never holds more than 65
+    field = varying_field()
+    init = np.array([[0.0], [1.0]])
+    sizes = []
+    for k in range(1, 141):
+        propagate_chain(field, init, [1.0], 0.0, [(k / 140, 4)], True, endpoint=True)
+        sizes.append(len(field._chains))
+    assert max(sizes) == 65 and sizes[-1] < 65
 
 
 def test_companion_builders_vectorize_over_x():
