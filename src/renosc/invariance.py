@@ -26,6 +26,7 @@ from .errors import InvalidInputError, NeedsFinerGridError, RankDeficiencyError
 from .maslovbox import SpectralProblem, normalized_forms, psi_point
 from .maslovbox import psi_window as _psi_window
 from .multilinear import psi_rho
+from .winding import ZERO_TOL, linear_zero, sign_changes
 
 RHO_ZERO_TOL = 1e-9
 # grid nodes per block of whole lambda lines when a per-node quantity is
@@ -371,18 +372,11 @@ def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2,
     )
 
 
-def _column_zeros(xs, col, tol=1e-12):
-    """x locations where the sampled column changes sign."""
-    out = []
-    for k in range(len(col) - 1):
-        a, b = col[k], col[k + 1]
-        if a == 0.0:
-            out.append(xs[k])
-        elif (a < 0) != (b < 0):
-            out.append(xs[k] - a * (xs[k + 1] - xs[k]) / (b - a))
-    if col[-1] == 0.0:
-        out.append(xs[-1])
-    return out
+def _column_zeros(xs, col):
+    """x locations where the sampled column is exactly zero, then those
+    where it changes sign (at the zero of the linear interpolant)."""
+    zero, k = sign_changes(col, 0.0)
+    return np.concatenate((xs[zero], linear_zero(xs[k], xs[k + 1], col[k], col[k + 1])))
 
 
 def classify_loss_point(problem: SpectralProblem, point: LossPoint,
@@ -401,7 +395,6 @@ def classify_loss_point(problem: SpectralProblem, point: LossPoint,
     w = 2 * d_lam
     h = 2 * d_x
     x_s, lam_s = point.x_star, point.lambda_star
-    edge_tol = 1e-9
 
     psi_cols = None
     window_xs = None
@@ -419,14 +412,10 @@ def classify_loss_point(problem: SpectralProblem, point: LossPoint,
         hi = min(x_s + h, 1.0)
         cols = np.linspace(lam_s - w, lam_s + w, n_cols)
         window_xs, psi_cols, _ = _psi_window(problem, cols, lo, hi, n_rows)
-        top = psi_cols[:, -1]
-        bottom = psi_cols[:, 0]
-        touches = any(
-            np.any(np.abs(edge) <= edge_tol)
-            or np.any((edge[:-1] < 0) != (edge[1:] < 0))
-            for edge in (top, bottom)
-        )
-        if not touches:
+        # a zero or a sign change on the top or bottom side means a branch
+        # leaves the box there
+        scans = [sign_changes(edge, ZERO_TOL) for edge in (psi_cols[:, -1], psi_cols[:, 0])]
+        if not any(zero.any() or len(k) for zero, k in scans):
             clean = True
             break
         h *= 2.0

@@ -25,7 +25,7 @@ from .errors import InvalidInputError, RankDeficiencyError, ShelfAssertionError
 from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde, psi_rho
 from .propagation import (CoefficientField, integrate_frame, propagate_chain,
                           propagate_lambda_grid)
-from .winding import PathSamples, detect_crossings, winding_index
+from .winding import ZERO_TOL, PathSamples, detect_crossings, sign_changes, winding_index
 
 SHELVES = ("bottom", "right", "top", "left")
 
@@ -367,11 +367,8 @@ def _localize_top(problem: SpectralProblem, tol: float):
         raise InvalidInputError(f"tol must be finite and positive, got {tol!r}")
     top = shelf_path(problem, "top")
     lams, p1 = top.ts, top.psi1
-    zero = np.abs(p1) <= 1e-9
+    zero, k = sign_changes(p1, ZERO_TOL)
     eigs = [float(v) for v in lams[zero]]
-
-    # brackets from sign changes between non-zero nodes
-    k = np.flatnonzero(~zero[:-1] & ~zero[1:] & ((p1[:-1] < 0) != (p1[1:] < 0)))
     nodes = np.stack((lams[k], lams[k + 1]), axis=1)
     vals = np.stack((p1[k], p1[k + 1]), axis=1)
     cuts = np.arange(1, _SECTIONS) / _SECTIONS

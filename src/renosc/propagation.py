@@ -224,11 +224,11 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
     one (n, m) frame shared by every lambda line, or one frame per line,
     shaped (len(lams), n, m).  Every line shares one half-step table of the
     field's lambda-free part and the step coefficients built from it, both
-    cached per chain.  `lams` must be a 1-D array of finite numbers and
-    every run's steps a positive integer (InvalidInputError).  Returns (xs,
-    frames, scale_log) in sweep order, xs[0] = from_x, or on an increasing x
-    grid if `increasing`, with frames shaped (len(lams), 1 + steps, n, m);
-    raises BlowUpError with the first x at which some lambda line leaves
+    cached per chain.  `lams` must be a 1-D array of finite numbers, `init`,
+    from_x and every stop finite, and every run's steps a positive integer
+    (InvalidInputError).  Returns (xs, frames, scale_log) in sweep order,
+    xs[0] = from_x, or on an increasing x grid if `increasing`, with frames
+    shaped (len(lams), 1 + steps, n, m); raises BlowUpError with the first x at which some lambda line leaves
     double-precision range.  With `endpoint` only the chain's last node is
     expanded: xs, frames and scale_log hold that node alone, bit for bit the
     last node of the full sweep, and a blow-up is reported at its x.
@@ -242,11 +242,16 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
         raise InvalidInputError("lams must be a 1-D array of finite numbers")
     if init.shape[:-2] not in ((), lams.shape) or init.shape[-2:-1] != (field.n,):
         raise InvalidInputError(f"init must be one {field.n} x m frame or one per lambda")
+    if not np.all(np.isfinite(init)):
+        raise InvalidInputError("init must hold finite numbers")
     runs = tuple((float(to_x), _step_count(steps)) for to_x, steps in runs)
+    stops = [from_x] + [to_x for to_x, _ in runs]
+    if not np.all(np.isfinite(stops)):
+        raise InvalidInputError("from_x and every stop of a chain must be finite")
     if not runs:
         frames = np.broadcast_to(init[..., None, :, :], (len(lams), 1) + init.shape[-2:])
         return np.array([float(from_x)]), frames, np.zeros((len(lams), 1))
-    dx = np.diff([from_x] + [to_x for to_x, _ in runs])
+    dx = np.diff(stops)
     if not (np.all(dx > 0) or np.all(dx < 0)):
         raise InvalidInputError("the stops of a chain must differ and keep one direction")
     h, xh = _half_steps(from_x, runs)

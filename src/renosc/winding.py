@@ -18,6 +18,14 @@ unified rule used here: contribution = (+1 if the arrival is
 counterclockwise) + (-1 if the departure is clockwise), dropping the missing
 side at path endpoints.  A tangential touch (same sign of r on both sides)
 nets 0 and is flagged with direction 0 for review.
+
+Records come from one scan (`sign_changes`): each maximal run of numeric
+zeros of psi1 is one record, and each sign change between adjacent non-zero
+nodes is one record at the zero of the linear interpolant (`linear_zero`,
+in closed form).  A record's arrival and departure are read at the nodes
+just outside its span; a span touching a path end has no node on that side.
+The top-shelf eigenvalue search and the loss-point classification find
+their zeros with the same two functions.
 """
 
 from __future__ import annotations
@@ -33,8 +41,6 @@ from .multilinear import OmegaPairValue
 # |psi1| at or below this is a numeric zero (psi values are Gram-normalized,
 # so an absolute threshold acts relatively).
 ZERO_TOL = 1e-9
-# Bisection width target when refining a sign-change location.
-REFINE_TOL = 1e-10
 RHO_MIN_TOL = 1e-12
 
 
@@ -81,12 +87,12 @@ class PathSamples:
             label=label,
         )
 
-    def check_invariance(self, tol: float = RHO_MIN_TOL):
-        bad = np.where(self.rho <= tol)[0]
+    def check_invariance(self):
+        bad = np.where(self.rho <= RHO_MIN_TOL)[0]
         if len(bad):
             k = int(bad[0])
             raise InvarianceViolationError(
-                f"rho = {self.rho[k]:.3e} <= {tol:g} at node {k}"
+                f"rho = {self.rho[k]:.3e} <= {RHO_MIN_TOL:g} at node {k}"
                 + (f" of {self.label}" if self.label else ""),
                 node=k,
                 shelf=self.label or None,
@@ -118,30 +124,30 @@ def p_point(v) -> np.ndarray:
     return -p if w2 > 0 else p
 
 
-def _refine_zero(t0, t1, f0, f1, tol=REFINE_TOL):
-    """Bisect the linear interpolant of psi1 between two bracketing nodes."""
-    a, b, fa = t0, t1, f0
-    slope = (f1 - f0) / (t1 - t0)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = f0 + slope * (mid - t0)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (fa < 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def sign_changes(values, tol: float):
+    """Numeric zeros and sign changes of a sampled function.
+
+    Returns the mask of nodes with |value| <= tol and the indices k at which
+    nodes k and k+1 are both non-zero and of opposite sign.
+    """
+    v = np.asarray(values, dtype=float)
+    zero = np.abs(v) <= tol
+    neg = v < 0
+    return zero, np.flatnonzero(~zero[:-1] & ~zero[1:] & (neg[:-1] != neg[1:]))
 
 
-def _sign_r(path: PathSamples, k: int, direction: int = 0) -> int:
-    """Sign of r = psi1/psi2 at node k; steps outward past exact psi2 zeros."""
+def linear_zero(t0, t1, f0, f1):
+    """Zero of the linear interpolant through (t0, f0) and (t1, f1)."""
+    return t0 - f0 * (t1 - t0) / (f1 - f0)
+
+
+def _sign_r(path: PathSamples, k: int, direction: int) -> int:
+    """Sign of r = psi1/psi2 at node k, stepping in `direction` past exact
+    psi2 zeros."""
     j = k
     while 0 <= j < len(path.ts):
         if path.psi2[j] != 0.0:
             return 1 if path.psi1[j] / path.psi2[j] > 0 else -1
-        if direction == 0:
-            break
         j += direction
     raise InvarianceViolationError(
         f"second form vanishes identically around node {k}; the form pair "
@@ -151,148 +157,68 @@ def _sign_r(path: PathSamples, k: int, direction: int = 0) -> int:
     )
 
 
-def _nearest_nonzero(zero_mask, k, direction):
-    j = k + direction
-    while 0 <= j < len(zero_mask) and zero_mask[j]:
-        j += direction
-    if 0 <= j < len(zero_mask):
-        return j
-    return None
+def _spans(zero, changes):
+    """(before, after) of every span, ordered by node: the nodes just outside
+    each maximal zero run, and k, k+1 for each sign change."""
+    flips = np.flatnonzero(np.diff(zero, prepend=False, append=False)).tolist()
+    runs = zip([k - 1 for k in flips[::2]], flips[1::2])
+    return sorted([*runs, *((k, k + 1) for k in changes.tolist())])
 
 
-def detect_crossings(
-    path: PathSamples, zero_tol: float = ZERO_TOL, refine_tol: float = REFINE_TOL
-) -> List[CrossingRecord]:
+def detect_crossings(path: PathSamples) -> List[CrossingRecord]:
     """Locate all zeros of psi1: isolated nodes, sign changes, and intervals.
 
-    Sign changes between adjacent non-zero nodes are refined on the linear
-    interpolant; two or more consecutive numeric zeros merge into a single
-    interval record.  Raises InvarianceViolationError if rho vanishes at a
-    node.
+    One record per span, in node order: a maximal run of numeric zeros
+    (|psi1| <= ZERO_TOL; two or more nodes make an interval record), or a
+    sign change between adjacent non-zero nodes, placed at the zero of the
+    linear interpolant.  A span's neighbours are the nodes just outside it;
+    a side without one is a path edge.  Raises InvarianceViolationError if
+    rho vanishes at a node, psi2 vanishes at a crossing, or psi2 is exactly
+    zero on every node to one side of a crossing.
     """
     path.check_invariance()
-    p1 = path.psi1
-    ts = path.ts
-    zero = np.abs(p1) <= zero_tol
-    records: List[CrossingRecord] = []
+    ts, p1, p2 = path.ts, path.psi1, path.psi2
     last = len(ts) - 1
-
-    k = 0
-    while k <= last:
-        if zero[k]:
-            k2 = k
-            while k2 + 1 <= last and zero[k2 + 1]:
-                k2 += 1
-            if k2 > k:
-                rec = CrossingRecord(
-                    t_star=float(ts[k]), kind="interval", direction=0,
-                    contribution=0, t_end=float(ts[k2]), node=k, node_end=k2,
-                )
-            elif k == 0:
-                rec = CrossingRecord(
-                    t_star=float(ts[0]), kind="left-endpoint", direction=0,
-                    contribution=0, node=0,
-                )
-            elif k == last:
-                rec = CrossingRecord(
-                    t_star=float(ts[last]), kind="right-endpoint", direction=0,
-                    contribution=0, node=last,
-                )
-            else:
-                rec = CrossingRecord(
-                    t_star=float(ts[k]), kind="interior", direction=0,
-                    contribution=0, node=k,
-                )
-            records.append(rec)
-            k = k2 + 1
+    records: List[CrossingRecord] = []
+    for before, after in _spans(*sign_changes(p1, ZERO_TOL)):
+        if after == before + 1:  # a sign change
+            t_star = float(linear_zero(ts[before], ts[after], p1[before], p1[after]))
+            rec = CrossingRecord(t_star=t_star, kind="interior", direction=0,
+                                 contribution=0, node=before)
+            w = (t_star - ts[before]) / (ts[after] - ts[before])
+            small, where = abs((1 - w) * p2[before] + w * p2[after]), before
         else:
-            if k < last and not zero[k + 1] and (p1[k] < 0) != (p1[k + 1] < 0):
-                t_star = _refine_zero(ts[k], ts[k + 1], p1[k], p1[k + 1], refine_tol)
-                records.append(
-                    CrossingRecord(
-                        t_star=float(t_star), kind="interior", direction=0,
-                        contribution=0, node=k,
-                    )
-                )
-            k += 1
-
-    _assign_directions(path, records, zero)
+            lo, hi = before + 1, after - 1
+            rec = CrossingRecord(t_star=float(ts[lo]), kind="interior", direction=0,
+                                 contribution=0, node=lo)
+            if hi > lo:
+                rec.kind, rec.t_end, rec.node_end = "interval", float(ts[hi]), hi
+            elif lo == 0:
+                rec.kind = "left-endpoint"
+            elif lo == last:
+                rec.kind = "right-endpoint"
+            where = lo + int(np.argmin(np.abs(p2[lo:hi + 1])))
+            small = abs(p2[where])
+        if small <= ZERO_TOL:
+            raise InvarianceViolationError(
+                f"both forms vanish at the crossing near t = {rec.t_star:.6g} "
+                f"(|psi2| = {small:.3e})",
+                node=where,
+                shelf=path.label or None,
+            )
+        # +1 counterclockwise: r rises to 0 on arrival and leaves 0 upward on
+        # departure; a path edge has no side there (0)
+        arrival = -_sign_r(path, before, -1) if before >= 0 else 0
+        departure = _sign_r(path, after, +1) if after <= last else 0
+        rec.contribution = int(arrival == 1) - int(departure == -1)
+        if rec.kind == "left-endpoint":
+            rec.direction = departure
+        elif rec.kind == "right-endpoint":
+            rec.direction = arrival
+        else:  # 0 for a tangential touch or a one-sided interval
+            rec.direction = arrival if arrival == departure else 0
+        records.append(rec)
     return records
-
-
-def _check_crossing_nondegenerate(path, rec, zero_mask, tol=ZERO_TOL):
-    """Both forms vanishing at a crossing means invariance fails right there."""
-    if rec.kind == "interval":
-        span = slice(rec.node, rec.node_end + 1)
-        small = np.min(np.abs(path.psi2[span]))
-        where = rec.node + int(np.argmin(np.abs(path.psi2[span])))
-    elif rec.node is not None and zero_mask[rec.node]:
-        small = abs(path.psi2[rec.node])
-        where = rec.node
-    else:
-        k = rec.node
-        t0, t1 = path.ts[k], path.ts[k + 1]
-        w = (rec.t_star - t0) / (t1 - t0)
-        small = abs((1 - w) * path.psi2[k] + w * path.psi2[k + 1])
-        where = k
-    if small <= tol:
-        raise InvarianceViolationError(
-            f"both forms vanish at the crossing near t = {rec.t_star:.6g} "
-            f"(|psi2| = {small:.3e})",
-            node=where,
-            shelf=path.label or None,
-        )
-
-
-def _assign_directions(path, records, zero_mask):
-    """Fill direction and contribution on each record in place."""
-    last = len(path.ts) - 1
-    for rec in records:
-        _check_crossing_nondegenerate(path, rec, zero_mask)
-        if rec.kind == "interval":
-            k_lo, k_hi = rec.node, rec.node_end
-        elif rec.node is not None and zero_mask[rec.node]:
-            k_lo = k_hi = rec.node
-        else:
-            # sign-change crossing between node and node+1
-            k_lo, k_hi = rec.node, rec.node + 1
-
-        if zero_mask[k_lo] or rec.kind == "interval":
-            j_before = _nearest_nonzero(zero_mask, k_lo, -1)
-            j_after = _nearest_nonzero(zero_mask, k_hi, +1)
-        else:
-            j_before, j_after = k_lo, k_hi
-
-        arrival = 0
-        departure = 0
-        if j_before is not None:
-            # r approaching 0 from below turns counterclockwise
-            arrival = +1 if _sign_r(path, j_before, -1) < 0 else -1
-        if j_after is not None:
-            departure = +1 if _sign_r(path, j_after, +1) > 0 else -1
-
-        at_left_edge = rec.kind == "left-endpoint" or (
-            rec.kind == "interval" and rec.node == 0
-        )
-        at_right_edge = rec.kind == "right-endpoint" or (
-            rec.kind == "interval" and rec.node_end == last
-        )
-        contribution = 0
-        if not at_left_edge and arrival == +1:
-            contribution += 1
-        if not at_right_edge and departure == -1:
-            contribution -= 1
-
-        if arrival == +1 and departure == +1:
-            rec.direction = +1
-        elif arrival == -1 and departure == -1:
-            rec.direction = -1
-        else:
-            rec.direction = 0  # tangential touch or endpoint one-sided case
-        if rec.kind in ("left-endpoint", "right-endpoint"):
-            # one-sided difference fixes the record's direction at endpoints
-            rec.direction = departure if rec.kind == "left-endpoint" else arrival
-        rec.contribution = contribution
 
 
 def winding_index(path: PathSamples):

@@ -194,6 +194,20 @@ def test_example3_classification(example3, example3_scan):
     assert not left.flagged and not right.flagged
 
 
+@pytest.mark.parametrize("col, zeros", [
+    ([-1.0, 0.0, 1.0], [0.25]),
+    ([1.0, 0.0, -1.0], [0.25]),
+    ([0.0, 1.0, -1.0], [0.0, 0.375]),
+    ([1.0, -1.0, 0.0], [0.5, 0.125]),
+])
+def test_column_zeros_count_an_exact_zero_once(col, zeros):
+    # a zero node is one zero whichever sign comes before it, so the branch
+    # counts i_minus, i_plus and the "more than two branches" flag do not
+    # depend on it
+    xs = np.linspace(0.0, 1.0, 5)[:3]
+    assert invariance._column_zeros(xs, np.array(col)).tolist() == zeros
+
+
 def test_transversal_point_classifies_to_zero(example3):
     """A point on the spectral curve where it crosses a lambda line
     transversally: one branch in, one branch out, net zero."""

@@ -269,6 +269,22 @@ def test_propagate_chain_refuses_malformed_input(lams, runs):
         propagate_chain(harmonic_field(), np.array([[1.0], [0.0]]), lams, 0.0, runs)
 
 
+@pytest.mark.parametrize("init, from_x, runs", [
+    ([[np.nan], [0.0]], 0.0, [(1.0, 10)]),
+    ([[1.0], [np.inf]], 0.0, [(1.0, 10)]),
+    ([[1.0], [0.0]], 0.0, [(np.inf, 10)]),
+    ([[1.0], [0.0]], 0.0, [(0.5, 4), (np.nan, 4)]),
+    ([[1.0], [0.0]], -np.inf, [(1.0, 10)]),
+    ([[1.0], [0.0]], np.nan, []),
+], ids=["nan-init", "infinite-init", "infinite-stop", "nan-stop", "infinite-from-x",
+        "nan-from-x-no-runs"])
+def test_propagate_chain_refuses_non_finite_input(init, from_x, runs):
+    # named as bad input, not as a blow-up "near x = 0" or "near x = inf",
+    # nor as stops that do not keep one direction
+    with pytest.raises(InvalidInputError, match="finite"):
+        propagate_chain(harmonic_field(), np.array(init), [0.0], from_x, runs)
+
+
 # -- per-chain cache ------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from renosc import (
     winding_index,
 )
 from renosc.multilinear import OmegaPairValue
+from renosc.winding import ZERO_TOL, CrossingRecord, _sign_r
 
 
 def path(ts, psi1, psi2):
@@ -84,6 +85,129 @@ def test_interval_record_merges_consecutive_zeros():
     assert recs[0].kind == "interval"
     assert recs[0].t_star == pytest.approx(0.4)
     assert recs[0].t_end == pytest.approx(0.6)
+
+
+def test_sign_change_sits_at_the_interpolant_zero():
+    rec, = detect_crossings(path([0.0, 1.0], [-1.0, 2.0], [1.0, 1.0]))
+    assert abs(rec.t_star - 1 / 3) <= np.spacing(1 / 3)
+
+
+def test_unorientable_crossing_is_refused():
+    # psi2 is exactly zero on every node left of the sign change, so the
+    # arrival side has no sign of r to read
+    ts = np.linspace(0, 1, 11)
+    psi2 = np.where(np.arange(11) <= 5, 0.0, 1.0)
+    with pytest.raises(InvarianceViolationError,
+                       match="second form vanishes identically") as err:
+        detect_crossings(path(ts, ts - 0.55, psi2))
+    assert err.value.node == 5
+
+
+# -- the node-by-node record loop, as a reference -------------------------------
+
+
+def _nearest_nonzero(zero, k, direction):
+    j = k + direction
+    while 0 <= j < len(zero) and zero[j]:
+        j += direction
+    return j if 0 <= j < len(zero) else None
+
+
+def reference_crossings(p):
+    """A record loop over the nodes, then a pass that checks each record for
+    vanishing psi2 and reads its directions at the nearest non-zero nodes;
+    sign changes sit at the closed-form zero."""
+    p.check_invariance()
+    ts, p1, p2 = p.ts, p.psi1, p.psi2
+    zero = np.abs(p1) <= ZERO_TOL
+    last = len(ts) - 1
+    recs = []
+    k = 0
+    while k <= last:
+        if zero[k]:
+            k2 = k
+            while k2 + 1 <= last and zero[k2 + 1]:
+                k2 += 1
+            kind = ("interval" if k2 > k else "left-endpoint" if k == 0
+                    else "right-endpoint" if k == last else "interior")
+            rec = CrossingRecord(float(ts[k]), kind, 0, 0, node=k)
+            if k2 > k:
+                rec.t_end, rec.node_end = float(ts[k2]), k2
+            recs.append(rec)
+            k = k2 + 1
+        else:
+            if k < last and not zero[k + 1] and (p1[k] < 0) != (p1[k + 1] < 0):
+                t = float(ts[k] - p1[k] * (ts[k + 1] - ts[k]) / (p1[k + 1] - p1[k]))
+                recs.append(CrossingRecord(t, "interior", 0, 0, node=k))
+            k += 1
+    for rec in recs:
+        if rec.kind == "interval":
+            span = np.abs(p2[rec.node:rec.node_end + 1])
+            small, where = np.min(span), rec.node + int(np.argmin(span))
+            k_lo, k_hi = rec.node, rec.node_end
+        elif zero[rec.node]:
+            small, where = abs(p2[rec.node]), rec.node
+            k_lo = k_hi = rec.node
+        else:
+            k = rec.node
+            w = (rec.t_star - ts[k]) / (ts[k + 1] - ts[k])
+            small, where = abs((1 - w) * p2[k] + w * p2[k + 1]), k
+            k_lo, k_hi = k, k + 1
+        if small <= ZERO_TOL:
+            raise InvarianceViolationError("both forms vanish", node=where)
+        if zero[k_lo]:
+            j_before = _nearest_nonzero(zero, k_lo, -1)
+            j_after = _nearest_nonzero(zero, k_hi, +1)
+        else:
+            j_before, j_after = k_lo, k_hi
+        arrival = departure = 0
+        if j_before is not None:
+            arrival = +1 if _sign_r(p, j_before, -1) < 0 else -1
+        if j_after is not None:
+            departure = +1 if _sign_r(p, j_after, +1) > 0 else -1
+        at_left = rec.kind == "left-endpoint" or (rec.kind == "interval" and rec.node == 0)
+        at_right = rec.kind == "right-endpoint" or (
+            rec.kind == "interval" and rec.node_end == last)
+        rec.contribution = int(not at_left and arrival == 1) - int(
+            not at_right and departure == -1)
+        rec.direction = arrival if arrival == departure else 0
+        if rec.kind == "left-endpoint":
+            rec.direction = departure
+        elif rec.kind == "right-endpoint":
+            rec.direction = arrival
+    return recs
+
+
+def random_short_path(rng):
+    """A few nodes whose psi1 holds zero runs, near-zeros on both sides of
+    ZERO_TOL and exact sign changes, and whose psi2 holds exact zeros."""
+    n = int(rng.integers(2, 12))
+    ts = np.cumsum(rng.uniform(0.05, 1.0, n))
+    special = np.array([0.0, 0.0, -0.0, 1e-10, -1e-10, 3e-9, -3e-9, 1.0, -1.0])
+    psi1 = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.normal(size=n))
+    psi2 = np.where(rng.random(n) < 0.2, 0.0, rng.choice([-2.0, -0.5, 0.5, 1.0], n))
+    return path(ts, psi1, psi2)
+
+
+def outcome(find, p):
+    try:
+        return find(p), None
+    except InvarianceViolationError as err:
+        return None, err.node
+
+
+def test_records_match_the_node_by_node_reference():
+    rng = np.random.default_rng(15)
+    with_records = refused = 0
+    for _ in range(6000):
+        p = random_short_path(rng)
+        got, got_node = outcome(detect_crossings, p)
+        want, want_node = outcome(reference_crossings, p)
+        assert got_node == want_node
+        assert got == want  # every field, t_star exactly
+        with_records += bool(got)
+        refused += got_node is not None
+    assert with_records > 1000 and refused > 500
 
 
 # -- direction ---------------------------------------------------------------
