@@ -43,16 +43,7 @@ from .maslovbox import (
     renormalized_count,
     shelf_path,
 )
-from .multilinear import (
-    BlockLambdaMatrix,
-    Frame,
-    OmegaPairValue,
-    build_A_tilde,
-    gram_volume,
-    omega1_eval,
-    omega2_eval,
-    psi_rho,
-)
+from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde
 from .problems import (
     CATALOG,
     ProblemConfig,

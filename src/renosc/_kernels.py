@@ -2,9 +2,10 @@
 
 Both kernels are batched numpy: `rk4_grid` propagates every lambda line of a
 batch at once, `omega_tables` evaluates the forms over all nodes in chunks.
-It is the one evaluator of omega2 and of the Gram normalization d, and
-`gram_volumes` and `volume_rates` give a frame's volume data; the scalar
-functions of `multilinear` are validated one-node views of them.  Per-call
+It is the one evaluator of omega1, omega2 and the Gram normalization d (a
+single node is a batch of one), and `volume_rates` gives a frame's volume
+data.  COLLAPSE_TOL is the one rank rule, for given and propagated frames
+alike (`multilinear.Frame` applies it through `volume_rates`).  Per-call
 timings on an example2-sized problem are part of the pipeline benchmark
 (`python3 benchmarks/pipeline/run.py --trace 1`).
 
@@ -293,16 +294,6 @@ def _chain(P, steps, frames, slog, rescale):
         s = s + (m_log_s[:, k] + np.sum(np.log(nrm), axis=-1))
     frames[:, 1:] = nodes
     slog[:, 1:] = s
-
-
-def gram_volumes(F):
-    """|Pluecker(F)| per node: the m-volume spanned by each frame's columns.
-
-    F: frames (..., n, m); returns shape F.shape[:-2].  By Cauchy-Binet this
-    is sqrt(det(F^T F)), without forming F^T F.
-    """
-    F = np.asarray(F, dtype=float)
-    return np.sqrt(_sum_rows(np.square(_minors(np.moveaxis(F, (-2, -1), (0, 1))))))
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, NeedsFinerGridError, RankDeficiencyError
-from .maslovbox import SpectralProblem, normalized_forms, psi_point
+from .maslovbox import SpectralProblem, normalized_forms, psi_point, shelf_path
 from .maslovbox import psi_window as _psi_window
-from .multilinear import psi_rho
 from .winding import ZERO_TOL, linear_zero, sign_changes
 
 RHO_ZERO_TOL = 1e-9
@@ -105,11 +104,6 @@ class ScanResult:
 # ---------------------------------------------------------------------------
 # helpers shared by the certificate and the scan
 # ---------------------------------------------------------------------------
-
-
-def gram_log_derivatives(field, frames, xs, lam):
-    """Per-node d/dx log of the frames' volume, ghat^T D_m(A) ghat / |ghat|^2."""
-    return _volume_rates(frames, field.table(xs, lam))[1]
 
 
 def _volume_rates(frames, A):
@@ -233,7 +227,7 @@ def constants_report(problem: SpectralProblem) -> InvarianceReport:
     else:
         delta_mode = "grid-fd"
 
-    rho0 = psi_rho(problem.P.entries, hp.frames[0], problem.a_tilde()).rho
+    rho0 = float(shelf_path(problem, "bottom").rho[0])
     C = 2 * C_d + max(2 * C_a, 1.0) + 1.0
     if delta == 0.0:
         growth = 0.0
@@ -307,14 +301,13 @@ def _newton_polish(problem: SpectralProblem, x0: float, lam0: float,
 
 
 def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2,
-                  candidate_tol: float = 1e-3,
-                  zero_tol: float = RHO_ZERO_TOL) -> ScanResult:
+                  candidate_tol: float = 1e-3) -> ScanResult:
     """Evaluate rho over the whole grid and hunt down interior zeros.
 
     Grid-local minima below candidate_tol are refined by `refine_rounds`
     rounds of 10x local grid refinement and then polished by a Newton
     iteration on (psi1, psi2); a candidate is kept as a loss point only if
-    the polished rho falls below zero_tol.
+    the polished rho falls below RHO_ZERO_TOL.
     """
     psi1, psi2, rho = _psi_grids(problem)
     lams = problem.lambda_grid()
@@ -354,7 +347,7 @@ def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2,
                                            hx=max(span_x, 1e-7),
                                            hl=max(span_l, 1e-6))
         inside = 0.0 < x_c < 1.0 and problem.lambda1 < lam_c < problem.lambda2
-        if rho_c < zero_tol and inside:
+        if rho_c < RHO_ZERO_TOL and inside:
             found.append(LossPoint(x_star=x_c, lambda_star=lam_c, rho=rho_c))
 
     # merge duplicates that converged to the same zero
@@ -381,14 +374,15 @@ def _column_zeros(xs, col):
 
 def classify_loss_point(problem: SpectralProblem, point: LossPoint,
                         others: Tuple[LossPoint, ...] = (),
-                        n_cols: int = 33, n_rows: int = 160,
+                        n_cols: int = 33,
                         max_doublings: int = 5) -> LossPoint:
     """Fill in the local branch counts and the 2 (i_plus - i_minus) index.
 
-    Builds a box around the point, 4 coarse lambda-cells wide, doubling its
-    x-height until every spectral-curve branch enters and leaves through the
-    vertical sides; then i_minus counts zeros on the left side below x_star
-    and i_plus zeros on the right side above x_star.
+    Builds a box around the point, 4 coarse lambda-cells wide in n_cols
+    columns of 160 x steps, doubling its x-height until every spectral-curve
+    branch enters and leaves through the vertical sides; then i_minus counts
+    zeros on the left side below x_star and i_plus zeros on the right side
+    above x_star.
     """
     d_lam = (problem.lambda2 - problem.lambda1) / problem.lambda_steps
     d_x = 1.0 / problem.x_steps
@@ -411,7 +405,7 @@ def classify_loss_point(problem: SpectralProblem, point: LossPoint,
         lo = max(x_s - h, 0.0)
         hi = min(x_s + h, 1.0)
         cols = np.linspace(lam_s - w, lam_s + w, n_cols)
-        window_xs, psi_cols, _ = _psi_window(problem, cols, lo, hi, n_rows)
+        window_xs, psi_cols, _ = _psi_window(problem, cols, lo, hi, 160)
         # a zero or a sign change on the top or bottom side means a branch
         # leaves the box there
         scans = [sign_changes(edge, ZERO_TOL) for edge in (psi_cols[:, -1], psi_cols[:, 0])]

@@ -22,12 +22,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, RankDeficiencyError, ShelfAssertionError
-from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde, psi_rho
+from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde
 from .propagation import (CoefficientField, integrate_frame, propagate_chain,
                           propagate_lambda_grid)
 from .winding import ZERO_TOL, PathSamples, detect_crossings, sign_changes, winding_index
 
 SHELVES = ("bottom", "right", "top", "left")
+# Bracket width to which top-shelf eigenvalues are localized.
+EIG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -198,15 +200,11 @@ def shelf_path(problem: SpectralProblem, shelf: str) -> PathSamples:
     ATg, ATh = AT.block_g, AT.block_h
     hp = problem.h_path()
 
-    if shelf == "bottom":
+    if shelf == "bottom":  # x = 0 does not depend on lambda: one node, repeated
         lams = problem.lambda_grid()
-        v = psi_rho(problem.P.entries, hp.frames[0], AT)
-        const = lambda val: np.full(len(lams), val)
-        return PathSamples(
-            ts=lams, omega1=const(v.omega1), omega2=const(v.omega2),
-            d=const(v.d), psi1=const(v.psi1), psi2=const(v.psi2),
-            rho=const(v.rho), label="bottom",
-        )
+        tables = _kernels.omega_tables(problem.P.entries[None], hp.frames[0], ATg, ATh)
+        return _samples_from_tables(lams, *(np.repeat(t, len(lams)) for t in tables),
+                                    "bottom")
     if shelf == "top":
         lams = problem.lambda_grid()
         w1, w2, d = _kernels.omega_tables(problem.top_frames(), problem.Q.entries, ATg, ATh)
@@ -398,7 +396,7 @@ def _localize_top(problem: SpectralProblem, tol: float):
     return sorted(eigs), [float(v) for v in lams[1:-1][dip]]
 
 
-def localize_eigenvalues_top(problem: SpectralProblem, tol: float = 1e-8) -> List[float]:
+def localize_eigenvalues_top(problem: SpectralProblem, tol: float = EIG_TOL) -> List[float]:
     """Zeros of psi1(1; .) on the spectral interval, bracketed to width <= tol.
 
     These are exactly the lambda at which the forward family meets the
@@ -430,7 +428,7 @@ def renormalized_count(problem: SpectralProblem):
     return len(xs), xs
 
 
-def compute_box(problem: SpectralProblem, eig_tol: float = 1e-8) -> MaslovBoxReport:
+def compute_box(problem: SpectralProblem) -> MaslovBoxReport:
     """Assemble all four shelves into indices, m_frak and the lower bound."""
     samples = {shelf: shelf_path(problem, shelf) for shelf in SHELVES}
     for shelf in SHELVES:
@@ -451,7 +449,7 @@ def compute_box(problem: SpectralProblem, eig_tol: float = 1e-8) -> MaslovBoxRep
     lower = abs(indices["left"] + m_frak)
     left_crossings = [r.t_star for r in records["left"]]
 
-    eigs, degenerate = _localize_top(problem, eig_tol)
+    eigs, degenerate = _localize_top(problem, EIG_TOL)
 
     ratios = monotonicity_audit(problem) if problem.field.structure_b else []
     violations = [(x, r) for (x, r) in ratios if abs(r - 1.0) > 1e-3]

@@ -36,7 +36,6 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import InvalidInputError, InvarianceViolationError
-from .multilinear import OmegaPairValue
 
 # |psi1| at or below this is a numeric zero (psi values are Gram-normalized,
 # so an absolute threshold acts relatively).
@@ -46,7 +45,11 @@ RHO_MIN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PathSamples:
-    """A sampled path of form values on an increasing parameter grid."""
+    """A sampled path of form values on an increasing parameter grid.
+
+    Every sample must be finite (InvalidInputError): a NaN compares false
+    both ways and would hide or invent a crossing.
+    """
 
     ts: np.ndarray
     omega1: np.ndarray
@@ -61,12 +64,16 @@ class PathSamples:
         ts = np.asarray(self.ts, dtype=float)
         if ts.ndim != 1 or len(ts) < 2:
             raise InvalidInputError("need at least two samples")
+        if not np.all(np.isfinite(ts)):
+            raise InvalidInputError("parameter grid must be finite")
         if np.any(np.diff(ts) <= 0):
             raise InvalidInputError("parameter grid must be strictly increasing")
         for name in ("omega1", "omega2", "d", "psi1", "psi2", "rho"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != ts.shape:
                 raise InvalidInputError(f"{name} has wrong length")
+            if not np.all(np.isfinite(arr)):
+                raise InvalidInputError(f"{name} has non-finite samples")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "ts", ts)
 
@@ -113,11 +120,14 @@ class CrossingRecord:
 def p_point(v) -> np.ndarray:
     """Unit-circle point tracked by the index.
 
-    Maps the projective pair [omega1 : omega2] to the left half circle closed
-    up at (0, +-1); crossings sit at (-1, 0).
+    Maps a (psi1, psi2) pair, or any positive multiple of it such as
+    (omega1, omega2), to the left half circle closed up at (0, +-1);
+    crossings sit at (-1, 0).
     """
-    w1, w2 = (v.psi1, v.psi2) if isinstance(v, OmegaPairValue) else (v[0], v[1])
+    w1, w2 = v
     r = np.hypot(w1, w2)
+    if not np.isfinite(r):
+        raise InvalidInputError("p needs finite form values")
     if r == 0.0:
         raise InvarianceViolationError("p is undefined where both forms vanish")
     p = np.array([w2 / r, w1 / r])

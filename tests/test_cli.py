@@ -252,6 +252,21 @@ def test_collapsed_frames_exit_2(command, tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_rank_deficient_boundary_frame_exits_2(tmp_path, capsys):
+    # P's columns are parallel to within 1e-10: a squared volume ratio of
+    # 1e-20, below the collapse floor, so the frame is refused on loading
+    doc = {**STIFF, "V": [["0", "0"], ["0", "0"]],
+           "P": [[1.0, 1.0], [0.0, 1e-10], [0.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["left-shelf", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "rank-deficient frame" in err
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
 def test_linalg_error_exits_2(monkeypatch, tmp_path, capsys):
     import numpy as np
 

@@ -21,7 +21,6 @@ from renosc.invariance import (
     LossPoint,
     _newton_polish,
     _psi_grids,
-    gram_log_derivatives,
 )
 
 # zeros of (psi1, psi2) for the example3 configuration, as given by the
@@ -101,8 +100,8 @@ def test_gram_bounds_hold_on_example1_paths(example1):
     hp = example1.h_path()
     xs = example1.x_grid()
     gp = example1.g_path(example1.lambda1)
-    dg = np.abs(gram_log_derivatives(example1.field, gp.frames, xs,
-                                     example1.lambda1))
+    dg = np.abs(_kernels.volume_rates(gp.frames,
+                                      example1.field.table(xs, example1.lambda1))[1])
     # scalar column: |d/dx log |g|| <= ||A|| exactly, i.e. m! C_A / c_g^2
     assert np.max(dg) <= rep.C_g + 1e-9
     # and the normalization factors away from zero:
@@ -120,8 +119,9 @@ def test_gram_log_derivatives_match_long_double_reference():
     problem = load_problem(cfg)
     xs = problem.x_grid()
     for lam, frames in zip(problem.lambda_grid(), problem.lambda_grid_frames()):
-        got = gram_log_derivatives(problem.field, frames, xs, lam)
-        want = reference_volume_rates(frames, problem.field.table(xs, lam))[1]
+        A = problem.field.table(xs, lam)
+        got = _kernels.volume_rates(frames, A)[1]
+        want = reference_volume_rates(frames, A)[1]
         assert np.max(np.abs(got - want)) <= 1e-12
 
 

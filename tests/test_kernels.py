@@ -9,6 +9,8 @@ matmuls per stage; the kernel's polynomial build must agree with it.
 definition of the forms, one node at a time: det([G H]), the
 column-replacement sum of determinants and sqrt(det(F^T F));
 `_kernels.omega_tables` pairs Pluecker vectors instead, and must agree with it.
+`plucker_volume` is the frame volume the kernels multiply into d and divide
+into the ratio, from their own minors.
 `reference_volume_rates` is the Gram definition of the column-volume ratio and
 the volume log-derivative, tr((F^T F)^-1 F^T A F), in long double;
 `_kernels.volume_rates` takes both from the Pluecker vector instead.
@@ -19,9 +21,18 @@ import itertools
 import numpy as np
 import pytest
 
-from renosc import _kernels
+from renosc import Frame, RankDeficiencyError, _kernels
 
 rng = np.random.default_rng(5)
+
+
+def plucker_volume(F):
+    """|Pluecker(F)| per node of (..., n, m) frames, sqrt(det(F^T F)) by
+    Cauchy-Binet, with no collapse rule: the kernels' own minors and sum, so
+    it equals the volume inside omega_tables' d and volume_rates' ratio bit
+    for bit wherever the frame has not collapsed."""
+    M = _kernels._minors(np.moveaxis(np.asarray(F, dtype=float), (-2, -1), (0, 1)))
+    return np.sqrt(_kernels._sum_rows(M * M))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the stiff leg overflows
@@ -115,8 +126,8 @@ def test_rk4_matches_sequential_reference(steps):
             assert_rel_close(slog, ref_slog)
             out[rescale] = frames, slog
         if m == 2:
-            raw = _kernels.gram_volumes(out[False][0])
-            rescaled = _kernels.gram_volumes(out[True][0]) * np.exp(out[True][1])
+            raw = plucker_volume(out[False][0])
+            rescaled = plucker_volume(out[True][0]) * np.exp(out[True][1])
             assert np.allclose(raw, rescaled, rtol=1e-12, atol=0)
 
 
@@ -269,8 +280,7 @@ def test_omega_tables_match_reference_forms(n, m):
     for got, want, scale in zip(out, ref, (vol, vol * growth, vol)):
         assert got.shape == (nodes,)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
-    assert np.array_equal(_kernels.gram_volumes(G) * _kernels.gram_volumes(H),
-                          out[2])
+    assert np.array_equal(plucker_volume(G) * plucker_volume(H), out[2])
 
 
 def reference_volume_rates(F, A):
@@ -315,7 +325,7 @@ def test_volume_rates_match_long_double_reference(n, m):
     assert np.all(np.abs(rate - ref_rate) <= 4e-15 * scale)
     # the ratio is the Gram volume over the product of the column norms, bit for bit
     norms = np.sqrt(np.sum(G * G, axis=-2))
-    assert np.array_equal(ratio, _kernels.gram_volumes(G) / np.prod(norms, axis=-1))
+    assert np.array_equal(ratio, plucker_volume(G) / np.prod(norms, axis=-1))
 
 
 def test_volume_rates_do_not_depend_on_the_batch():
@@ -333,7 +343,8 @@ def test_volume_rates_do_not_depend_on_the_batch():
 def test_collapse_rule():
     # two columns parallel to within 1e-10: the squared volume ratio, 1e-20,
     # is below the 2^-52 floor, so d is NaN; a volume ratio of 1e-3 (the
-    # size of example3's c_g) is well above it
+    # size of example3's c_g) is well above it.  A given frame is held to
+    # the same rule.
     n = 4
     ATg, ATh = rng.normal(size=(2, n, n))
     H = rng.normal(size=(n, 2))
@@ -343,9 +354,14 @@ def test_collapse_rule():
     u *= np.linalg.norm(g) / np.linalg.norm(u)
     for eps, collapsed in ((1e-10, True), (1e-3, False)):
         G = np.stack([g, g + eps * u], axis=1)
-        ratio = _kernels.gram_volumes(G) / np.prod(np.linalg.norm(G, axis=0))
+        ratio = plucker_volume(G) / np.prod(np.linalg.norm(G, axis=0))
         assert ratio == pytest.approx(eps, rel=1e-3)
         assert np.isnan(_kernels.volume_rates(G, ATg)[0]) == collapsed
+        if collapsed:
+            with pytest.raises(RankDeficiencyError, match="rank-deficient frame"):
+                Frame(G)
+        else:
+            assert Frame(G).cols == 2
         w1, w2, d = (t[0] for t in _kernels.omega_tables(G[None], H, ATg, ATh))
         assert np.isfinite(w1) and np.isfinite(w2)
         assert np.isnan(d) == collapsed

@@ -19,7 +19,6 @@ from renosc import (
     integrate_frame,
     omega_at_points,
     psi_point,
-    psi_rho,
     psi_window,
     renormalized_count,
     shelf_path,
@@ -352,11 +351,14 @@ def test_psi_point_matches_psi_rho_on_separate_frames(example2, x):
     if x < 1.0:
         H = integrate_frame(problem.field, H, 1.0, x, lead_steps(problem, 1.0 - x),
                             problem.lambda2).frames[0]
-    ref = psi_rho(G, H, problem.a_tilde())
+    AT = problem.a_tilde()
+    w1, w2, d = (float(t[0]) for t in _kernels.omega_tables(G[None], H, AT.block_g,
+                                                             AT.block_h))
+    ref1, ref2 = w1 / d, w2 / d
     p1, p2, rho = psi_point(problem, x, lam)
-    assert p1 == pytest.approx(ref.psi1, abs=1e-12)
-    assert p2 == pytest.approx(ref.psi2, abs=1e-12)
-    assert rho == pytest.approx(ref.rho, abs=1e-12)
+    assert p1 == pytest.approx(ref1, abs=1e-12)
+    assert p2 == pytest.approx(ref2, abs=1e-12)
+    assert rho == pytest.approx(0.5 * (ref1 * ref1 + ref2 * ref2), abs=1e-12)
 
 
 def test_psi1_at_one_equals_top_shelf():

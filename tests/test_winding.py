@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from renosc import (
+    InvalidInputError,
     InvarianceViolationError,
     PathSamples,
     detect_crossings,
     p_point,
     winding_index,
 )
-from renosc.multilinear import OmegaPairValue
 from renosc.winding import ZERO_TOL, CrossingRecord, _sign_r
 
 
@@ -18,8 +18,7 @@ def path(ts, psi1, psi2):
 
 
 def value(w1, w2):
-    d = 1.0
-    return OmegaPairValue(w1, w2, d, w1, w2, 0.5 * (w1 ** 2 + w2 ** 2))
+    return w1, w2
 
 
 # -- p_point -----------------------------------------------------------------
@@ -47,6 +46,31 @@ def test_p_point_unit_circle():
 def test_p_point_rejects_origin():
     with pytest.raises(InvarianceViolationError):
         p_point(value(0.0, 0.0))
+
+
+@pytest.mark.parametrize("pair", [(np.nan, 1.0), (1.0, np.nan), (np.inf, np.nan),
+                                  (np.inf, 1.0)])
+def test_p_point_rejects_non_finite_pair(pair):
+    with pytest.raises(InvalidInputError):
+        p_point(value(*pair))
+
+
+# a NaN compares false both ways: in psi1 it splits one crossing into two
+# records of opposite sign, in ts it passes the increasing check
+NON_FINITE = {
+    "psi1 nan": ([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, np.nan, -1.0, -1.0, -1.0], 1.0),
+    "psi2 nan": ([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, 1.0, -1.0, -1.0, -1.0],
+                 [1.0, 1.0, np.nan, 1.0, 1.0]),
+    "ts nan": ([0.0, np.nan, 1.0], [1.0, -1.0, -1.0], 1.0),
+    "ts inf": ([0.0, 0.5, np.inf], [1.0, 1.0, -1.0], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_path_samples_refuse_non_finite(case):
+    ts, psi1, psi2 = NON_FINITE[case]
+    with pytest.raises(InvalidInputError, match="finite"):
+        path(ts, psi1, np.broadcast_to(psi2, len(ts)))
 
 
 # -- detection ---------------------------------------------------------------
