@@ -460,7 +460,7 @@ def _matvec(K, x):
 
 
 @np.errstate(invalid="ignore")  # NaN frames give NaN; callers refuse it
-def omega_tables(G, H, ATg, ATh, chunk=None):
+def omega_tables(G, H, ATg, ATh):
     """Evaluate omega1, omega2 and the Gram normalization along matched nodes.
 
     G: frames (..., n, m), one node per leading index, 0 < m < n.  H
@@ -469,9 +469,9 @@ def omega_tables(G, H, ATg, ATh, chunk=None):
     node; it is never materialized.  Returns (omega1, omega2, d), each of
     shape G.shape[:-2]; d is NaN where either frame collapsed (see
     COLLAPSE_TOL).  The H side (J hhat, K hhat and |hhat|) is computed once
-    per H frame.  Nodes are processed at most `chunk` at a time (default:
-    as many as FORM_BUDGET bytes of temporaries hold); a node's values do
-    not depend on its chunk or batch.
+    per H frame.  Nodes are processed in chunks of as many as FORM_BUDGET
+    bytes of temporaries hold; a node's values do not depend on its chunk
+    or batch.
     """
     G = np.asarray(G, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -487,8 +487,7 @@ def omega_tables(G, H, ATg, ATh, chunk=None):
     K = np.zeros(len(comp) ** 2)
     np.add.at(K, dst, coef * np.concatenate((ATg.ravel(), ATh.ravel()))[src])
     K = K.reshape(len(comp), len(comp))
-    if chunk is None:
-        chunk = max(1, FORM_BUDGET // (8 * (6 * len(comp) + n * n)))
+    chunk = max(1, FORM_BUDGET // (8 * (6 * len(comp) + n * n)))
     S = math.prod(H.shape[:-2])
     R = math.prod(lead) // S if S else 0  # G nodes per H frame
     G, H = G.reshape(R, S, n, m), H.reshape(S, n, n - m)

@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 CSV_COLUMNS = "param,omega1,omega2,psi1,psi2,rho"
+HEATMAP_CELLS = 200  # heat-map cells per axis
 
 
 def fmt(value) -> str:
@@ -23,14 +24,8 @@ def fmt(value) -> str:
 
 
 def write_path_csv(path, samples) -> None:
-    lines = [CSV_COLUMNS]
-    for k in range(len(samples.ts)):
-        lines.append(",".join(fmt(v) for v in (
-            samples.ts[k], samples.omega1[k], samples.omega2[k],
-            samples.psi1[k], samples.psi2[k], samples.rho[k],
-        )))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows_csv(path, CSV_COLUMNS, zip(samples.ts, samples.omega1, samples.omega2,
+                                          samples.psi1, samples.psi2, samples.rho))
 
 
 def write_rows_csv(path, header, rows) -> None:
@@ -187,15 +182,16 @@ def write_box_svg(path, lam_axis, x_axis, psi1_grid, crossings=(), eigenvalues=(
 
 
 def write_heatmap_svg(path, lam_axis, x_axis, values, loss_points=(),
-                      title="rho over the box", max_cells=200) -> None:
-    """Down-sampled log10 heat map of rho with loss points marked.
+                      title="rho over the box") -> None:
+    """Down-sampled (at most HEATMAP_CELLS per axis) log10 heat map of rho
+    with loss points marked.
 
     Rect geometry and shades are computed as arrays; each row's x/width and
     each column's y/height strings are formatted once.
     """
     L, S = values.shape
-    li = np.unique(np.linspace(0, L - 1, min(L, max_cells)).astype(int))
-    xi = np.unique(np.linspace(0, S - 1, min(S, max_cells)).astype(int))
+    li = np.unique(np.linspace(0, L - 1, min(L, HEATMAP_CELLS)).astype(int))
+    xi = np.unique(np.linspace(0, S - 1, min(S, HEATMAP_CELLS)).astype(int))
     sub = values[np.ix_(li, xi)]
     logv = np.log10(np.maximum(sub, 1e-300))
     lo, hi = float(np.min(logv)), float(np.max(logv))

@@ -5,8 +5,9 @@ Subcommands: `box` (full rectangle indices + eigenvalues), `invariance`
 classification), and `left-shelf` (renormalized crossing count plus the
 monotonicity audit).  Configs are JSON files or built-in catalog names.
 
-Exit codes: 0 success, 1 usage/config/expression error, 2 invariance
-violation (including collapsed, rank-deficient frames), 3 numeric blow-up.
+Exit codes: 0 success, 1 usage/config/expression error (a non-positive
+leading coefficient included), 2 invariance violation (including
+collapsed, rank-deficient frames), 3 numeric blow-up.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import artifacts
 from .errors import (
     BlowUpError,
     ConfigError,
+    DegenerateCoefficientError,
     ExpressionError,
     InvarianceViolationError,
     RenoscError,
@@ -178,7 +180,7 @@ def main(argv=None) -> int:
         if args.command == "invariance":
             return cmd_invariance(args)
         return cmd_left_shelf(args)
-    except (ConfigError, ExpressionError) as exc:
+    except (ConfigError, ExpressionError, DegenerateCoefficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BlowUpError as exc:

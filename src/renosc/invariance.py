@@ -28,6 +28,13 @@ from .maslovbox import psi_window as _psi_window
 from .winding import ZERO_TOL, linear_zero, sign_changes
 
 RHO_ZERO_TOL = 1e-9
+# rho_grid_scan refines the grid-local minima of rho below this
+CANDIDATE_TOL = 1e-3
+# Newton iterations of one loss-point polish
+NEWTON_ITERS = 25
+# classify_loss_point's lambda columns, and how often it may double the box
+CLASSIFY_COLS = 33
+MAX_DOUBLINGS = 5
 # grid nodes per block of whole lambda lines when a per-node quantity is
 # batched over the grid; bounds the block's transients
 _BLOCK_NODES = 1 << 14
@@ -142,11 +149,10 @@ def delta_bound_higher_order(problem: SpectralProblem, c_g: float, c_h: float) -
 
     (lambda2 - lambda1) / (c_g c_h) * max_x (kappa_{n-1}/alpha_n(x) + 1/kappa_2).
     """
-    meta = problem.field.meta
-    if "kappas" not in meta or "alpha_n" not in meta:
+    if problem.field.higher_order is None:
         raise InvalidInputError("problem does not carry higher-order structure")
-    kappas = meta["kappas"]
-    alpha_n = meta["alpha_n"]
+    alphas, kappas = problem.field.higher_order
+    alpha_n = alphas[-1]
     n = problem.field.n
     kappa2 = float(kappas[0])
     kappa_last = float(kappas[n - 3]) if n >= 3 else 1.0
@@ -165,7 +171,7 @@ def _g_family_extrema(problem: SpectralProblem, dh_log):
     families' rates, analytic per node.  A collapsed frame is refused.
     """
     measure_cg = problem.m > 1
-    fd_delta = problem.field.kind != "higher-order"
+    fd_delta = problem.field.higher_order is None
     if not (measure_cg or fd_delta):
         return None, None, None
     frames = problem.lambda_grid_frames()
@@ -249,12 +255,11 @@ def asymptotic_bc_determinants(problem: SpectralProblem) -> Tuple[float, float]:
     """The two boundary determinants whose non-vanishing underwrites the
     large-leading-coefficient invariance advisory for higher-order operators.
     """
-    meta = problem.field.meta
-    if "alphas" not in meta:
+    if problem.field.higher_order is None:
         raise InvalidInputError("problem does not carry higher-order structure")
-    alpha0 = meta["alphas"][0]
+    alphas, _ = problem.field.higher_order
     xs = np.linspace(0.0, 1.0, 1001)
-    vals = problem.lambda2 - alpha0(xs)
+    vals = problem.lambda2 - alphas[0](xs)
     integral = float(np.trapezoid(vals, xs))
     P, Q = problem.P.entries, problem.Q.entries
     n = problem.n
@@ -272,12 +277,12 @@ def asymptotic_bc_determinants(problem: SpectralProblem) -> Tuple[float, float]:
 
 
 def _newton_polish(problem: SpectralProblem, x0: float, lam0: float,
-                   hx: float, hl: float, iters: int = 25):
+                   hx: float, hl: float):
     """Drive (psi1, psi2) to zero with a finite-difference Newton iteration:
     psi at (x, lam) and (x, lam +- hl) is one point window, at x +- hx one
     three-node x window."""
     x, lam = x0, lam0
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         _, p1, p2 = _psi_window(problem, [lam, lam + hl, lam - hl], x, x, 0)
         p1, p2 = p1[:, 0], p2[:, 0]
         if 0.5 * (p1[0] * p1[0] + p2[0] * p2[0]) < 1e-24:
@@ -300,11 +305,10 @@ def _newton_polish(problem: SpectralProblem, x0: float, lam0: float,
     return x, lam, psi_point(problem, x, lam)[2]
 
 
-def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2,
-                  candidate_tol: float = 1e-3) -> ScanResult:
+def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2) -> ScanResult:
     """Evaluate rho over the whole grid and hunt down interior zeros.
 
-    Grid-local minima below candidate_tol are refined by `refine_rounds`
+    Grid-local minima below CANDIDATE_TOL are refined by `refine_rounds`
     rounds of 10x local grid refinement and then polished by a Newton
     iteration on (psi1, psi2); a candidate is kept as a loss point only if
     the polished rho falls below RHO_ZERO_TOL.
@@ -325,7 +329,7 @@ def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2,
             if dl == 0 and dx == 0:
                 continue
             is_min &= rho <= pad[1 + dl: 1 + dl + L, 1 + dx: 1 + dx + S1]
-    candidates = np.argwhere(is_min & (rho < candidate_tol))
+    candidates = np.argwhere(is_min & (rho < CANDIDATE_TOL))
 
     d_lam = lams[1] - lams[0]
     d_x = xs[1] - xs[0]
@@ -373,16 +377,14 @@ def _column_zeros(xs, col):
 
 
 def classify_loss_point(problem: SpectralProblem, point: LossPoint,
-                        others: Tuple[LossPoint, ...] = (),
-                        n_cols: int = 33,
-                        max_doublings: int = 5) -> LossPoint:
+                        others: Tuple[LossPoint, ...] = ()) -> LossPoint:
     """Fill in the local branch counts and the 2 (i_plus - i_minus) index.
 
-    Builds a box around the point, 4 coarse lambda-cells wide in n_cols
-    columns of 160 x steps, doubling its x-height until every spectral-curve
-    branch enters and leaves through the vertical sides; then i_minus counts
-    zeros on the left side below x_star and i_plus zeros on the right side
-    above x_star.
+    Builds a box around the point, 4 coarse lambda-cells wide in
+    CLASSIFY_COLS columns of 160 x steps, doubling its x-height (at most
+    MAX_DOUBLINGS times) until every spectral-curve branch enters and leaves
+    through the vertical sides; then i_minus counts zeros on the left side
+    below x_star and i_plus zeros on the right side above x_star.
     """
     d_lam = (problem.lambda2 - problem.lambda1) / problem.lambda_steps
     d_x = 1.0 / problem.x_steps
@@ -393,7 +395,7 @@ def classify_loss_point(problem: SpectralProblem, point: LossPoint,
     psi_cols = None
     window_xs = None
     clean = False
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         for q in others:
             if q is point:
                 continue
@@ -404,7 +406,7 @@ def classify_loss_point(problem: SpectralProblem, point: LossPoint,
                 )
         lo = max(x_s - h, 0.0)
         hi = min(x_s + h, 1.0)
-        cols = np.linspace(lam_s - w, lam_s + w, n_cols)
+        cols = np.linspace(lam_s - w, lam_s + w, CLASSIFY_COLS)
         window_xs, psi_cols, _ = _psi_window(problem, cols, lo, hi, 160)
         # a zero or a sign change on the top or bottom side means a branch
         # leaves the box there
@@ -424,7 +426,7 @@ def classify_loss_point(problem: SpectralProblem, point: LossPoint,
 
     # weak monotonicity validation: chains of zeros across columns must move
     # one way in x on each side of the loss point
-    per_col = [_column_zeros(window_xs, psi_cols[j]) for j in range(n_cols)]
+    per_col = [_column_zeros(window_xs, col) for col in psi_cols]
     counts = [len(z) for z in per_col]
     if max(counts, default=0) > 2:
         flagged = True

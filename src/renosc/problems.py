@@ -1,10 +1,13 @@
 """Declarative problem construction: coefficient expressions, configs, catalog.
 
-Problems are described by small JSON documents (or built-in catalog entries)
-holding coefficient formulas as strings in the variable x, boundary frames,
-and the spectral interval.  Coefficients depend on x only; lambda enters
-through the one constant matrix E (the field's lambda_mat) that each
-companion-form builder sets beside its lambda-free table.
+Problems are described by small JSON documents (the built-in catalog is a
+mapping of such documents) holding coefficient formulas as strings in the
+variable x, boundary frames, and the spectral interval.  config_from_dict
+turns a document into a frozen, validated ProblemConfig in one step, and
+load_problem wires that into a SpectralProblem.  Coefficients depend on x
+only; lambda enters through the one constant matrix E (the field's
+lambda_mat) that each companion-form builder sets beside its lambda-free
+table.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -286,19 +289,24 @@ _ALLOWED_KEYS = {
 PRESETS = ("dirichlet", "neumann")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemConfig:
+    """A validated, immutable problem description (config_from_dict gives
+    every list as a tuple).  dataclasses.replace makes a changed copy and
+    checks the interval, the grid sizes and 1 <= m <= n-1 again (ConfigError).
+    """
+
     kind: str
     n: int
     m: int
     lam: tuple
-    alphas: Optional[List[str]] = None
-    kappas: Optional[List[float]] = None
-    B: Optional[List[float]] = None
-    V: Optional[List[List[str]]] = None
-    W: Optional[List[List[str]]] = None
-    P: Union[str, list] = "neumann"
-    Q: Union[str, list] = "neumann"
+    alphas: Optional[Tuple[str, ...]] = None
+    kappas: Optional[Tuple[float, ...]] = None
+    B: Optional[Tuple[float, ...]] = None
+    V: Optional[Tuple[Tuple[str, ...], ...]] = None
+    W: Optional[Tuple[Tuple[str, ...], ...]] = None
+    P: Union[str, tuple] = "neumann"
+    Q: Union[str, tuple] = "neumann"
     x_steps: int = 1000
     lambda_steps: int = 600
 
@@ -307,6 +315,8 @@ class ProblemConfig:
             raise ConfigError(f"need finite lambda1 < lambda2, got {list(self.lam)}")
         if self.x_steps < 2 or self.lambda_steps < 2:
             raise ConfigError("grid resolutions must be at least 2")
+        if not 1 <= self.m <= self.n - 1:
+            raise ConfigError(f"m must be in 1..{self.n - 1}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "m": self.m, "lambda": list(self.lam),
@@ -342,12 +352,13 @@ def _list(value, what: str) -> list:
     return list(value)
 
 
-def _matrix(value, what: str) -> list:
-    """A matrix-valued config entry: a non-empty list of equal-length rows."""
+def _matrix(value, what: str, entry) -> tuple:
+    """A matrix-valued config entry, a non-empty list of equal-length rows,
+    as a tuple of rows with `entry` applied to every value."""
     rows = [_list(row, f"a row of {what}") for row in _list(value, what)]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ConfigError(f"{what} must be a non-empty list of equal-length rows")
-    return rows
+    return tuple(tuple(entry(v) for v in row) for row in rows)
 
 
 def _integer(value, what: str) -> int:
@@ -389,13 +400,11 @@ def config_from_dict(doc: dict) -> ProblemConfig:
             raise ConfigError(f"need {n + 1} alpha expressions, got {len(alphas)}")
         if len(kappas) != n - 1:
             raise ConfigError(f"need {n - 1} kappa values, got {len(kappas)}")
-        cfg = ProblemConfig(
-            kind=kind, n=n, m=0, lam=lam,
-            alphas=[str(a) for a in alphas],
-            kappas=[_number(k, "a kappa value") for k in kappas],
-            P=doc.get("P", "neumann"), Q=doc.get("Q", "dirichlet"),
-            x_steps=x_steps, lambda_steps=lambda_steps,
-        )
+        kappas = tuple(_number(k, "a kappa value") for k in kappas)
+        if 0.0 in kappas:
+            raise ConfigError("kappa values must be non-zero")
+        coefficients = {"alphas": tuple(str(a) for a in alphas), "kappas": kappas}
+        P, Q = doc.get("P", "neumann"), doc.get("Q", "dirichlet")
     else:
         l = doc.get("l")
         if l is None:
@@ -406,39 +415,30 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         W = doc.get("W")
         if V is None or W is None:
             raise ConfigError("second-order configs need 'V' and 'W'")
-        V, W = _matrix(V, "'V'"), _matrix(W, "'W'")
+        V, W = _matrix(V, "'V'", str), _matrix(W, "'W'", str)
         for name, M in (("V", V), ("W", W)):
             if len(M) != l or len(M[0]) != l:
                 raise ConfigError(f"'{name}' must be an {l}x{l} matrix of expressions")
         if len(B) != l:
             raise ConfigError(f"'B' must list {l} diagonal entries")
-        cfg = ProblemConfig(
-            kind=kind, n=2 * l, m=0, lam=lam,
-            B=[_number(b, "a 'B' entry") for b in B],
-            V=[[str(v) for v in row] for row in V],
-            W=[[str(w) for w in row] for row in W],
-            P=doc.get("P", "neumann"), Q=doc.get("Q", "neumann"),
-            x_steps=x_steps, lambda_steps=lambda_steps,
-        )
+        n = 2 * l
+        coefficients = {"B": tuple(_number(b, "a 'B' entry") for b in B), "V": V, "W": W}
+        P, Q = doc.get("P", "neumann"), doc.get("Q", "neumann")
 
-    for key in ("P", "Q"):  # a named preset, or a matrix of numbers
-        spec = getattr(cfg, key)
-        if not isinstance(spec, str):
-            for row in _matrix(spec, f"'{key}'"):
-                for value in row:
-                    _number(value, f"an entry of '{key}'")
+    # a named preset, or a matrix of numbers
+    P, Q = (spec if isinstance(spec, str) else
+            _matrix(spec, f"'{key}'", partial(_number, what=f"an entry of '{key}'"))
+            for key, spec in (("P", P), ("Q", Q)))
     m = doc.get("m")
     if m is None:
-        if isinstance(cfg.P, list):
-            m = len(cfg.P[0])
+        if not isinstance(P, str):
+            m = len(P[0])
         elif kind == "second-order":
-            m = cfg.n // 2
+            m = n // 2
         else:
             raise ConfigError("'m' is required when P is a named preset")
-    cfg.m = _integer(m, "'m'")
-    if not 1 <= cfg.m <= cfg.n - 1:
-        raise ConfigError(f"m must be in 1..{cfg.n - 1}")
-    return cfg
+    return ProblemConfig(kind=kind, n=n, m=_integer(m, "'m'"), lam=lam, P=P, Q=Q,
+                         x_steps=x_steps, lambda_steps=lambda_steps, **coefficients)
 
 
 def load_config_file(path) -> ProblemConfig:
@@ -488,8 +488,7 @@ def robin_frame(coupling) -> np.ndarray:
 def _higher_order_field(cfg: ProblemConfig) -> CoefficientField:
     n = cfg.n
     trees = [parse_expression(a) for a in cfg.alphas]
-    alphas = [partial(eval_expression_array, t) for t in trees]
-    kappas = list(cfg.kappas)
+    alphas = tuple(partial(eval_expression_array, t) for t in trees)
     lead = alphas[n](np.linspace(0.0, 1.0, 1001))
     if np.min(lead) <= 0:
         raise DegenerateCoefficientError(
@@ -498,9 +497,8 @@ def _higher_order_field(cfg: ProblemConfig) -> CoefficientField:
     E = np.zeros((n, n))
     E[n - 1, 0] = 1.0
     return CoefficientField(
-        n=n, base_table=partial(eval_companion_higher_order, alphas, kappas),
-        lambda_mat=E, kind="higher-order",
-        meta={"kappas": kappas, "alpha_n": alphas[n], "alphas": alphas},
+        n=n, base_table=partial(eval_companion_higher_order, alphas, cfg.kappas),
+        lambda_mat=E, higher_order=(alphas, cfg.kappas),
     )
 
 
@@ -525,8 +523,7 @@ def _second_order_field(cfg: ProblemConfig) -> CoefficientField:
         n=2 * l,
         base_table=partial(eval_companion_second_order, np.diag(cfg.B),
                            partial(_matrix_table, Wtrees), partial(_matrix_table, Vtrees)),
-        lambda_mat=E, kind="second-order",
-        meta={"B": cfg.B, "l": l},
+        lambda_mat=E,
     )
 
 
@@ -539,12 +536,10 @@ def load_problem(config: ProblemConfig) -> SpectralProblem:
     else:
         raise ConfigError(f"cannot load kind {config.kind!r} from a config")
     n, m = config.n, config.m
-    P = preset_frame(config.P, n, m)
-    Q = preset_frame(config.Q, n, n - m)
     return SpectralProblem(
         field=field,
-        P=Frame(P),
-        Q=Frame(Q),
+        P=Frame(preset_frame(config.P, n, m)),
+        Q=Frame(preset_frame(config.Q, n, n - m)),
         lambda1=config.lam[0],
         lambda2=config.lam[1],
         x_steps=config.x_steps,
@@ -552,86 +547,41 @@ def load_problem(config: ProblemConfig) -> SpectralProblem:
     )
 
 
-CATALOG = ("example1", "example2", "example3", "harmonic-dirichlet", "harmonic-neumann")
-
-_V_SHARED = [
-    ["10*sin(10*x)*cos(10*x)", "25*sin(10*x)"],
-    ["x*(1-x)", "10*cos(10*x)"],
-]
+_EXAMPLE2 = {
+    "kind": "second-order", "l": 2, "B": [1.0, 1.0],
+    "V": [["10*sin(10*x)*cos(10*x)", "25*sin(10*x)"], ["x*(1-x)", "10*cos(10*x)"]],
+    "W": [["5*x*(1-x)", "0"], ["0", "5*x*(1-x)"]],
+    "P": "neumann", "Q": "neumann", "lambda": [-5.0, 1.0],
+}
+_HARMONIC = {
+    "kind": "second-order", "l": 1, "B": [1.0], "V": [["0"]], "W": [["0"]],
+    "lambda": [0.0, 50.0], "x_steps": 2000,
+}
+# The built-in problems, as config documents (default grids unless given).
+# example1: third-order scalar operator, mixed derivative boundary
+# conditions, eigenvalue hunt on [-1, 0].  example2/example3: 2-component
+# second-order systems with Neumann conditions at both ends on [-5, 1];
+# example3 couples W and loses interior invariance.  harmonic-*:
+# constant-coefficient oscillator with closed-form spectrum.
+_CATALOG = {
+    "example1": {
+        "kind": "higher-order", "n": 3, "m": 1,
+        "alphas": [".2*cos(10*x) - .5*cos(x/10)", "2*sin(5*x)", "10", "60"],
+        "kappas": [10, 60],
+        "P": [[1.0], [0.0], [0.0]], "Q": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+        "lambda": [-1.0, 0.0],
+    },
+    "example2": _EXAMPLE2,
+    "example3": {**_EXAMPLE2,
+                 "W": [["5*x*(1-x)", "10*sin(10*x)"], ["10*cos(10*x)", "5*x*(1-x)"]]},
+    "harmonic-dirichlet": {**_HARMONIC, "P": "dirichlet", "Q": "dirichlet"},
+    "harmonic-neumann": {**_HARMONIC, "P": "neumann", "Q": "neumann"},
+}
+CATALOG = tuple(_CATALOG)
 
 
 def builtin_catalog(name: str) -> ProblemConfig:
-    """Named problem configurations used throughout the test suite.
-
-    example1: third-order scalar operator, mixed derivative boundary
-    conditions, eigenvalue hunt on [-1, 0].
-    example2/example3: 2-component second-order systems with Neumann
-    conditions at both ends on [-5, 1]; example3 loses interior invariance.
-    harmonic-*: constant-coefficient oscillator with closed-form spectrum.
-    """
-    if name == "example1":
-        return config_from_dict({
-            "kind": "higher-order",
-            "n": 3,
-            "m": 1,
-            "alphas": [".2*cos(10*x) - .5*cos(x/10)", "2*sin(5*x)", "10", "60"],
-            "kappas": [10, 60],
-            "P": [[1.0], [0.0], [0.0]],
-            "Q": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
-            "lambda": [-1.0, 0.0],
-            "x_steps": 1000,
-            "lambda_steps": 600,
-        })
-    if name == "example2":
-        return config_from_dict({
-            "kind": "second-order",
-            "l": 2,
-            "B": [1.0, 1.0],
-            "V": _V_SHARED,
-            "W": [["5*x*(1-x)", "0"], ["0", "5*x*(1-x)"]],
-            "P": "neumann",
-            "Q": "neumann",
-            "lambda": [-5.0, 1.0],
-            "x_steps": 1000,
-            "lambda_steps": 600,
-        })
-    if name == "example3":
-        return config_from_dict({
-            "kind": "second-order",
-            "l": 2,
-            "B": [1.0, 1.0],
-            "V": _V_SHARED,
-            "W": [["5*x*(1-x)", "10*sin(10*x)"], ["10*cos(10*x)", "5*x*(1-x)"]],
-            "P": "neumann",
-            "Q": "neumann",
-            "lambda": [-5.0, 1.0],
-            "x_steps": 1000,
-            "lambda_steps": 600,
-        })
-    if name == "harmonic-dirichlet":
-        return config_from_dict({
-            "kind": "second-order",
-            "l": 1,
-            "B": [1.0],
-            "V": [["0"]],
-            "W": [["0"]],
-            "P": "dirichlet",
-            "Q": "dirichlet",
-            "lambda": [0.0, 50.0],
-            "x_steps": 2000,
-            "lambda_steps": 600,
-        })
-    if name == "harmonic-neumann":
-        return config_from_dict({
-            "kind": "second-order",
-            "l": 1,
-            "B": [1.0],
-            "V": [["0"]],
-            "W": [["0"]],
-            "P": "neumann",
-            "Q": "neumann",
-            "lambda": [0.0, 50.0],
-            "x_steps": 2000,
-            "lambda_steps": 600,
-        })
-    raise ConfigError(f"unknown catalog problem {name!r}; known: {', '.join(CATALOG)}")
+    """The named built-in problem (see _CATALOG); ConfigError for any other name."""
+    if name not in _CATALOG:
+        raise ConfigError(f"unknown catalog problem {name!r}; known: {', '.join(CATALOG)}")
+    return config_from_dict(_CATALOG[name])

@@ -27,7 +27,7 @@ therefore changes nothing at the psi level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -49,17 +49,21 @@ class CoefficientField:
     off-diagonal lambda-differences), is read off E: it holds exactly when
     the diagonal of E vanishes.
 
+    higher_order is (alphas, kappas), the tuples of coefficient callables
+    alpha_0 .. alpha_n and constants kappa_2 .. kappa_n of an n-th order
+    scalar operator in companion form (eval_companion_higher_order), for
+    the invariance bounds that need them; None for every other field.
+
     `_chains` is propagation's per-chain cache (half-step tables and step
-    coefficients, both built from base_table and E).  It is not a
-    constructor argument, so a field derived by dataclasses.replace starts
-    with an empty one, while `meta` would be shared.
+    coefficients, both built from base_table and E; at most 9 chains, see
+    _chain_cache).  It is not a constructor argument, so a field derived by
+    dataclasses.replace starts with an empty one.
     """
 
     n: int
     base_table: Callable[[np.ndarray], np.ndarray]
     lambda_mat: np.ndarray
-    kind: str = "general"
-    meta: dict = dc_field(default_factory=dict)
+    higher_order: Optional[Tuple[tuple, tuple]] = None
     _chains: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -192,11 +196,13 @@ def _half_steps(from_x: float, runs):
 def _chain_cache(field: CoefficientField, xh, key):
     """The field's lambda-free table on the half-step grid xh and the dict
     of the chain's step coefficients (filled by the kernel), cached under the
-    chain `key`; past 64 chains the cache is cleared, to bound it."""
+    chain `key`; past 8 chains the cache is cleared, to bound it.  A run
+    reuses only a few chains (a box its full forward legs, a count its
+    per-point legs), and 8 keeps nearly all of their hits."""
     cache = field._chains
     hit = cache.get(key)
     if hit is None:
-        if len(cache) > 64:
+        if len(cache) > 8:
             cache.clear()
         hit = cache[key] = (np.ascontiguousarray(field.base_table(xh)), {})
     return hit

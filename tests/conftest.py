@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from renosc import builtin_catalog, load_problem
@@ -20,9 +22,7 @@ def example3():
 
 @pytest.fixture(scope="session")
 def example3_narrow():
-    cfg = builtin_catalog("example3")
-    cfg.lam = (-3.0, 1.0)
-    return load_problem(cfg)
+    return load_problem(replace(builtin_catalog("example3"), lam=(-3.0, 1.0)))
 
 
 @pytest.fixture(scope="session")

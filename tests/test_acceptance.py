@@ -155,8 +155,7 @@ def test_criterion_4_example3_loss_points_and_boxes(capsys):
     scan = rho_grid_scan(problem)
     pts = scan.loss_points
     classified = [classify_loss_point(problem, p, others=tuple(pts)) for p in pts]
-    narrow_cfg = builtin_catalog("example3")
-    narrow_cfg.lam = (-3.0, 1.0)
+    narrow_cfg = replace(builtin_catalog("example3"), lam=(-3.0, 1.0))
     narrow = compute_box(load_problem(narrow_cfg))
     wide = compute_box(problem)
     checks = [

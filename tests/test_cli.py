@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from renosc import cli
+from renosc import builtin_catalog, cli
 
 
 def run(argv):
@@ -83,6 +83,20 @@ def test_malformed_list_or_frame_exits_1(small_harmonic_config, key, value, tmp_
     capsys.readouterr()
     assert run(["left-shelf", str(path), "--out", str(tmp_path / "bad")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"kappas": [0, 60]}, "kappa values must be non-zero"),
+    ({"alphas": ["1", "0", "10", "x-0.5"]}, "alpha_n is not positive"),
+], ids=["zero-kappa", "non-positive-alpha_n"])
+def test_coefficient_defect_exits_1(override, message, tmp_path, capsys):
+    # a defect in the coefficient definition is a config error (exit 1), not
+    # an invariance violation, whether it is found at load or at propagation
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**builtin_catalog("example1").to_dict(), **override}))
+    assert run(["left-shelf", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_left_shelf_outputs(small_harmonic_config, tmp_path, capsys):

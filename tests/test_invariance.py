@@ -75,9 +75,9 @@ def test_hadamard_bound_example1(example1):
 
 def test_hadamard_bound_shrinks_with_large_leading_coefficient():
     def make(kappa2, alpha3):
-        cfg = builtin_catalog("example1")
-        cfg.alphas = [".2*cos(10*x)", "0", str(kappa2), str(alpha3)]
-        cfg.kappas = [kappa2, alpha3]
+        cfg = replace(builtin_catalog("example1"),
+                      alphas=[".2*cos(10*x)", "0", str(kappa2), str(alpha3)],
+                      kappas=[kappa2, alpha3])
         return load_problem(cfg)
 
     small = delta_bound_higher_order(make(10, 60), 1.0, 1.0)
@@ -114,9 +114,7 @@ def test_gram_log_derivatives_match_long_double_reference():
     # their Gram matrix squares the condition number, the Pluecker rate does not
     from test_kernels import reference_volume_rates
 
-    cfg = builtin_catalog("example3")
-    cfg.x_steps, cfg.lambda_steps = 230, 120
-    problem = load_problem(cfg)
+    problem = load_problem(replace(builtin_catalog("example3"), x_steps=230, lambda_steps=120))
     xs = problem.x_grid()
     for lam, frames in zip(problem.lambda_grid(), problem.lambda_grid_frames()):
         A = problem.field.table(xs, lam)
@@ -131,10 +129,7 @@ def test_bc_determinants_example1(example1):
 
 
 def test_bc_determinants_dirichlet_dirichlet_degenerate():
-    cfg = builtin_catalog("example1")
-    cfg.P = "dirichlet"
-    cfg.Q = "dirichlet"
-    problem = load_problem(cfg)
+    problem = load_problem(replace(builtin_catalog("example1"), P="dirichlet", Q="dirichlet"))
     d1, d2 = asymptotic_bc_determinants(problem)
     assert abs(d1) < 1e-12 and abs(d2) < 1e-12
 
@@ -214,9 +209,7 @@ def test_transversal_point_classifies_to_zero(example3):
     from renosc.maslovbox import shelf_path
     from renosc.winding import detect_crossings
 
-    cfg = builtin_catalog("example3")
-    cfg.lam = (-2.0, 1.0)
-    problem = load_problem(cfg)
+    problem = load_problem(replace(builtin_catalog("example3"), lam=(-2.0, 1.0)))
     recs = detect_crossings(shelf_path(problem, "left"))
     assert recs, "lambda = -2 should cut the spectral loop"
     fake = LossPoint(x_star=recs[0].t_star, lambda_star=-2.0, rho=0.0)
@@ -270,9 +263,11 @@ def count_rk4_calls(monkeypatch):
 def test_classification_doubling_sweeps_do_not_depend_on_columns(example3, monkeypatch):
     point = LossPoint(x_star=EX3_LOSS[1][0], lambda_star=EX3_LOSS[1][1], rho=0.0)
     calls = count_rk4_calls(monkeypatch)
+    monkeypatch.setattr(invariance, "MAX_DOUBLINGS", 0)
     for n_cols in (5, 33, 65):
+        monkeypatch.setattr(invariance, "CLASSIFY_COLS", n_cols)
         calls.clear()
-        classify_loss_point(example3, point, n_cols=n_cols, max_doublings=0)
+        classify_loss_point(example3, point)
         assert len(calls) <= 4
         assert max(calls) == n_cols
 
@@ -289,10 +284,12 @@ def test_refine_round_and_newton_sweep_counts(example3, monkeypatch):
     calls = count_rk4_calls(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(invariance, "_newton_polish", no_polish)
-        rho_grid_scan(problem, refine_rounds=1, candidate_tol=np.inf)
+        m.setattr(invariance, "CANDIDATE_TOL", np.inf)
+        rho_grid_scan(problem, refine_rounds=1)
     assert polished and len(calls) <= 4 * len(polished)
 
     # one Newton iteration plus the final point evaluation
     calls.clear()
-    _newton_polish(problem, 0.5, -1.0, hx=1e-5, hl=1e-4, iters=1)
+    monkeypatch.setattr(invariance, "NEWTON_ITERS", 1)
+    _newton_polish(problem, 0.5, -1.0, hx=1e-5, hl=1e-4)
     assert len(calls) <= 6 + 2

@@ -373,11 +373,13 @@ def test_collapse_rule():
             assert _kernels.omega_tables(G[None], H, ATg, ATh)[2][0] == pytest.approx(ref, rel=1e-9)
 
 
-def test_omega_tables_chunking():
+def test_omega_tables_chunking(monkeypatch):
     # non-zero blocks exercise the column-replacement sum in omega2.  The
     # kernel is elementwise, so a node's bits depend on neither its chunk
-    # (one node included) nor the way H is broadcast.
+    # (one node included) nor the way H is broadcast.  At n = 4, m = 2 a
+    # node's temporaries take 8 * (6 * 6 + 16) = 416 bytes of FORM_BUDGET.
     L, S, n, m = 3, 8, 4, 2
+    node_bytes = 416
     G = rng.normal(size=(L, S, n, m))
     H = rng.normal(size=(S, n, n - m))
     ATg = rng.normal(size=(n, n))
@@ -386,13 +388,15 @@ def test_omega_tables_chunking():
     ref = _kernels.omega_tables(G.reshape(-1, n, m), full.reshape(-1, n, n - m),
                                 ATg, ATh)
     for chunk in (1, 2, 3, 5, 7, 65536):
+        monkeypatch.setattr(_kernels, "FORM_BUDGET", chunk * node_bytes)
         for Hb in (H, full):
-            out = _kernels.omega_tables(G, Hb, ATg, ATh, chunk=chunk)
+            out = _kernels.omega_tables(G, Hb, ATg, ATh)
             for a, b in zip(out, ref):
                 assert a.shape == (L, S)
                 assert np.array_equal(a.ravel(), b)
     # one H frame shared by every node
-    one = _kernels.omega_tables(G, H[0], ATg, ATh, chunk=4)
+    monkeypatch.setattr(_kernels, "FORM_BUDGET", 4 * node_bytes)
+    one = _kernels.omega_tables(G, H[0], ATg, ATh)
     many = _kernels.omega_tables(G, np.broadcast_to(H[0], G.shape[:-1] + (n - m,)),
                                  ATg, ATh)
     for a, b in zip(one, many):

@@ -127,9 +127,7 @@ def test_harmonic_dirichlet_eigenvalues(harmonic_dirichlet):
 
 def test_eigenvalue_free_interval_gives_zero(harmonic_dirichlet):
     # between 4 pi^2 ~ 39.5 and 9 pi^2 ~ 88.8
-    cfg = builtin_catalog("harmonic-dirichlet")
-    cfg.lam = (45.0, 85.0)
-    problem = load_problem(cfg)
+    problem = load_problem(replace(builtin_catalog("harmonic-dirichlet"), lam=(45.0, 85.0)))
     rep = compute_box(problem)
     assert rep.lower_bound == 0
     assert rep.eigenvalues == []
@@ -150,9 +148,8 @@ def test_lambda_interval_must_be_ordered(harmonic_dirichlet, lam1, lam2):
 
 
 def test_problem_is_frozen_and_replace_starts_a_fresh_cache():
-    cfg = builtin_catalog("harmonic-neumann")
-    cfg.x_steps, cfg.lambda_steps = 200, 20
-    problem = load_problem(cfg)
+    problem = load_problem(replace(builtin_catalog("harmonic-neumann"),
+                                   x_steps=200, lambda_steps=20))
     with pytest.raises(FrozenInstanceError):
         problem.rescale = False
     with pytest.raises(FrozenInstanceError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,9 +203,7 @@ def test_a_tilde_identity_is_zero():
 
 
 def test_a_tilde_harmonic_blocks():
-    cfg = builtin_catalog("harmonic-dirichlet")
-    cfg.lam = (0.0, 1.0)
-    problem = load_problem(cfg)
+    problem = load_problem(replace(builtin_catalog("harmonic-dirichlet"), lam=(0.0, 1.0)))
     AT = build_A_tilde(problem)
     # worked out from the first-order form of -phi'' = lam phi
     assert np.allclose(AT.block_g, [[0.0, 1.0], [0.0, 0.0]])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -157,8 +158,7 @@ def test_lambda_interval_validated():
 
 
 def test_frame_dimension_mismatch():
-    cfg = builtin_catalog("example1")
-    cfg.P = [[1.0], [0.0]]  # wrong row count
+    cfg = replace(builtin_catalog("example1"), P=[[1.0], [0.0]])  # wrong row count
     with pytest.raises(ConfigError):
         load_problem(cfg)
 
@@ -240,6 +240,29 @@ def test_config_roundtrip_through_dict():
     cfg = builtin_catalog("example2")
     again = config_from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_config_roundtrips_to_an_equal_config(name):
+    assert config_from_dict(builtin_catalog(name).to_dict()) == builtin_catalog(name)
+
+
+def test_config_is_frozen_and_replace_revalidates_m():
+    cfg = builtin_catalog("example2")
+    with pytest.raises(FrozenInstanceError):
+        cfg.m = 3
+    assert replace(cfg, m=3).m == 3
+    for m in (0, cfg.n):
+        with pytest.raises(ConfigError, match="m must be in 1..3"):
+            replace(cfg, m=m)
+
+
+def test_only_higher_order_fields_carry_the_companion_record():
+    example1 = load_problem(builtin_catalog("example1")).field
+    alphas, kappas = example1.higher_order
+    assert len(alphas) == 4 and kappas == (10.0, 60.0)
+    assert alphas[-1](np.array([0.3])) == pytest.approx([60.0])
+    assert load_problem(builtin_catalog("example2")).field.higher_order is None
 
 
 def test_degenerate_leading_coefficient_detected():

@@ -362,14 +362,14 @@ def test_replaced_field_starts_with_an_empty_chain_cache():
 
 
 def test_chain_cache_stays_bounded():
-    # past 64 chains the cache is cleared: it never holds more than 65
+    # past 8 chains the cache is cleared: it never holds more than 9
     field = varying_field()
     init = np.array([[0.0], [1.0]])
     sizes = []
     for k in range(1, 141):
         propagate_chain(field, init, [1.0], 0.0, [(k / 140, 4)], True, endpoint=True)
         sizes.append(len(field._chains))
-    assert max(sizes) == 65 and sizes[-1] < 65
+    assert max(sizes) == 9 and sizes[-1] < 9
 
 
 def test_companion_builders_vectorize_over_x():
