@@ -23,10 +23,10 @@ from renosc import (
     renormalized_count,
     shelf_path,
 )
-from renosc import _kernels
+from renosc import _kernels, maslovbox
 from renosc.maslovbox import _psi1_at_one
 from renosc.propagation import propagate_chain
-from renosc.winding import detect_crossings
+from renosc.winding import PathSamples, detect_crossings
 
 SQ50 = np.sqrt(50.0)
 
@@ -421,7 +421,7 @@ def test_psi_window_validates_its_window(example1):
         psi_point(example1, 0.5, math.inf)
 
 
-# -- the 16-section search on the top shelf ---------------------------------------
+# -- the eigenvalue search on the top shelf ---------------------------------------
 
 
 def sequential_bisection(problem, tol):
@@ -473,7 +473,7 @@ def test_bisection_tree_equals_sequential_bisection(name, tol, monkeypatch):
     assert len(got) == len(want)
     assert all(abs(g - w) <= tol for g, w in zip(got, want))
     assert rounds > 4
-    assert len(calls) <= -(-rounds // 4)
+    assert len(calls) <= 4
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
@@ -484,7 +484,8 @@ def test_localize_refuses_a_tol_that_is_not_positive(harmonic_dirichlet, tol):
 
 def test_localize_below_the_double_spacing_stops_at_four_ulps(monkeypatch):
     # a tol below the spacing of doubles at an eigenvalue cannot be met; the
-    # search stops once a bracket is 4 ulps wide, within ~log16(2^52) sweeps
+    # search stops once a bracket is 4 ulps wide, and the guided cuts close in
+    # on those 4 ulps as fast as on any other stopping width
     problem = replace(load_problem(builtin_catalog("harmonic-dirichlet")),
                       x_steps=200, lambda_steps=20)
     want = localize_eigenvalues_top(problem, tol=1e-12)
@@ -492,14 +493,14 @@ def test_localize_below_the_double_spacing_stops_at_four_ulps(monkeypatch):
     got = localize_eigenvalues_top(problem, tol=1e-300)
     assert len(got) == len(want) == 2
     assert got == pytest.approx(want, abs=1e-12)
-    assert 0 < len(calls) <= 14
+    assert 0 < len(calls) <= 6
 
 
 def test_three_zeros_in_one_top_cell_yield_three_eigenvalues(monkeypatch):
     """-phi'' = lam phi, Dirichlet at both ends: on [0, 200] with two lambda
     cells, the cell [0, 100] holds pi^2, 4 pi^2 and 9 pi^2 and the cell
-    [100, 200] holds 16 pi^2.  The cuts of the first sweep separate the
-    three zeros of the first cell."""
+    [100, 200] holds 16 pi^2.  The cuts of the first sweep, a 16-section,
+    separate the three zeros of the first cell."""
     problem = replace(load_problem(builtin_catalog("harmonic-dirichlet")),
                       lambda1=0.0, lambda2=200.0, x_steps=400, lambda_steps=2)
     shelf_path(problem, "top")  # the shelf sweeps are cached before counting
@@ -507,5 +508,72 @@ def test_three_zeros_in_one_top_cell_yield_three_eigenvalues(monkeypatch):
     got = localize_eigenvalues_top(problem, tol=1e-8)
     want = [k * k * np.pi ** 2 for k in (1, 2, 3, 4)]
     assert got == pytest.approx(want, rel=1e-6)
-    # 15 cuts per bracket: two brackets, then four; ceil(log16(100 / 1e-8)) sweeps
-    assert calls == [30] + [60] * 8
+    # 15 cuts in each of the two grid brackets, then 22 on each of four
+    # brackets; the 16-section alone takes ceil(log16(100 / 1e-8)) = 9 sweeps
+    assert calls[0] == 30 and len(calls) <= 6
+
+
+@pytest.mark.parametrize("roots, power", [
+    ([0.001], 3), ([0.01], 3), ([0.05], 3),  # regula falsi stalls at a triple root
+    ([0.501, 0.55, 0.56], 1),  # three zeros in one part of the first sweep
+])
+def test_synthetic_top_shelf_keeps_the_16_section_bound(harmonic_dirichlet, roots, power,
+                                                        monkeypatch):
+    """psi1 = 1000 prod (lam - root)^power on the one cell [0, 1].  Every
+    sweep holds the 16-section, so the search takes at most ceil(log16(w /
+    tol)) sweeps however poor the secant estimate (9; guided sweeps with no
+    equal parts took 13 to 21 on the triple roots), and zeros that share a
+    part of the first sweep are still separated (guided sweeps alone
+    returned only 0.501 of the cluster)."""
+    tol = 1e-10
+    sweeps = []
+
+    def f(lams):
+        lams = np.asarray(lams)
+        return 1e3 * np.prod([(lams - z) ** power for z in roots], axis=0)
+
+    def psi1(problem, lams):
+        sweeps.append(len(lams))
+        return f(lams)
+
+    ts = np.array([0.0, 1.0])
+    top = PathSamples.from_psi(ts, f(ts), np.ones(2), label="top")
+    monkeypatch.setattr(maslovbox, "shelf_path", lambda problem, shelf: top)
+    monkeypatch.setattr(maslovbox, "_psi1_at_one", psi1)
+    eigs = np.array(localize_eigenvalues_top(harmonic_dirichlet, tol=tol))
+    assert sweeps[0] == 15
+    assert len(sweeps) <= math.ceil(math.log(1.0 / tol, 16))
+    # every e is the midpoint of a sign-change bracket no wider than tol
+    assert len(eigs) == len(roots)
+    assert np.all(np.abs(eigs - roots) <= tol / 2)
+    assert np.all((f(eigs - tol / 2) < 0) != (f(eigs + tol / 2) < 0))
+
+
+def closed_form_eigenvalues(B, V, bc, lo, hi):
+    """V_j + B_j k^2 pi^2 in (lo, hi): k >= 1 for Dirichlet, k >= 0 for
+    Neumann."""
+    k = np.arange(0 if bc == "neumann" else 1, 10)
+    eigs = (np.asarray(V)[:, None] + np.asarray(B)[:, None] * (k * np.pi) ** 2).ravel()
+    return np.sort(eigs[(eigs > lo) & (eigs < hi)])
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("B, V", [([1.0], [0.5]), ([1.0, 0.5], [0.0, 1.0])])
+def test_every_eigenvalue_is_the_midpoint_of_a_sign_change_bracket(bc, B, V):
+    """Decoupled -B_j phi'' + V_j phi = lam phi: psi1 changes sign across
+    [e - tol/2, e + tol/2] for every returned e, and e is the closed-form
+    eigenvalue."""
+    tol, lo, hi = 1e-10, -0.7, 42.3
+    problem = load_problem(config_from_dict({
+        "kind": "second-order", "l": len(B), "B": B,
+        "V": [[str(v) if i == j else "0" for j in range(len(V))] for i, v in enumerate(V)],
+        "W": [["0"] * len(V) for _ in V], "P": bc, "Q": bc, "lambda": [lo, hi],
+        "x_steps": 1000, "lambda_steps": 200,
+    }))
+    eigs = np.array(localize_eigenvalues_top(problem, tol=tol))
+    want = closed_form_eigenvalues(B, V, bc, lo, hi)
+    assert len(eigs) == len(want) >= 2
+    assert np.max(np.abs(eigs - want)) < 1e-6
+    below = _psi1_at_one(problem, eigs - tol / 2)
+    above = _psi1_at_one(problem, eigs + tol / 2)
+    assert np.all((below < 0) != (above < 0))
