@@ -58,8 +58,8 @@ product with the a table and one with E, about 18 (steps, n, n) products in
 all.  They are built once per chain: a caller that passes a dict as
 `coefficients` (propagation keeps one per chain, next to its half-step
 table) gets them kept, keyed by the segment's step range, and every later
-call on the chain skips the build.  Every line's P_k is then
-C_0 + lam (C_1 + lam (...)) by elementwise Horner, with no BLAS call, so a
+call on the chain, or on a prefix of it, skips the build.  Every line's P_k
+is then C_0 + lam (C_1 + lam (...)) by elementwise Horner, with no BLAS call, so a
 line's bits do not depend on its batch, and no interpolation nodes, so no
 lambda is an extrapolation; Horner writes into a buffer padded to whole
 blocks with exact identity steps, so nothing is copied to pad it.
@@ -132,7 +132,10 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     factors, so raw-form values can be reconstructed as value * exp(scale_log).
     `coefficients` is a dict that keeps the step coefficients of this
     (a_half, E, h) for later calls, one entry per x segment keyed by its
-    step range; it is filled on first use.
+    step range; it is filled on first use.  A prefix of the same table and
+    steps may pass the same dict: a segment (s0, s1) is served from any kept
+    (s0, t) with t >= s1, sliced to its first s1 - s0 steps, so a prefix of
+    a swept chain builds no coefficients.
     """
     a_half = np.ascontiguousarray(a_half, dtype=float)
     E = np.ascontiguousarray(E, dtype=float)
@@ -152,7 +155,8 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     chunk = max(1, 4 * STEP_BUDGET // (matrix_bytes * seg))
     for s0 in range(0, steps, seg):
         s1 = min(s0 + seg, steps)
-        C = coefficients.get((s0, s1))
+        C = next((kept[:, :s1 - s0] for (a, t), kept in coefficients.items()
+                  if a == s0 and t >= s1), None)
         if C is None:
             C = coefficients[s0, s1] = _coefficients(a_half[2 * s0:2 * s1 + 1], E, h[s0:s1])
         nodes = slice(None) if endpoint else slice(s0, s1 + 1)

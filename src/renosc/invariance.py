@@ -280,13 +280,16 @@ def _newton_polish(problem: SpectralProblem, x0: float, lam0: float,
                    hx: float, hl: float):
     """Drive (psi1, psi2) to zero with a finite-difference Newton iteration:
     psi at (x, lam) and (x, lam +- hl) is one point window, at x +- hx one
-    three-node x window."""
+    three-node x window.  Returns (x, lam, rho); when rho fell below 1e-24
+    it is the last point window's, which psi_point would repeat bit for bit
+    (a line's bits do not depend on its batch)."""
     x, lam = x0, lam0
     for _ in range(NEWTON_ITERS):
         _, p1, p2 = _psi_window(problem, [lam, lam + hl, lam - hl], x, x, 0)
         p1, p2 = p1[:, 0], p2[:, 0]
-        if 0.5 * (p1[0] * p1[0] + p2[0] * p2[0]) < 1e-24:
-            break
+        rho = 0.5 * (p1[0] * p1[0] + p2[0] * p2[0])
+        if rho < 1e-24:
+            return x, lam, float(rho)
         lo, hi = max(x - hx, 0.0), min(x + hx, 1.0)
         _, q1, q2 = _psi_window(problem, [lam], lo, hi, 2)
         J = np.array([

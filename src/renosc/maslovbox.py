@@ -23,8 +23,8 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidInputError, RankDeficiencyError, ShelfAssertionError
 from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde
-from .propagation import (CoefficientField, integrate_frame, propagate_chain,
-                          propagate_lambda_grid)
+from .propagation import (CoefficientField, _step_count, chain_prefix, integrate_frame,
+                          propagate_chain, propagate_chains, propagate_lambda_grid)
 from .winding import (ZERO_TOL, PathSamples, detect_crossings, linear_zero, sign_changes,
                       winding_index)
 
@@ -221,7 +221,12 @@ def shelf_path(problem: SpectralProblem, shelf: str) -> PathSamples:
 
 
 def _gap_steps(problem: SpectralProblem, dx):
-    """RK4 steps over a gap dx off the shelves: max(4, ceil(dx * x_steps))."""
+    """RK4 steps over a gap dx off the grid: max(4, ceil(dx * x_steps)).
+
+    A psi window's tail from its grid node spans less than one cell and so
+    takes 4 steps; omega_at_points applies the rule to every gap between
+    its points.
+    """
     return np.maximum(4, np.ceil(dx * problem.x_steps).astype(int))
 
 
@@ -238,10 +243,10 @@ def _point_frames(problem: SpectralProblem, init, lam: float, x0: float, xs):
 def omega_at_points(problem: SpectralProblem, lam: float, points):
     """Raw form values at arbitrary x locations in one consistent scale.
 
-    Each family makes one unrescaled sweep through the points in order,
-    under psi_window's step rule per gap, so finite differences of omega1
-    across nearby points are meaningful.  Returns (w1, w2, d) arrays shaped
-    like `points`.
+    Each family makes one unrescaled sweep from its boundary through the
+    points in order, under the _gap_steps rule per gap, so finite
+    differences of omega1 across nearby points are meaningful.  Returns
+    (w1, w2, d) arrays shaped like `points`.
     """
     pts = np.asarray(points, dtype=float)
     if not np.all((pts >= 0.0) & (pts <= 1.0)):
@@ -259,14 +264,22 @@ def omega_at_points(problem: SpectralProblem, lam: float, points):
 def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int):
     """psi1, psi2 at every lambda of `lams` on the window x_lo <= x <= x_hi.
 
-    Each family makes one sweep, a chain of a lead run and a window run: the
-    G family from x = 0 to x_lo at every lambda in one batch, and the H
-    family from x = 1 to x_hi at lambda2 once (max(4, ceil(dx * x_steps))
-    steps each), then `nx` steps across the window.  nx = 0 with
-    x_lo == x_hi evaluates one point.  Every sweep follows problem.rescale.
-    Returns xs (nx+1,) and psi1, psi2 shaped (len(lams), nx+1); a non-finite
-    lambda raises InvalidInputError and a collapsed frame RankDeficiencyError.
+    Both families start on the grid.  G reaches x_k, the last node of
+    problem.x_grid() at or below x_lo, by the first k steps of the grid leg
+    (the chain that lambda_grid_frames and top_frames sweep), with that
+    leg's cached half-step table and step coefficients; H starts from
+    h_path's frame at x_j, the first node at or above x_hi (Q when j =
+    x_steps).  Each family then runs a tail from its node to the window's
+    near edge (_gap_steps steps, none when the edge is the node) and `nx`
+    steps across the window; both families' tails and windows share one
+    base_table call and are not cached.  nx = 0 with x_lo == x_hi evaluates
+    one point, and at x = 1 that is the top edge's endpoint sweep.  Every
+    sweep follows problem.rescale.  Returns xs (nx+1,) and psi1, psi2
+    shaped (len(lams), nx+1); nx must be an integer >= 0, and a bad window
+    or a non-finite lambda raises InvalidInputError, a collapsed frame
+    RankDeficiencyError.
     """
+    nx = _step_count(nx, least=0)
     if not (0.0 <= x_lo <= x_hi <= 1.0 and (nx > 0) == (x_lo < x_hi)):
         raise InvalidInputError(
             "need 0 <= x_lo <= x_hi <= 1, with nx = 0 exactly when x_lo == x_hi"
@@ -274,18 +287,24 @@ def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lams)):
         raise InvalidInputError("lambda must be finite")
+    field, rescale, steps = problem.field, problem.rescale, problem.x_steps
+    grid = problem.x_grid()
+    k = int(np.searchsorted(grid, x_lo, side="right")) - 1
+    j = int(np.searchsorted(grid, x_hi, side="left"))
+    g_start = chain_prefix(field, problem.P.entries, lams, 0.0, [(1.0, steps)], k,
+                           rescale)[1][:, 0]
+    h_start = problem.Q.entries if j == steps else problem.h_path().frames[j]
 
-    def window(init, lams, x0, x_near, x_far):
-        """Frames at the window's nx+1 nodes in sweep order: a lead run from
-        x0 to x_near, then nx steps to x_far."""
-        runs = [(x_near, _gap_steps(problem, abs(x_near - x0)))] if x_near != x0 else []
-        runs += [(x_far, nx)] if nx else []
-        frames = propagate_chain(problem.field, init, lams, x0, runs, problem.rescale,
-                                 endpoint=not nx)[1]
-        return frames[:, -(nx + 1):]
+    def runs(x0, x_near, x_far):
+        """A tail from the grid node x0 to the window's near edge, then nx steps."""
+        tail = [(x_near, int(_gap_steps(problem, abs(x_near - x0))))] if x_near != x0 else []
+        return tail + ([(x_far, nx)] if nx else [])
 
-    G = window(problem.P.entries, lams, 0.0, x_lo, x_hi)
-    H = window(problem.Q.entries, [problem.lambda2], 1.0, x_hi, x_lo)[0, ::-1]
+    (_, G, _), (_, H, _) = propagate_chains(field, [
+        (g_start, lams, grid[k], runs(grid[k], x_lo, x_hi), not nx),
+        (h_start, [problem.lambda2], grid[j], runs(grid[j], x_hi, x_lo), not nx),
+    ], rescale)
+    G, H = G[:, -(nx + 1):], H[0, -(nx + 1):][::-1]
     AT = problem.a_tilde()
     w1, w2, d = _kernels.omega_tables(G, H, AT.block_g, AT.block_h)
     psi1, psi2 = normalized_forms(w1, w2, d, "a psi window")

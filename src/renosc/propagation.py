@@ -10,11 +10,16 @@ per-chain cache, so a repeated sweep pays only Horner) and evaluated per
 lambda line by Horner, and the steps are chained by a blocked prefix
 product, blocks of ceil(sqrt(steps)) steps, so a leg costs about
 2 sqrt(steps) numpy-level iterations.  One call can run a chain of uniform
-runs (a lead leg and a window, or the gaps between points) with one step
-size per step, over one half-step table.  A query that reads only the end
-of a chain (a psi point, a top-edge sweep) runs in endpoint mode, which
-expands only the last node and equals the full sweep's last node bit for
-bit.  Temporaries are bounded by
+runs (a tail and a window, or the gaps between points) with one step size
+per step, over one half-step table.  A query that reads only the end of a
+chain (a psi point, a top-edge sweep) runs in endpoint mode, which expands
+only the last node and equals the full sweep's last node bit for bit.
+Every sweep goes through one core, `_sweep`, behind one of three fronts:
+`propagate_chain` caches the chain's table and coefficients,
+`chain_prefix` runs the first steps of a cached chain on its table and
+coefficients (a psi window's lead is a prefix of the grid leg), and
+`propagate_chains` sweeps chains used once (a psi window's tails and
+window runs) over one base_table call, uncached.  Temporaries are bounded by
 `_kernels.STEP_BUDGET`: x segments of at most that many bytes of one
 line's step matrices cut long legs, and lines run in chunks of up to four
 times that.  Column rescaling keeps stiff problems in range: inside a block
@@ -56,8 +61,12 @@ class CoefficientField:
 
     `_chains` is propagation's per-chain cache (half-step tables and step
     coefficients, both built from base_table and E; at most 9 chains, see
-    _chain_cache).  It is not a constructor argument, so a field derived by
-    dataclasses.replace starts with an empty one.
+    _chain_cache).  It holds the legs that are swept again or read in part:
+    the grid leg, whose prefixes lead every psi window, the H path and the
+    shelf legs, and the chains of omega_at_points; psi windows' own short
+    sweeps are not kept, so they never evict a leg.  It is not a constructor
+    argument, so a field derived by dataclasses.replace starts with an empty
+    one.
     """
 
     n: int
@@ -208,16 +217,64 @@ def _chain_cache(field: CoefficientField, xh, key):
     return hit
 
 
-def _step_count(steps) -> int:
-    """A run's step count as an int; InvalidInputError unless it is a
-    positive integer (10.5 is refused, not truncated)."""
+def _step_count(steps, least=1) -> int:
+    """A step count as an int; InvalidInputError unless it is an integer of
+    at least `least` (10.5 is refused, not truncated, and so is "10")."""
     try:
         k = int(steps)
     except (TypeError, ValueError, OverflowError):
         k = None
-    if k is None or k != steps or k < 1:
-        raise InvalidInputError(f"a run's step count must be a positive integer, not {steps!r}")
+    if k is None or k != steps or k < least:
+        what = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise InvalidInputError(f"a step count must be {what}, not {steps!r}")
     return k
+
+
+def _chain_front(field, init, lams, from_x, runs):
+    """The validated arguments (init, lams, from_x, runs) of a chain, runs as
+    a tuple of (float, int) pairs; InvalidInputError as propagate_chain says."""
+    init = np.ascontiguousarray(init, dtype=float)
+    try:
+        lams = np.asarray(lams, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        lams = None
+    if lams is None or lams.ndim != 1 or not np.all(np.isfinite(lams)):
+        raise InvalidInputError("lams must be a 1-D array of finite numbers")
+    if init.shape[:-2] not in ((), lams.shape) or init.shape[-2:-1] != (field.n,):
+        raise InvalidInputError(f"init must be one {field.n} x m frame or one per lambda")
+    if not np.all(np.isfinite(init)):
+        raise InvalidInputError("init must hold finite numbers")
+    runs = tuple((float(to_x), _step_count(steps)) for to_x, steps in runs)
+    stops = [from_x] + [to_x for to_x, _ in runs]
+    if not np.all(np.isfinite(stops)):
+        raise InvalidInputError("from_x and every stop of a chain must be finite")
+    dx = np.diff(stops)
+    if not (np.all(dx > 0) or np.all(dx < 0)):
+        raise InvalidInputError("the stops of a chain must differ and keep one direction")
+    return init, lams, from_x, runs
+
+
+def _unmoved(init, lams, from_x):
+    """A chain without runs: the initial frame at from_x for every line."""
+    frames = np.broadcast_to(init[..., None, :, :], (len(lams), 1) + init.shape[-2:])
+    return np.array([float(from_x)]), frames, np.zeros((len(lams), 1))
+
+
+def _sweep(field, a_half, h, xh, lams, init, rescale, endpoint, coefficients=None):
+    """The sweep core of every chain: RK4 over the half-step table a_half of
+    the grid xh, steps h (see _half_steps), at every lambda of `lams`.
+
+    Returns (xs, frames, scale_log) in sweep order; with `endpoint` the last
+    node alone.  Raises BlowUpError with the first x at which some lambda
+    line leaves double-precision range.
+    """
+    frames, slog = _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, rescale,
+                                     endpoint, coefficients)
+    xs = xh[-1:] if endpoint else xh[::2].copy()
+    if not np.all(np.isfinite(frames)):
+        x = xs[int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))]
+        raise BlowUpError(f"propagation blew up near x = {x:.6g}", x=x)
+    return xs, frames, slog
 
 
 def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=False,
@@ -234,46 +291,73 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
     from_x and every stop finite, and every run's steps a positive integer
     (InvalidInputError).  Returns (xs, frames, scale_log) in sweep order,
     xs[0] = from_x, or on an increasing x grid if `increasing`, with frames
-    shaped (len(lams), 1 + steps, n, m); raises BlowUpError with the first x at which some lambda line leaves
-    double-precision range.  With `endpoint` only the chain's last node is
-    expanded: xs, frames and scale_log hold that node alone, bit for bit the
-    last node of the full sweep, and a blow-up is reported at its x.
+    shaped (len(lams), 1 + steps, n, m); raises BlowUpError with the first x
+    at which some lambda line leaves double-precision range.  With
+    `endpoint` only the chain's last node is expanded: xs, frames and
+    scale_log hold that node alone, bit for bit the last node of the full
+    sweep, and a blow-up is reported at its x.
     """
-    init = np.ascontiguousarray(init, dtype=float)
-    try:
-        lams = np.asarray(lams, dtype=float)
-    except (TypeError, ValueError):  # ragged or not numbers
-        lams = None
-    if lams is None or lams.ndim != 1 or not np.all(np.isfinite(lams)):
-        raise InvalidInputError("lams must be a 1-D array of finite numbers")
-    if init.shape[:-2] not in ((), lams.shape) or init.shape[-2:-1] != (field.n,):
-        raise InvalidInputError(f"init must be one {field.n} x m frame or one per lambda")
-    if not np.all(np.isfinite(init)):
-        raise InvalidInputError("init must hold finite numbers")
-    runs = tuple((float(to_x), _step_count(steps)) for to_x, steps in runs)
-    stops = [from_x] + [to_x for to_x, _ in runs]
-    if not np.all(np.isfinite(stops)):
-        raise InvalidInputError("from_x and every stop of a chain must be finite")
+    init, lams, from_x, runs = _chain_front(field, init, lams, from_x, runs)
     if not runs:
-        frames = np.broadcast_to(init[..., None, :, :], (len(lams), 1) + init.shape[-2:])
-        return np.array([float(from_x)]), frames, np.zeros((len(lams), 1))
-    dx = np.diff(stops)
-    if not (np.all(dx > 0) or np.all(dx < 0)):
-        raise InvalidInputError("the stops of a chain must differ and keep one direction")
+        return _unmoved(init, lams, from_x)
     h, xh = _half_steps(from_x, runs)
     a_half, coefficients = _chain_cache(field, xh, (from_x, runs))
-    frames, slog = _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, rescale,
-                                     endpoint, coefficients)
-
-    xs = xh[-1:] if endpoint else xh[::2].copy()
-    if not np.all(np.isfinite(frames)):
-        x = xs[int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))]
-        raise BlowUpError(f"propagation blew up near x = {x:.6g}", x=x)
+    xs, frames, slog = _sweep(field, a_half, h, xh, lams, init, rescale, endpoint,
+                              coefficients)
     if increasing and xs[0] > xs[-1]:
         xs = xs[::-1].copy()
         frames = frames[:, ::-1].copy()
         slog = slog[:, ::-1].copy()
     return xs, frames, slog
+
+
+def chain_prefix(field, init, lams, from_x, runs, steps, rescale=True):
+    """The node reached after the first `steps` steps of the chain (from_x, runs).
+
+    One endpoint sweep over the start of the chain's cached half-step table,
+    with the chain's cached step coefficients (see _kernels.rk4_grid), so a
+    prefix of a chain already swept builds none (the prefix of a chain not
+    yet swept builds and keeps its own).  Arguments are validated as
+    in propagate_chain, and `steps` must be an integer from 0 to the chain's
+    step count.  Returns (xs, frames, scale_log) of that node, shaped as
+    propagate_chain's endpoint result; zero steps give `init` at from_x.
+    """
+    init, lams, from_x, runs = _chain_front(field, init, lams, from_x, runs)
+    steps = _step_count(steps, least=0)
+    if steps > sum(s for _, s in runs):
+        raise InvalidInputError(f"a prefix of {steps} steps is longer than its chain")
+    if not steps:
+        return _unmoved(init, lams, from_x)
+    h, xh = _half_steps(from_x, runs)
+    a_half, coefficients = _chain_cache(field, xh, (from_x, runs))
+    return _sweep(field, a_half[:2 * steps + 1], h[:steps], xh[:2 * steps + 1], lams, init,
+                  rescale, True, coefficients)
+
+
+def propagate_chains(field, chains, rescale=True):
+    """Several chains, each swept once, over one field.base_table call.
+
+    `chains` holds (init, lams, from_x, runs, endpoint) tuples, validated as
+    propagate_chain validates them.  The half-step grids of all chains go
+    through one base_table call, whose fixed cost would otherwise be paid
+    per chain, and nothing is cached: a chain swept once would only evict
+    the cached legs.  Returns one (xs, frames, scale_log) per chain, in
+    sweep order, as propagate_chain does.
+    """
+    fronts = [_chain_front(field, *chain[:4]) for chain in chains]
+    grids = [_half_steps(from_x, runs) if runs else None for _, _, from_x, runs in fronts]
+    points = [grid[1] for grid in grids if grid]
+    table = field.base_table(np.concatenate(points)) if points else None
+    out, start = [], 0
+    for (init, lams, from_x, _), grid, chain in zip(fronts, grids, chains):
+        if grid is None:
+            out.append(_unmoved(init, lams, from_x))
+            continue
+        h, xh = grid
+        a_half = table[start:start + len(xh)]
+        start += len(xh)
+        out.append(_sweep(field, a_half, h, xh, lams, init, rescale, chain[4]))
+    return out
 
 
 def integrate_frame(

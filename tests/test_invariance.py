@@ -16,7 +16,7 @@ from renosc import (
     load_problem,
     rho_grid_scan,
 )
-from renosc import _kernels, invariance
+from renosc import _kernels, invariance, psi_point
 from renosc.invariance import (
     LossPoint,
     _newton_polish,
@@ -258,6 +258,36 @@ def count_rk4_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "rk4_grid", counted)
     return calls
+
+
+def test_scan_and_classification_build_each_full_leg_once(monkeypatch):
+    # windows, points and classification boxes start on the grid: their
+    # leads are prefixes of the grid leg and the H path, whose coefficients
+    # are built once, and their own short sweeps are not cached
+    problem = load_problem(builtin_catalog("example3"))  # a field of its own
+    N = problem.x_steps
+    built = []
+    real = _kernels._coefficients
+
+    def counted(table, E, h):
+        built.append((len(table) // 2, float(h[0, 0, 0])))
+        return real(table, E, h)
+
+    monkeypatch.setattr(_kernels, "_coefficients", counted)
+    scan = rho_grid_scan(problem)
+    assert len(scan.loss_points) == 2
+    for p in scan.loss_points:
+        classify_loss_point(problem, p, others=tuple(scan.loss_points))
+    legs = sorted(b for b in built if abs(b[1]) >= 1.0 / N)
+    assert legs == [(N, -1.0 / N), (N, 1.0 / N)]
+    assert len(built) > len(legs)  # the windows' own sweeps, built per call
+    assert all(runs in (((1.0, N),), ((0.0, N),)) for _, runs in problem.field._chains)
+
+
+def test_newton_rho_is_the_point_rho(example3_scan, example3):
+    # the polish returns its last point window's rho, which psi_point repeats
+    for p in example3_scan.loss_points:
+        assert p.rho == psi_point(example3, p.x_star, p.lambda_star)[2]
 
 
 def test_classification_doubling_sweeps_do_not_depend_on_columns(example3, monkeypatch):

@@ -25,7 +25,8 @@ from renosc import (
 )
 from renosc import _kernels, maslovbox
 from renosc.maslovbox import _psi1_at_one
-from renosc.propagation import propagate_chain
+from renosc.invariance import _psi_grids
+from renosc.propagation import chain_prefix, propagate_chain
 from renosc.winding import PathSamples, detect_crossings
 
 SQ50 = np.sqrt(50.0)
@@ -318,24 +319,81 @@ def lead_steps(problem, dx):
 @pytest.mark.parametrize("name", ["example1", "example2"])
 def test_psi_window_batch_equals_single_lambda_legs(name):
     problem = replace(load_problem(builtin_catalog(name)), x_steps=300)
-    field, AT = problem.field, problem.a_tilde()
+    field, AT, rescale = problem.field, problem.a_tilde(), problem.rescale
     lams = np.linspace(problem.lambda1, problem.lambda2, 5)
-    x_lo, x_hi, nx = 0.3, 0.36, 12
+    x_lo, x_hi, nx = 0.301, 0.3605, 12
     xs, p1, p2 = psi_window(problem, lams, x_lo, x_hi, nx)
     assert p1.shape == p2.shape == (len(lams), nx + 1)
     assert np.array_equal(xs, np.linspace(x_lo, x_hi, nx + 1))
-    h_runs = [(x_hi, lead_steps(problem, 1.0 - x_hi)), (x_lo, nx)]
-    h = propagate_chain(field, problem.Q.entries, [problem.lambda2], 1.0, h_runs,
-                        problem.rescale)[1][0, -(nx + 1):][::-1]
-    g_runs = [(x_lo, lead_steps(problem, x_lo)), (x_hi, nx)]
+    # G leaves the grid at node k = 90 (x = 0.3) and H at node j = 109
+    grid = problem.x_grid()
+    k, j = 90, 109
+    assert grid[k] < x_lo < grid[k + 1] and grid[j - 1] < x_hi < grid[j]
+    h_runs = [(x_hi, lead_steps(problem, grid[j] - x_hi)), (x_lo, nx)]
+    h = propagate_chain(field, problem.h_path().frames[j], [problem.lambda2], grid[j],
+                        h_runs, rescale)[1][0, -(nx + 1):][::-1]
+    g_runs = [(x_lo, lead_steps(problem, x_lo - grid[k])), (x_hi, nx)]
     for i, lam in enumerate(lams):
         _, q1, q2 = psi_window(problem, [lam], x_lo, x_hi, nx)
         assert np.array_equal(p1[i], q1[0]) and np.array_equal(p2[i], q2[0])
-        # the same run chain, one lambda at a time
-        g = propagate_chain(field, problem.P.entries, [lam], 0.0, g_runs,
-                            problem.rescale)[1][0, -(nx + 1):]
+        # the same construction, one lambda at a time: k steps of the grid
+        # leg, then the tail and the window as a chain of their own
+        g = chain_prefix(field, problem.P.entries, [lam], 0.0, [(1.0, problem.x_steps)],
+                         k, rescale)[1][:, 0]
+        g = propagate_chain(field, g, [lam], grid[k], g_runs, rescale)[1][0, -(nx + 1):]
         w1, w2, d = _kernels.omega_tables(g, h, AT.block_g, AT.block_h)
         assert np.array_equal(p1[i], w1 / d) and np.array_equal(p2[i], w2 / d)
+
+
+def test_psi_at_grid_nodes_matches_the_grid_and_the_left_shelf():
+    # a window between grid nodes at lambda on the lambda grid runs the grid
+    # leg's steps up to rounding: no tail, and H read off the H path
+    problem = replace(load_problem(builtin_catalog("example2")),
+                      x_steps=200, lambda_steps=40)
+    psi1, psi2, _ = _psi_grids(problem)
+    grid, lams = problem.x_grid(), problem.lambda_grid()
+    left = shelf_path(problem, "left")
+    for a, b in ((0, 12), (57, 80), (190, 200)):
+        xs, p1, p2 = psi_window(problem, lams[[0, 17, 40]], grid[a], grid[b], b - a)
+        assert np.allclose(xs, grid[a:b + 1], rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(p1 - psi1[[0, 17, 40], a:b + 1])) <= 1e-12
+        assert np.max(np.abs(p2 - psi2[[0, 17, 40], a:b + 1])) <= 1e-12
+        assert np.max(np.abs(p1[0] - left.psi1[a:b + 1])) <= 1e-12
+        assert np.max(np.abs(p2[0] - left.psi2[a:b + 1])) <= 1e-12
+    for i in (0, 1, 57, 199, 200):
+        for li in (0, 17, 40):
+            q1, q2, _ = psi_point(problem, grid[i], lams[li])
+            assert abs(q1 - psi1[li, i]) <= 1e-12 and abs(q2 - psi2[li, i]) <= 1e-12
+
+
+def fine_window(problem, lams, x_lo, x_hi, nx, per_unit=20000):
+    """psi on the window from leads of per_unit steps per unit length."""
+    def frames(init, lams, x0, x_near, x_far):
+        lead = max(4, math.ceil(abs(x_near - x0) * per_unit))
+        runs = ([(x_near, lead)] if x_near != x0 else []) + ([(x_far, nx)] if nx else [])
+        return propagate_chain(problem.field, init, lams, x0, runs)[1][:, -(nx + 1):]
+
+    G = frames(problem.P.entries, lams, 0.0, x_lo, x_hi)
+    H = frames(problem.Q.entries, [problem.lambda2], 1.0, x_hi, x_lo)[0, ::-1]
+    AT = problem.a_tilde()
+    w1, w2, d = _kernels.omega_tables(G, H, AT.block_g, AT.block_h)
+    return w1 / d, w2 / d
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_windows_at_the_ends_match_a_fine_sweep(name):
+    # windows on x = 0 and x = 1 and in the first and last cells (k = 0,
+    # j = x_steps), against leads of 20,000 steps per unit length
+    problem = load_problem(builtin_catalog(name))
+    lams = np.linspace(problem.lambda1, problem.lambda2, 4)
+    c = 1.0 / problem.x_steps
+    for x_lo, x_hi, nx in ((0.0, 0.0, 0), (0.0, 0.05, 10), (0.2 * c, 0.7 * c, 3),
+                           (0.5 * c, 0.5 * c, 0), (1.0 - 0.7 * c, 1.0 - 0.2 * c, 3),
+                           (1.0 - 0.5 * c, 1.0 - 0.5 * c, 0), (0.95, 1.0, 10),
+                           (1.0, 1.0, 0)):
+        _, p1, p2 = psi_window(problem, lams, x_lo, x_hi, nx)
+        q1, q2 = fine_window(problem, lams, x_lo, x_hi, nx)
+        assert np.max(np.abs(p1 - q1)) <= 1e-9 and np.max(np.abs(p2 - q2)) <= 1e-9
 
 
 @pytest.mark.parametrize("x", [0.0, 0.4, 1.0])
@@ -404,10 +462,24 @@ def test_psi_window_honors_no_rescale(example2, monkeypatch):
 
     monkeypatch.setattr(_kernels, "rk4_grid", spy)
     got = [psi_window(raw, lams, 0.2, 0.3, 8), psi_window(raw, lams, 0.5, 0.5, 0)]
-    assert len(seen) == 4 and not any(seen)
+    # the window: G's grid-leg prefix, G's window, the H path and H's
+    # window; the point at the grid node 0.5: G's prefix alone
+    assert len(seen) == 5 and not any(seen)
     for (_, p1, p2), (_, q1, q2) in zip(got, ref):
         assert np.max(np.abs(p1 - q1)) < 1e-9
         assert np.max(np.abs(p2 - q2)) < 1e-9
+
+
+@pytest.mark.parametrize("nx", [2.0, 2.5, "2"])
+def test_psi_window_takes_an_integral_nx(example1, nx):
+    # an integral float is a step count; anything else is refused by name
+    if nx == 2.0:
+        got = psi_window(example1, [0.1], 0.2, 0.3, nx)
+        for a, b in zip(got, psi_window(example1, [0.1], 0.2, 0.3, 2)):
+            assert np.array_equal(a, b)
+    else:
+        with pytest.raises(InvalidInputError, match="step count"):
+            psi_window(example1, [0.1], 0.2, 0.3, nx)
 
 
 def test_psi_window_validates_its_window(example1):

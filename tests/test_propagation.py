@@ -19,7 +19,7 @@ from renosc import (
     propagate_lambda_grid,
 )
 from renosc import _kernels
-from renosc.propagation import propagate_chain
+from renosc.propagation import chain_prefix, propagate_chain, propagate_chains
 
 
 def constant_field(matrix):
@@ -343,6 +343,57 @@ def test_chains_with_different_runs_share_no_coefficients(monkeypatch):
     kept = [C for _, coefficients in field._chains.values()
             for C in coefficients.values()]
     assert len(kept) == 2 and not np.shares_memory(kept[0], kept[1])
+
+
+@pytest.mark.parametrize("budget", [8 * 4 * 5, _kernels.STEP_BUDGET], ids=["segments", "one"])
+def test_chain_prefix_reuses_the_chain_coefficients(budget, monkeypatch):
+    # after the chain's sweep a prefix of it, across segments too (5 steps a
+    # segment at the small budget), builds no coefficients and matches a
+    # cold prefix; the whole chain is its endpoint sweep bit for bit
+    monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
+    built = count_coefficient_builds(monkeypatch)
+    field = varying_field()
+    init = np.array([[0.0, 1.0], [1.0, 0.0]])
+    runs = [(0.3, 17), (1.0, 43)]
+    lams = [1.0, 4.0, 9.0]
+    whole = propagate_chain(field, init, lams, 0.0, runs, True, endpoint=True)
+    for steps in (1, 3, 5, 12, 17, 23, 59, 60):
+        built.clear()
+        got = chain_prefix(field, init, lams, 0.0, runs, steps)
+        assert built == []
+        want = chain_prefix(cold_copy(field), init, lams, 0.0, runs, steps)
+        assert np.array_equal(got[0], want[0])
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-14 * np.max(np.abs(want[1]))
+    for a, b in zip(chain_prefix(field, init, lams, 0.0, runs, 60), whole):
+        assert np.array_equal(a, b)
+    start = chain_prefix(field, init, lams, 0.0, runs, 0)
+    assert np.array_equal(start[0], [0.0]) and np.array_equal(start[1][:, 0], [init] * 3)
+    for steps in (-1, 61, 2.5, "3"):
+        with pytest.raises(InvalidInputError, match="step"):
+            chain_prefix(field, init, lams, 0.0, runs, steps)
+
+
+def test_propagate_chains_equal_cached_chains_and_keep_nothing():
+    # one base_table call for every chain; each chain's bits are those of
+    # propagate_chain, and the field's chain cache is left alone
+    tables = []
+    base = varying_field()
+
+    def counted(xs):
+        tables.append(len(xs))
+        return base.base_table(xs)
+
+    field = CoefficientField(n=2, base_table=counted, lambda_mat=base.lambda_mat)
+    init = np.array([[0.0], [1.0]])
+    chains = [(init, [1.0, 4.0], 0.2, [(0.25, 4), (0.4, 8)], False),
+              (init, [2.0], 0.9, [(0.6, 5)], True),
+              (init, [3.0], 0.5, [], True)]
+    got = propagate_chains(field, chains, False)
+    assert tables == [2 * 12 + 1 + 2 * 5 + 1] and field._chains == {}
+    for (init, lams, from_x, runs, endpoint), out in zip(chains, got):
+        want = propagate_chain(base, init, lams, from_x, runs, False, endpoint=endpoint)
+        for a, b in zip(out, want):
+            assert np.array_equal(a, b)
 
 
 def test_replaced_field_starts_with_an_empty_chain_cache():
