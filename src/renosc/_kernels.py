@@ -115,6 +115,15 @@ FORM_BUDGET = 1 << 20
 COLLAPSE_TOL = 2.0 ** -52
 
 
+def sweep_layout(n: int, steps: int):
+    """(steps per x segment, lines per chunk) of an rk4_grid sweep: a segment
+    holds STEP_BUDGET bytes of one line's step matrices, a chunk of lines 4
+    times that."""
+    matrix_bytes = 8 * n * n
+    seg = max(1, min(steps, STEP_BUDGET // matrix_bytes))
+    return seg, max(1, 4 * STEP_BUDGET // (matrix_bytes * seg))
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # blow-ups are caught by callers
 def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=None):
     """Propagate initial frames over a batch of lambda values.
@@ -150,9 +159,7 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     frames[:, 0] = init
     if coefficients is None:
         coefficients = {}
-    matrix_bytes = 8 * n * n
-    seg = max(1, min(steps, STEP_BUDGET // matrix_bytes))
-    chunk = max(1, 4 * STEP_BUDGET // (matrix_bytes * seg))
+    seg, chunk = sweep_layout(n, steps)
     for s0 in range(0, steps, seg):
         s1 = min(s0 + seg, steps)
         C = next((kept[:, :s1 - s0] for (a, t), kept in coefficients.items()

@@ -29,7 +29,7 @@ from .errors import (
     InvarianceViolationError,
     RenoscError,
 )
-from .invariance import classify_loss_point, constants_report, rho_grid_scan
+from .invariance import _psi_grids, classify_loss_point, constants_report, rho_grid_scan
 from .maslovbox import compute_box, monotonicity_audit, renormalized_count
 from .problems import CATALOG, builtin_catalog, load_config_file, load_problem
 
@@ -90,7 +90,8 @@ def _emit(summary, outdir):
 def cmd_box(args) -> int:
     cfg, problem = _load(args)
     outdir = artifacts.ensure_outdir(args.out)
-    problem.lambda_grid_frames()  # the figure needs the grid; the top shelf reuses it
+    # the figure needs the full grid; the top shelf reuses the pass's last nodes
+    psi1 = _psi_grids(problem)[0]
     report = compute_box(problem)
     for shelf, samples in report.shelf_samples.items():
         artifacts.write_path_csv(os.path.join(outdir, f"shelf_{shelf}.csv"), samples)
@@ -102,10 +103,6 @@ def cmd_box(args) -> int:
         os.path.join(outdir, "eigenvalues.csv"), "lambda",
         [(v,) for v in report.eigenvalues],
     )
-    # full-grid spectral curve for the figure
-    from .invariance import _psi_grids
-
-    psi1, _, _ = _psi_grids(problem)
     artifacts.write_box_svg(
         os.path.join(outdir, "box.svg"), problem.lambda_grid(), problem.x_grid(),
         psi1, crossings=report.left_crossings, eigenvalues=report.eigenvalues,

@@ -25,6 +25,7 @@ from . import _kernels
 from .errors import InvalidInputError, NeedsFinerGridError, RankDeficiencyError
 from .maslovbox import SpectralProblem, normalized_forms, psi_point, shelf_path
 from .maslovbox import psi_window as _psi_window
+from .propagation import propagate_lambda_grid
 from .winding import ZERO_TOL, linear_zero, sign_changes
 
 RHO_ZERO_TOL = 1e-9
@@ -35,8 +36,10 @@ NEWTON_ITERS = 25
 # classify_loss_point's lambda columns, and how often it may double the box
 CLASSIFY_COLS = 33
 MAX_DOUBLINGS = 5
-# grid nodes per block of whole lambda lines when a per-node quantity is
-# batched over the grid; bounds the block's transients
+# grid nodes per block of whole lambda lines in the full-grid pass; bounds
+# the block's frames and transients.  Blocks are rounded down to whole line
+# chunks of rk4_grid (at least one), since a block ending in a partial chunk
+# pays a full chunk's numpy calls for it.
 _BLOCK_NODES = 1 << 14
 
 
@@ -121,27 +124,56 @@ def _volume_rates(frames, A):
     return ratio, rate
 
 
-def _line_blocks(frames):
-    """Slices of about _BLOCK_NODES nodes, in whole lines, of a (lines, nodes, ...) grid."""
-    step = max(1, _BLOCK_NODES // frames.shape[1])
-    return [slice(lo, lo + step) for lo in range(0, frames.shape[0], step)]
+def _psi_grids(problem: SpectralProblem, dh_log=None):
+    """psi1, psi2, rho over the full (lambda, x) grid, in one streamed pass.
 
-
-def _psi_grids(problem: SpectralProblem):
-    """psi1, psi2, rho over the full (lambda, x) grid (cached per problem)."""
-    if "psi_grids" in problem._cache:
-        return problem._cache["psi_grids"]
-    frames = problem.lambda_grid_frames()
-    hp = problem.h_path()
-    AT = problem.a_tilde()
-    psi1 = np.empty(frames.shape[:2])
-    psi2 = np.empty(frames.shape[:2])
-    for lines in _line_blocks(frames):
-        w1, w2, d = _kernels.omega_tables(frames[lines], hp.frames, AT.block_g, AT.block_h)
-        psi1[lines], psi2[lines] = normalized_forms(w1, w2, d, "the full grid")
-    rho = 0.5 * (psi1 ** 2 + psi2 ** 2)
-    problem._cache["psi_grids"] = (psi1, psi2, rho)
-    return psi1, psi2, rho
+    The pass sweeps the grid leg in blocks of about _BLOCK_NODES nodes,
+    whole lambda lines, one propagate_lambda_grid call each on the leg's
+    cached step coefficients (a line's bits do not depend on its block).
+    Each block writes its psi rows and its last nodes, the top-edge frames
+    (SpectralProblem.top_frames), and is dropped: no frame grid is kept.
+    Given dh_log, the H path's d/dx log |hhat| per node, the pass also
+    caches the G family's extrema as "g_extrema": the minimum column-volume
+    ratio, the maximum |d/dx log |ghat|| and the maximum of |d(omega2)/dx /
+    d| = |d(psi2)/dx + psi2 d'/d|.  psi2 is scale-invariant, so its centered
+    difference is legitimate even on rescaled frames; d'/d is the two
+    families' rates, analytic per node.  A call with dh_log after a pass
+    without it sweeps again.  A collapsed frame raises RankDeficiencyError.
+    """
+    cache = problem._cache
+    if "psi_grids" in cache and (dh_log is None or "g_extrema" in cache):
+        return cache["psi_grids"]
+    lams, xs = problem.lambda_grid(), problem.x_grid()
+    hp, AT = problem.h_path(), problem.a_tilde()
+    psi1, psi2, rho = np.empty((3, len(lams), len(xs)))
+    top = np.empty((len(lams), problem.n, problem.m))
+    if dh_log is not None:
+        base, E = problem.field.base_table(xs), problem.field.lambda_mat
+        h = xs[1] - xs[0]
+        ratio_min, dg_max, delta = math.inf, 0.0, 0.0
+    chunk = _kernels.sweep_layout(problem.n, problem.x_steps)[1]
+    block = max(1, _BLOCK_NODES // len(xs) // chunk) * chunk
+    for lo in range(0, len(lams), block):
+        lines = slice(lo, lo + block)
+        frames = propagate_lambda_grid(problem.field, problem.P.entries, lams[lines],
+                                       0.0, 1.0, problem.x_steps, problem.rescale)[1]
+        top[lines] = frames[:, -1]
+        w1, w2, d = _kernels.omega_tables(frames, hp.frames, AT.block_g, AT.block_h)
+        p1, p2 = normalized_forms(w1, w2, d, "the full grid")
+        psi1[lines], psi2[lines], rho[lines] = p1, p2, 0.5 * (p1 ** 2 + p2 ** 2)
+        if dh_log is None:
+            continue
+        ratio, dg_log = _volume_rates(frames, base + lams[lines, None, None, None] * E)
+        ratio_min = min(ratio_min, float(np.min(ratio)))
+        dg_max = max(dg_max, float(np.max(np.abs(dg_log))))
+        fd = (p2[:, 2:] - p2[:, :-2]) / (2 * h)
+        dlog = (dg_log + dh_log)[:, 1:-1]
+        delta = max(delta, float(np.max(np.abs(fd + p2[:, 1:-1] * dlog))))
+    cache["top_frames"] = top
+    cache["psi_grids"] = psi1, psi2, rho
+    if dh_log is not None:
+        cache["g_extrema"] = ratio_min, dg_max, delta
+    return cache["psi_grids"]
 
 
 def delta_bound_higher_order(problem: SpectralProblem, c_g: float, c_h: float) -> float:
@@ -160,48 +192,11 @@ def delta_bound_higher_order(problem: SpectralProblem, c_g: float, c_h: float) -
     return (problem.lambda2 - problem.lambda1) / (c_g * c_h) * peak
 
 
-def _g_family_extrema(problem: SpectralProblem, dh_log):
-    """Grid extrema of the G family's volume data, in one blocked pass.
-
-    Returns (c_g, C_g_measured, delta): the minimum column-volume ratio and
-    the maximum |d/dx log |ghat|| when m > 1, and, unless the field is
-    higher-order, the grid maximum of |d(omega2)/dx / d| = |d(psi2)/dx +
-    psi2 d'/d|; None otherwise.  psi2 is scale-invariant, so its centered
-    difference is legitimate even on rescaled frames; d'/d is the two
-    families' rates, analytic per node.  A collapsed frame is refused.
-    """
-    measure_cg = problem.m > 1
-    fd_delta = problem.field.higher_order is None
-    if not (measure_cg or fd_delta):
-        return None, None, None
-    frames = problem.lambda_grid_frames()
-    xs = problem.x_grid()
-    lams = problem.lambda_grid()
-    base, E = problem.field.base_table(xs), problem.field.lambda_mat
-    if fd_delta:
-        psi2 = _psi_grids(problem)[1]
-        h = xs[1] - xs[0]
-    ratio_min, dg_max, delta = math.inf, 0.0, 0.0
-    for lines in _line_blocks(frames):
-        A = base + lams[lines, None, None, None] * E
-        ratio, dg_log = _volume_rates(frames[lines], A)
-        ratio_min = min(ratio_min, float(np.min(ratio)))
-        dg_max = max(dg_max, float(np.max(np.abs(dg_log))))
-        if fd_delta:
-            p2 = psi2[lines]
-            fd = (p2[:, 2:] - p2[:, :-2]) / (2 * h)
-            dlog = (dg_log + dh_log)[:, 1:-1]
-            delta = max(delta, float(np.max(np.abs(fd + p2[:, 1:-1] * dlog))))
-    if not measure_cg:
-        ratio_min = dg_max = None
-    return ratio_min, dg_max, delta if fd_delta else None
-
-
 def constants_report(problem: SpectralProblem) -> InvarianceReport:
     """All certificate constants, the criterion margin, and the verdict.
 
     c_g is exactly 1 when the forward family is one-dimensional; otherwise it
-    is measured as a grid minimum over the propagated lambda-grid paths, and
+    is measured as a grid minimum in the full-grid pass (_psi_grids), and
     C_g enters C_d through the bound m! C_A / c_g^2 (the measured maximum of
     |d/dx log |ghat|| is kept alongside as a cross-check).
     """
@@ -222,8 +217,14 @@ def constants_report(problem: SpectralProblem) -> InvarianceReport:
     c_h = float(np.min(ratio_h))
     C_h = float(np.max(np.abs(dh_log)))
 
-    c_g_grid, C_g_measured, delta = _g_family_extrema(problem, dh_log)
-    c_g, cg_mode = (1.0, "exact") if m == 1 else (c_g_grid, "measured")
+    c_g, cg_mode, C_g_measured, delta = 1.0, "exact", None, None
+    if m > 1 or field.higher_order is None:  # the G family's grid extrema
+        _psi_grids(problem, dh_log)
+        ratio_min, dg_max, fd_delta = problem._cache["g_extrema"]
+        if m > 1:
+            c_g, cg_mode, C_g_measured = ratio_min, "measured", dg_max
+        if field.higher_order is None:
+            delta = fd_delta
     C_g = math.factorial(m) * C_A / c_g ** 2
     C_d = C_g + C_h
 

@@ -24,7 +24,7 @@ from . import _kernels
 from .errors import InvalidInputError, RankDeficiencyError, ShelfAssertionError
 from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde
 from .propagation import (CoefficientField, _step_count, chain_prefix, integrate_frame,
-                          propagate_chain, propagate_chains, propagate_lambda_grid)
+                          propagate_chain, propagate_chains)
 from .winding import (ZERO_TOL, PathSamples, detect_crossings, linear_zero, sign_changes,
                       winding_index)
 
@@ -107,27 +107,16 @@ class SpectralProblem:
     def top_frames(self) -> np.ndarray:
         """G frames at x = 1 for every lambda grid line, shape (L, n, m).
 
-        The cached grid's last column when there is one; otherwise one
-        endpoint sweep, cached, which equals that column bit for bit.
+        Written by the full-grid pass (invariance._psi_grids) when it has
+        run; otherwise one endpoint sweep, cached, which equals the pass's
+        last nodes bit for bit.
         """
-        if "lambda_grid_frames" in self._cache:
-            return self._cache["lambda_grid_frames"][:, -1]
         if "top_frames" not in self._cache:
             self._cache["top_frames"] = propagate_chain(
                 self.field, self.P.entries, self.lambda_grid(), 0.0,
                 [(1.0, self.x_steps)], self.rescale, endpoint=True,
             )[1][:, 0]
         return self._cache["top_frames"]
-
-    def lambda_grid_frames(self) -> np.ndarray:
-        """G frames for every lambda grid line, shape (L, x_steps+1, n, m)."""
-        if "lambda_grid_frames" not in self._cache:
-            _, frames, _ = propagate_lambda_grid(
-                self.field, self.P.entries, self.lambda_grid(),
-                0.0, 1.0, self.x_steps, self.rescale,
-            )
-            self._cache["lambda_grid_frames"] = frames
-        return self._cache["lambda_grid_frames"]
 
 
 @dataclass
@@ -266,7 +255,7 @@ def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int
 
     Both families start on the grid.  G reaches x_k, the last node of
     problem.x_grid() at or below x_lo, by the first k steps of the grid leg
-    (the chain that lambda_grid_frames and top_frames sweep), with that
+    (the chain that the full-grid pass and top_frames sweep), with that
     leg's cached half-step table and step coefficients; H starts from
     h_path's frame at x_j, the first node at or above x_hi (Q when j =
     x_steps).  Each family then runs a tail from its node to the window's

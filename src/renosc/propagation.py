@@ -62,11 +62,11 @@ class CoefficientField:
     `_chains` is propagation's per-chain cache (half-step tables and step
     coefficients, both built from base_table and E; at most 9 chains, see
     _chain_cache).  It holds the legs that are swept again or read in part:
-    the grid leg, whose prefixes lead every psi window, the H path and the
-    shelf legs, and the chains of omega_at_points; psi windows' own short
-    sweeps are not kept, so they never evict a leg.  It is not a constructor
-    argument, so a field derived by dataclasses.replace starts with an empty
-    one.
+    the grid leg, which the full-grid pass sweeps block by block and whose
+    prefixes lead every psi window, the H path and the shelf legs, and the
+    chains of omega_at_points; psi windows' own short sweeps are not kept,
+    so they never evict a leg.  It is not a constructor argument, so a field
+    derived by dataclasses.replace starts with an empty one.
     """
 
     n: int

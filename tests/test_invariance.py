@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,10 @@ from renosc import (
     constants_report,
     delta_bound_higher_order,
     load_problem,
+    propagate_lambda_grid,
     rho_grid_scan,
 )
-from renosc import _kernels, invariance, psi_point
+from renosc import _kernels, cli, invariance, psi_point
 from renosc.invariance import (
     LossPoint,
     _newton_polish,
@@ -116,7 +118,9 @@ def test_gram_log_derivatives_match_long_double_reference():
 
     problem = load_problem(replace(builtin_catalog("example3"), x_steps=230, lambda_steps=120))
     xs = problem.x_grid()
-    for lam, frames in zip(problem.lambda_grid(), problem.lambda_grid_frames()):
+    frames_grid = propagate_lambda_grid(problem.field, problem.P.entries, problem.lambda_grid(),
+                                        0.0, 1.0, problem.x_steps, problem.rescale)[1]
+    for lam, frames in zip(problem.lambda_grid(), frames_grid):
         A = problem.field.table(xs, lam)
         got = _kernels.volume_rates(frames, A)[1]
         want = reference_volume_rates(frames, A)[1]
@@ -260,7 +264,7 @@ def count_rk4_calls(monkeypatch):
     return calls
 
 
-def test_scan_and_classification_build_each_full_leg_once(monkeypatch):
+def test_scan_and_classification_build_each_full_leg_once(monkeypatch, tmp_path):
     # windows, points and classification boxes start on the grid: their
     # leads are prefixes of the grid leg and the H path, whose coefficients
     # are built once, and their own short sweeps are not cached
@@ -282,6 +286,41 @@ def test_scan_and_classification_build_each_full_leg_once(monkeypatch):
     assert legs == [(N, -1.0 / N), (N, 1.0 / N)]
     assert len(built) > len(legs)  # the windows' own sweeps, built per call
     assert all(runs in (((1.0, N),), ((0.0, N),)) for _, runs in problem.field._chains)
+
+    # a box run sweeps the grid leg block by block, on coefficients built once
+    built.clear()
+    assert cli.main(["box", "example2", "--out", str(tmp_path)]) == 0
+    N = builtin_catalog("example2").x_steps
+    legs = sorted(b for b in built if abs(b[1]) >= 1.0 / N)
+    assert legs == [(N, -1.0 / N), (N, 1.0 / N)]
+
+
+def test_certificate_and_scan_share_one_full_grid_pass(example3, monkeypatch):
+    problem = replace(example3, x_steps=230, lambda_steps=120)
+    calls = count_rk4_calls(monkeypatch)
+    constants_report(problem)
+    # 70 lines of 231 nodes fit _BLOCK_NODES, two kernel chunks of 35
+    assert sorted(c for c in calls if c > 1) == [51, 70]
+    # the scan reads the pass's psi grids: its sweeps are refine windows (21
+    # lambda columns), Newton stencils (3) and points (1)
+    calls.clear()
+    rho_grid_scan(problem)
+    assert calls and max(calls) <= 21
+
+
+def test_full_grid_pass_keeps_no_frame_grid():
+    # example2's (L, N, n, m) frames at 1000 x 300 would take 19.3 MB
+    problem = load_problem(replace(builtin_catalog("example2"), x_steps=1000,
+                                   lambda_steps=300))
+    tracemalloc.start()
+    try:
+        _psi_grids(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(v, np.ndarray) and v.ndim >= 4
+                   for v in problem._cache.values())
+    assert peak < 301 * 1001 * 4 * 2 * 8
 
 
 def test_newton_rho_is_the_point_rho(example3_scan, example3):

@@ -23,7 +23,7 @@ from renosc import (
     renormalized_count,
     shelf_path,
 )
-from renosc import _kernels, maslovbox
+from renosc import _kernels, cli, invariance, maslovbox
 from renosc.maslovbox import _psi1_at_one
 from renosc.invariance import _psi_grids
 from renosc.propagation import chain_prefix, propagate_chain
@@ -156,11 +156,11 @@ def test_problem_is_frozen_and_replace_starts_a_fresh_cache():
     with pytest.raises(FrozenInstanceError):
         problem.x_steps = 400
     assert len(problem.h_path().xs) == 201
-    assert problem.lambda_grid_frames().shape[1] == 201
+    assert _psi_grids(problem)[0].shape[1] == 201
     finer = replace(problem, x_steps=400)
     assert len(finer.h_path().xs) == 401
     assert len(finer.g_path(problem.lambda1).xs) == 401
-    assert finer.lambda_grid_frames().shape[1] == 401
+    assert _psi_grids(finer)[0].shape[1] == 401
     assert len(shelf_path(finer, "left").ts) == 401
     assert len(problem.h_path().xs) == 201  # the original keeps its own cache
 
@@ -195,12 +195,13 @@ def test_omega_at_points_matches_shelf(example1):
         assert w2[i] / d[i] == pytest.approx(samples.psi2[k], rel=1e-7, abs=1e-9)
 
 
-def count_rk4_calls(monkeypatch):
+def count_rk4_calls(monkeypatch, key=lambda args: len(args[2])):
+    """Records key(args) of every rk4_grid call; by default its line count."""
     calls = []
     real = _kernels.rk4_grid
 
     def counted(*args):
-        calls.append(len(args[2]))
+        calls.append(key(args))
         return real(*args)
 
     monkeypatch.setattr(_kernels, "rk4_grid", counted)
@@ -436,16 +437,32 @@ def test_psi1_at_one_does_not_depend_on_its_batch():
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
 def test_top_shelf_does_not_depend_on_the_grid_cache(name):
-    # without a cached grid the top shelf takes one endpoint sweep, which
-    # equals the grid's last column bit for bit
-    base = replace(load_problem(builtin_catalog(name)), x_steps=300, lambda_steps=50)
+    # without the full-grid pass the top shelf takes one endpoint sweep, which
+    # equals the pass's last nodes bit for bit (121 lines: three blocks)
+    base = replace(load_problem(builtin_catalog(name)), x_steps=300, lambda_steps=120)
     alone, after_grid = replace(base), replace(base)
-    after_grid.lambda_grid_frames()
+    _psi_grids(after_grid)
     got, want = shelf_path(alone, "top"), shelf_path(after_grid, "top")
-    assert "lambda_grid_frames" not in alone._cache
+    assert "psi_grids" not in alone._cache
     for key in ("ts", "omega1", "omega2", "d", "psi1", "psi2", "rho"):
         assert np.array_equal(getattr(got, key), getattr(want, key))
     assert got.label == want.label == "top"
+
+
+def test_box_sweeps_the_grid_leg_once_in_blocks(tmp_path, monkeypatch):
+    # (lines, steps, endpoint) of every sweep: the grid leg runs once, in
+    # blocks of whole lambda lines, and the top shelf takes the pass's last
+    # nodes instead of an endpoint sweep of all L lines
+    steps, L = 200, 160
+    calls = count_rk4_calls(monkeypatch, key=lambda args: (len(args[2]), len(args[4]), args[6]))
+    assert cli.main(["box", "example2", "--x-steps", str(steps), "--lambda-steps",
+                     str(L - 1), "--out", str(tmp_path)]) == 0
+    # 81 lines of 201 nodes fit _BLOCK_NODES; whole kernel chunks of 40 lines make 80
+    assert invariance._BLOCK_NODES // (steps + 1) == 81
+    assert _kernels.sweep_layout(4, steps) == (steps, 40)
+    grid = [c[0] for c in calls if c[0] > 1 and c[1:] == (steps, False)]
+    assert grid == [80, 80]
+    assert (L, steps, True) not in calls
 
 
 def test_psi_window_honors_no_rescale(example2, monkeypatch):

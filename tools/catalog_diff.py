@@ -13,7 +13,10 @@ a copy of the working tree's tracked and unignored files.  Each catalog run
 runs in both trees with PYTHONPATH=src.  For the run's stdout and every
 output file the script prints "identical", or the largest absolute and
 relative difference of the numbers the two files hold when the text around
-the numbers is the same, or "text differs" when it is not.
+the numbers is the same, or "text differs" when it is not.  It also prints
+each run's peak RSS on both sides, the child's ru_maxrss as os.wait4
+reports it for that one process, so one command shows both whether the
+outputs are byte-identical and what each run's memory peak is.
 """
 
 from __future__ import annotations
@@ -40,11 +43,18 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
 def run_catalog(tree: Path, args, out: Path):
-    """Exit code and stdout of one CLI run in `tree`, writing into `out`."""
+    """Exit code, stdout and peak RSS in MB of one CLI run in `tree`, writing
+    into `out`.  The peak is the child's own ru_maxrss (KB on Linux), read
+    by os.wait4 when the child is reaped."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, "-m", "renosc.cli", *args, "--out", str(out)],
-                          cwd=tree, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    proc = subprocess.Popen([sys.executable, "-m", "renosc.cli", *args, "--out", str(out)],
+                            cwd=tree, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, text=True)
+    stdout = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stdout, usage.ru_maxrss / 1024.0
 
 
 def compare(a: str, b: str) -> str:
@@ -77,9 +87,11 @@ def main(argv=None):
             outs = {side: Path(tmp) / f"out{k}_{side}" for side in trees}
             got = {side: run_catalog(trees[side], run, outs[side]) for side in trees}
             print(" ".join(run))
-            codes = {side: code for side, (code, _) in got.items()}
+            codes = {side: code for side, (code, _, _) in got.items()}
             if codes["parent"] != codes["change"]:
                 print(f"  exit code: {codes['parent']} -> {codes['change']}")
+            print(f"  peak RSS: parent {got['parent'][2]:.1f} MB, "
+                  f"change {got['change'][2]:.1f} MB")
             print(f"  stdout: {compare(got['parent'][1], got['change'][1])}")
             names = sorted({p.name for out in outs.values() if out.is_dir()
                             for p in out.iterdir()})
