@@ -78,7 +78,14 @@ after every step, and its scale_log is the block start's plus m log s plus
 the log of the m column norms.  The carry loop does only the products and
 the column normalizations; the logs come after it, and the block starts'
 scale_logs are one cumsum over [acc, m log s, sum log norms, ...], which
-adds in the order of a step-by-step loop.  Temporaries are bounded two
+adds in the order of a step-by-step loop.  The expanded nodes' column
+norms and their log sums over m add rows one after another (`_sum_rows`),
+not by np.sum over an axis n or m long, whose per-call cost dominates at
+such lengths; below 8 terms np.sum adds in the same order, so the bits are
+the same (from 8 terms on, at m = 1 with n >= 8 or at m >= 8, np.sum adds
+pairwise and the last bits differ).  The block-start carry keeps np.sum:
+its arrays are small, and one call costs less than 2n - 1 row adds.
+Temporaries are bounded two
 ways.  An x segment holds STEP_BUDGET bytes of one line's step matrices, so
 a longer leg is cut into segments that depend on steps and n only (a
 larger STEP_BUDGET would move them, and with them the bits of long legs).
@@ -300,9 +307,9 @@ def _chain(P, steps, frames, slog, rescale):
         nodes, s = Q[:, i, j:j + 1] @ starts[:, i, None], accs[:, i, None]
         k = slice(steps - 1, steps)
     if rescale:
-        nrm = np.sqrt(np.sum(nodes * nodes, axis=-2))
+        nrm = np.sqrt(_sum_rows(np.moveaxis(nodes * nodes, -2, 0)))
         nodes /= nrm[..., None, :]
-        s = s + (m_log_s[:, k] + np.sum(np.log(nrm), axis=-1))
+        s = s + (m_log_s[:, k] + _sum_rows(np.moveaxis(np.log(nrm), -1, 0)))
     frames[:, 1:] = nodes
     slog[:, 1:] = s
 

@@ -3,9 +3,11 @@
 Floats are printed with 17 significant digits so identical runs produce
 byte-identical files.  SVG output is hand-assembled (no plotting library):
 the spectral curve is traced by marching squares on the sign grid of psi1,
-with the spectral parameter on the horizontal axis.  Per-cell Python runs
-only on the active cells (a zero corner or mixed signs), found with boolean
-masks; the grid CSV and the heat map format each axis value once.
+with the spectral parameter on the horizontal axis.  No writer runs Python
+per value or per grid cell: the contour's edge points and the pixel
+coordinates are whole-array operations, and every file is formatted by
+template substitutions over flat lists of values (one for a whole CSV of
+rows, one per lambda line of the grid CSV).
 """
 
 from __future__ import annotations
@@ -24,16 +26,24 @@ def fmt(value) -> str:
 
 
 def write_path_csv(path, samples) -> None:
-    write_rows_csv(path, CSV_COLUMNS, zip(samples.ts, samples.omega1, samples.omega2,
-                                          samples.psi1, samples.psi2, samples.rho))
+    columns = (samples.ts, samples.omega1, samples.omega2, samples.psi1, samples.psi2,
+               samples.rho)
+    _write_csv(path, CSV_COLUMNS, [len(columns)] * len(samples.ts),
+               np.column_stack(columns).ravel().tolist())
 
 
 def write_rows_csv(path, header, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    rows = list(rows)
+    _write_csv(path, header, [len(row) for row in rows], [v for row in rows for v in row])
+
+
+def _write_csv(path, header, widths, values) -> None:
+    """The header and one row per width, all values formatted %.17g in one
+    substitution over the flat list."""
+    line = {w: "\n" + ",".join(["%.17g"] * w) for w in set(widths)}
+    body = "".join([line[w] for w in widths]) % tuple(values)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + body + "\n")
 
 
 def write_grid_csv(path, lam_axis, x_axis, values) -> None:
@@ -73,52 +83,53 @@ def _y_px(x):
     return _H - _MB - x * (_H - _MT - _MB)
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # t of a skipped edge is never used
 def marching_squares(lam_axis, x_axis, values):
     """Zero-level segments of a scalar grid (values indexed [lam, x]).
 
-    Returns a list of ((lam0, x0), (lam1, x1)) segments from linear
-    interpolation on each grid cell edge.  Only active cells are visited: a
+    Returns a list of ((lam0, x0), (lam1, x1)) segments of np.float64, from
+    linear interpolation on each grid cell edge.  Only active cells count: a
     cell with a corner exactly 0.0, or whose corners do not all share
-    `value < 0`.  Any other cell has no edge point, so skipping it changes
-    nothing (NaN counts as non-negative and non-zero, as in the edge rule).
-    Active cells are found with boolean masks and visited in row-major
-    order, so the segments come out in the order of a walk over all cells.
+    `value < 0`.  Any other cell has no edge point (NaN counts as
+    non-negative and non-zero, as in the edge rule).  Edges are taken in the
+    order corner 0 -> 1 -> 2 -> 3 -> 0, corners at (i, j), (i+1, j),
+    (i+1, j+1), (i, j+1).  An edge whose two ends are 0.0 has no point; an
+    edge starting at 0.0 gives its start; an edge whose ends differ in
+    `value < 0` gives p + t (q - p), t = vp / (vp - vq).  A cell's points,
+    ranked by edge, give segment (0, 1), and (2, 3) when it has four.  All
+    of this is whole-array work over the active cells, and the segments come
+    out in the order of a row-major walk over all cells.
     """
+    lam_axis = np.asarray(lam_axis, dtype=float)
+    x_axis = np.asarray(x_axis, dtype=float)
+
     def cell_corners(mask):
         return mask[:-1, :-1], mask[1:, :-1], mask[1:, 1:], mask[:-1, 1:]
 
     z0, z1, z2, z3 = cell_corners(values == 0.0)
     n0, n1, n2, n3 = cell_corners(values < 0)
     active = z0 | z1 | z2 | z3 | ((n0 | n1 | n2 | n3) & ~(n0 & n1 & n2 & n3))
-    segs = []
-
-    def interp(p, q, vp, vq):
-        t = vp / (vp - vq)
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-    for i, j in np.argwhere(active).tolist():
-        corners = [
-            ((lam_axis[i], x_axis[j]), values[i, j]),
-            ((lam_axis[i + 1], x_axis[j]), values[i + 1, j]),
-            ((lam_axis[i + 1], x_axis[j + 1]), values[i + 1, j + 1]),
-            ((lam_axis[i], x_axis[j + 1]), values[i, j + 1]),
-        ]
-        pts = []
-        for k in range(4):
-            (p, vp) = corners[k]
-            (q, vq) = corners[(k + 1) % 4]
-            if vp == 0.0 and vq == 0.0:
-                continue
-            if (vp < 0) != (vq < 0) or vp == 0.0:
-                if vp == 0.0:
-                    pts.append(p)
-                else:
-                    pts.append(interp(p, q, vp, vq))
-        if len(pts) >= 2:
-            segs.append((pts[0], pts[1]))
-        if len(pts) == 4:
-            segs.append((pts[2], pts[3]))
-    return segs
+    i, j = np.nonzero(active)
+    v = np.stack((values[i, j], values[i + 1, j], values[i + 1, j + 1], values[i, j + 1]))
+    lam = np.stack((lam_axis[i], lam_axis[i + 1], lam_axis[i + 1], lam_axis[i]))
+    x = np.stack((x_axis[j], x_axis[j], x_axis[j + 1], x_axis[j + 1]))
+    # edge k runs from corner k (p) to corner k+1 (q)
+    vq, lam_q, x_q = (np.roll(a, -1, axis=0) for a in (v, lam, x))
+    zero = v == 0.0
+    has = ~(zero & (vq == 0.0)) & (((v < 0) != (vq < 0)) | zero)
+    t = v / (v - vq)
+    pts = np.where(zero, lam, lam + t * (lam_q - lam)), np.where(zero, x, x + t * (x_q - x))
+    # a cell's points in edge order: point r of cell c at [r, c]
+    rank = np.cumsum(has, axis=0) - 1
+    k, c = np.nonzero(has)
+    ranked = np.full((2, 4, len(i)), np.nan)
+    ranked[:, rank[k, c], c] = [p[k, c] for p in pts]
+    count = rank[-1] + 1
+    # (cells, 2 segments, lam0 x0 lam1 x1), and which of the two each cell has
+    segs = ranked.transpose(2, 1, 0).reshape(len(i), 2, 4)
+    segs = segs[np.stack((count >= 2, count == 4), axis=1)]
+    lam0, x0, lam1, x1 = segs.T
+    return list(zip(zip(lam0, x0), zip(lam1, x1)))
 
 
 def _svg_header(title):
@@ -160,12 +171,14 @@ def write_box_svg(path, lam_axis, x_axis, psi1_grid, crossings=(), eigenvalues=(
     lam_lo, lam_hi = float(lam_axis[0]), float(lam_axis[-1])
     parts = _svg_header(title)
     parts += _svg_axes(lam_lo, lam_hi)
-    for (a, b) in marching_squares(lam_axis, x_axis, psi1_grid):
-        parts.append(
-            f'<line x1="{_x_px(a[0], lam_lo, lam_hi):.2f}" y1="{_y_px(a[1]):.2f}" '
-            f'x2="{_x_px(b[0], lam_lo, lam_hi):.2f}" y2="{_y_px(b[1]):.2f}" '
-            f'stroke="#1050c0" stroke-width="1.2"/>'
-        )
+    segs = marching_squares(lam_axis, x_axis, psi1_grid)
+    if segs:
+        lam0, x0, lam1, x1 = np.reshape(segs, (-1, 4)).T
+        px = np.column_stack((_x_px(lam0, lam_lo, lam_hi), _y_px(x0),
+                              _x_px(lam1, lam_lo, lam_hi), _y_px(x1)))
+        line = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                'stroke="#1050c0" stroke-width="1.2"/>')
+        parts.append("\n".join([line] * len(segs)) % tuple(px.ravel().tolist()))
     for x in crossings:
         parts.append(
             f'<circle cx="{_x_px(lam_lo, lam_lo, lam_hi):.2f}" '

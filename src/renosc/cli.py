@@ -34,6 +34,24 @@ from .maslovbox import compute_box, monotonicity_audit, renormalized_count
 from .problems import CATALOG, builtin_catalog, load_config_file, load_problem
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with two changes: a token that parses as a float is a value,
+    never an option (argparse itself takes -1 and -.5 for numbers but not
+    -1e3 or -inf), and a usage error exits 1, not 2, which is reserved for
+    invariance violations.  Subcommand parsers are of the same class."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(sub):
     sub.add_argument("config", help="JSON config path or catalog name "
                      f"({', '.join(CATALOG)})")
@@ -47,7 +65,7 @@ def _add_common(sub):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="renosc", description=__doc__)
+    ap = _Parser(prog="renosc", description=__doc__)
     sp = ap.add_subparsers(dest="command", required=True)
 
     box = sp.add_parser("box", help="compute all four shelves and eigenvalues")

@@ -25,7 +25,7 @@ from . import _kernels
 from .errors import InvalidInputError, NeedsFinerGridError, RankDeficiencyError
 from .maslovbox import SpectralProblem, normalized_forms, psi_point, shelf_path
 from .maslovbox import psi_window as _psi_window
-from .propagation import propagate_lambda_grid
+from .propagation import FramePath, propagate_lambda_grid
 from .winding import ZERO_TOL, linear_zero, sign_changes
 
 RHO_ZERO_TOL = 1e-9
@@ -132,6 +132,9 @@ def _psi_grids(problem: SpectralProblem, dh_log=None):
     cached step coefficients (a line's bits do not depend on its block).
     Each block writes its psi rows and its last nodes, the top-edge frames
     (SpectralProblem.top_frames), and is dropped: no frame grid is kept.
+    Copies of the first and last lines, the legs at lambda1 and lambda2,
+    are kept as those g_path entries, so the left and right shelves make no
+    sweep of their own (linspace returns the grid's ends exactly).
     Given dh_log, the H path's d/dx log |hhat| per node, the pass also
     caches the G family's extrema as "g_extrema": the minimum column-volume
     ratio, the maximum |d/dx log |ghat|| and the maximum of |d(omega2)/dx /
@@ -155,9 +158,15 @@ def _psi_grids(problem: SpectralProblem, dh_log=None):
     block = max(1, _BLOCK_NODES // len(xs) // chunk) * chunk
     for lo in range(0, len(lams), block):
         lines = slice(lo, lo + block)
-        frames = propagate_lambda_grid(problem.field, problem.P.entries, lams[lines],
-                                       0.0, 1.0, problem.x_steps, problem.rescale)[1]
+        leg_xs, frames, slog = propagate_lambda_grid(
+            problem.field, problem.P.entries, lams[lines], 0.0, 1.0, problem.x_steps,
+            problem.rescale)
         top[lines] = frames[:, -1]
+        for line, lam in ((0, problem.lambda1), (len(lams) - 1, problem.lambda2)):
+            if lo <= line < lo + block:  # a side shelf's leg, kept for g_path
+                cache.setdefault(("g_path", float(lam)), FramePath(
+                    lam=lam, xs=leg_xs.copy(), frames=frames[line - lo].copy(),
+                    scale_log=slog[line - lo].copy(), direction="forward"))
         w1, w2, d = _kernels.omega_tables(frames, hp.frames, AT.block_g, AT.block_h)
         p1, p2 = normalized_forms(w1, w2, d, "the full grid")
         psi1[lines], psi2[lines], rho[lines] = p1, p2, 0.5 * (p1 ** 2 + p2 ** 2)

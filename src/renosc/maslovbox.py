@@ -97,6 +97,8 @@ class SpectralProblem:
         return self._cache["h_path"]
 
     def g_path(self, lam: float):
+        """The G family's leg at lam, cached; the full-grid pass
+        (invariance._psi_grids) caches its lambda1 and lambda2 lines here."""
         key = ("g_path", float(lam))
         if key not in self._cache:
             self._cache[key] = integrate_frame(

@@ -1,17 +1,20 @@
-"""The array-speed writers against all-cells / all-nodes reference loops.
+"""The array-speed writers against all-cells / all-nodes / per-value
+reference loops.
 
 Each reference below is the plain loop the writer once was; the writers must
 give the same segments, in the same order, and the same bytes.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from renosc import artifacts
-from renosc.artifacts import _svg_axes, _svg_header, _x_px, _y_px, fmt
+from renosc.artifacts import CSV_COLUMNS, _svg_axes, _svg_header, _x_px, _y_px, fmt
 from renosc.invariance import LossPoint, _psi_grids
+from renosc.maslovbox import SHELVES, shelf_path
 
 
 def reference_marching_squares(lam_axis, x_axis, values):
@@ -46,6 +49,45 @@ def reference_marching_squares(lam_axis, x_axis, values):
             if len(pts) == 4:
                 segs.append((pts[2], pts[3]))
     return segs
+
+
+def reference_rows_csv(path, header, rows):
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_path_csv(path, samples):
+    reference_rows_csv(path, CSV_COLUMNS, zip(samples.ts, samples.omega1, samples.omega2,
+                                              samples.psi1, samples.psi2, samples.rho))
+
+
+def reference_box_svg(path, lam_axis, x_axis, psi1_grid, crossings=(), eigenvalues=(),
+                      title="spectral curve"):
+    lam_lo, lam_hi = float(lam_axis[0]), float(lam_axis[-1])
+    parts = _svg_header(title)
+    parts += _svg_axes(lam_lo, lam_hi)
+    for (a, b) in reference_marching_squares(lam_axis, x_axis, psi1_grid):
+        parts.append(
+            f'<line x1="{_x_px(a[0], lam_lo, lam_hi):.2f}" y1="{_y_px(a[1]):.2f}" '
+            f'x2="{_x_px(b[0], lam_lo, lam_hi):.2f}" y2="{_y_px(b[1]):.2f}" '
+            f'stroke="#1050c0" stroke-width="1.2"/>'
+        )
+    for x in crossings:
+        parts.append(
+            f'<circle cx="{_x_px(lam_lo, lam_lo, lam_hi):.2f}" '
+            f'cy="{_y_px(x):.2f}" r="4" fill="#d02020"/>'
+        )
+    for lam in eigenvalues:
+        parts.append(
+            f'<circle cx="{_x_px(lam, lam_lo, lam_hi):.2f}" '
+            f'cy="{_y_px(1.0):.2f}" r="4" fill="#108030"/>'
+        )
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def reference_grid_csv(path, lam_axis, x_axis, values):
@@ -149,6 +191,77 @@ def test_marching_squares_on_example1_grid(example1):
     lam_axis, x_axis = problem.lambda_grid(), problem.x_grid()
     got = artifacts.marching_squares(lam_axis, x_axis, psi1)
     assert got and got == reference_marching_squares(lam_axis, x_axis, psi1)
+
+
+# -- row CSVs and the box SVG ---------------------------------------------------
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([], id="no-rows"),
+    pytest.param([(v,) for v in SPECIAL], id="one-column"),
+    pytest.param([(0.25, -3), (7, np.float64(-2.5e-17)), (True, np.int64(12))], id="ints"),
+    pytest.param(list(zip(SPECIAL, reversed(SPECIAL))), id="two-columns"),
+    pytest.param([(1.0,), (2.0, 3.0), (4.0, 5.0, 6.0)], id="ragged"),
+])
+def test_rows_csv_matches_reference(tmp_path, rows):
+    for header in ("x", "x,ratio"):
+        got = written(tmp_path, artifacts.write_rows_csv, header, rows)
+        assert got == written(tmp_path, reference_rows_csv, header, rows)
+    # rows given as an iterator are read once
+    got = written(tmp_path, artifacts.write_rows_csv, "x", iter(rows))
+    assert got == written(tmp_path, reference_rows_csv, "x", rows)
+
+
+@pytest.mark.parametrize("length", [1, 2, 17])
+def test_path_csv_matches_reference(tmp_path, length):
+    rng = np.random.default_rng(length)
+    columns = rng.standard_normal((6, length)) * 10.0 ** rng.integers(-30, 30, (6, length))
+    flat = columns.ravel()
+    flat[rng.permutation(flat.size)[:len(SPECIAL)]] = SPECIAL[:flat.size]
+    samples = SimpleNamespace(**dict(zip(("ts", "omega1", "omega2", "psi1", "psi2", "rho"),
+                                         columns)))
+    got = written(tmp_path, artifacts.write_path_csv, samples)
+    assert got == written(tmp_path, reference_path_csv, samples)
+
+
+def test_path_csv_matches_reference_on_shelves(tmp_path, example2):
+    problem = replace(example2, x_steps=150, lambda_steps=40)
+    for shelf in SHELVES:
+        samples = shelf_path(problem, shelf)
+        got = written(tmp_path, artifacts.write_path_csv, samples)
+        assert got == written(tmp_path, reference_path_csv, samples)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_box_svg_matches_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((19, 27))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.03] = np.nan
+    values[3, 4] = -0.0
+    lam_axis, x_axis = axes(*values.shape)
+    markers = dict(crossings=[0.0, 0.37, 1.0], eigenvalues=[-4.5, 0.25, np.nan],
+                   title=f"spectral curve (seed {seed})")
+    got = written(tmp_path, artifacts.write_box_svg, lam_axis, x_axis, values, **markers)
+    assert got == written(tmp_path, reference_box_svg, lam_axis, x_axis, values, **markers)
+
+
+@pytest.mark.parametrize("values", [np.ones((4, 5)), np.zeros((4, 5))], ids=["none", "zeros"])
+def test_box_svg_without_segments_matches_reference(tmp_path, values):
+    lam_axis, x_axis = axes(*values.shape)
+    got = written(tmp_path, artifacts.write_box_svg, lam_axis, x_axis, values)
+    assert got == written(tmp_path, reference_box_svg, lam_axis, x_axis, values)
+
+
+def test_box_svg_matches_reference_on_example1(tmp_path, example1):
+    problem = replace(example1, x_steps=200, lambda_steps=60)
+    psi1 = _psi_grids(problem)[0]
+    args = (problem.lambda_grid(), problem.x_grid(), psi1)
+    got = written(tmp_path, artifacts.write_box_svg, *args, crossings=[0.5])
+    assert got == written(tmp_path, reference_box_svg, *args, crossings=[0.5])
 
 
 # -- grid CSV and heat map -----------------------------------------------------

@@ -328,3 +328,22 @@ def test_overflowing_call_exits_1(tmp_path, capsys):
         assert run(["left-shelf", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-finite value of exp" in err
+
+
+def test_exponent_form_negative_bounds_are_values(tmp_path, capsys):
+    # argparse on its own reads -2.5e0 as an option string
+    argv = ["box", "example2", "--x-steps", "200", "--lambda-steps", "60", "--out"]
+    assert run(argv + [str(tmp_path / "exp"), "--lambda", "-2.5e0", "1e0"]) == 0
+    assert run(argv + [str(tmp_path / "dec"), "--lambda", "-2.5", "1"]) == 0
+    assert read(tmp_path / "exp" / "summary.json") == read(tmp_path / "dec" / "summary.json")
+
+
+@pytest.mark.parametrize("argv", [["box"], ["box", "example2", "--bogus"]])
+def test_usage_errors_exit_1(argv, tmp_path, capsys):
+    # 2 is the invariance-violation code; a usage error is a 1, like a config error
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: renosc") and "error:" in err
+    assert not (tmp_path / "out").exists()

@@ -189,6 +189,65 @@ def test_rk4_stiff_leg_rescales_inside_blocks():
     assert 0 < first == np.argmin(np.isfinite(ref_raw[0, :, 0, 0]))
 
 
+def reference_chain(P, steps, frames, slog, rescale):
+    """`_kernels._chain` with every column norm and log sum as an np.sum
+    over its short axis, as the kernel once reduced the expanded nodes."""
+    lines, _, n = P.shape[:3]
+    m = frames.shape[-1]
+    b, nb = _kernels._blocks(steps)
+    Q = P.reshape(lines, nb, b, n, n)
+    if rescale:
+        e = np.frexp(_kernels._max_abs(P).reshape(lines, nb, b))[1]
+        np.ldexp(Q, -e[..., None, None], out=Q)
+        m_log_s = (np.cumsum(e, axis=2) * (m * np.log(2.0))).reshape(lines, nb * b)
+        nrms = np.empty((lines, nb - 1, m))
+    for j in range(1, b):
+        np.matmul(Q[:, :, j], Q[:, :, j - 1], out=Q[:, :, j])
+    starts = np.empty((lines, nb, n, m))
+    starts[:, 0] = frames[:, 0]
+    for i in range(nb - 1):
+        F = np.matmul(Q[:, i, -1], starts[:, i], out=starts[:, i + 1])
+        if rescale:
+            nrm = np.sqrt(np.sum(F * F, axis=-2), out=nrms[:, i])
+            F /= nrm[..., None, :]
+    if rescale:
+        terms = np.empty((lines, 2 * nb - 1))
+        terms[:, 0] = slog[:, 0]
+        terms[:, 1::2] = m_log_s[:, b - 1:(nb - 1) * b:b]
+        terms[:, 2::2] = np.sum(np.log(nrms), axis=-1)
+        accs = np.cumsum(terms, axis=1)[:, ::2]
+    else:
+        accs = np.repeat(slog[:, :1], nb, axis=1)
+    if frames.shape[1] == steps + 1:
+        nodes = (Q @ starts[:, :, None]).reshape(lines, nb * b, n, m)[:, :steps]
+        s = np.repeat(accs, b, axis=1)[:, :steps]
+        k = slice(0, steps)
+    else:
+        i, j = divmod(steps - 1, b)
+        nodes, s = Q[:, i, j:j + 1] @ starts[:, i, None], accs[:, i, None]
+        k = slice(steps - 1, steps)
+    if rescale:
+        nrm = np.sqrt(np.sum(nodes * nodes, axis=-2))
+        nodes /= nrm[..., None, :]
+        s = s + (m_log_s[:, k] + np.sum(np.log(nrm), axis=-1))
+    frames[:, 1:] = nodes
+    slog[:, 1:] = s
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_chain_row_order_reductions_match_short_axis_sums(n, monkeypatch):
+    # The node norms add rows one after another instead of np.sum over an
+    # axis 2-7 long; below 8 terms np.sum adds in the same order, so every
+    # frame and scale_log is the same, bit for bit, in both modes.
+    for m, rescale, endpoint in itertools.product(range(1, n), (True, False), (False, True)):
+        leg = random_leg(37, 3, m, False, n=n)
+        got = _kernels.rk4_grid(*leg, rescale, endpoint)
+        with monkeypatch.context() as patched:
+            patched.setattr(_kernels, "_chain", reference_chain)
+            want = _kernels.rk4_grid(*leg, rescale, endpoint)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_rk4_per_line_init_matches_separate_lines():
     a_half, E, lams, _, h = random_leg(60, 5, 2, False)
     inits = rng.normal(size=(len(lams), 4, 2))

@@ -465,6 +465,27 @@ def test_box_sweeps_the_grid_leg_once_in_blocks(tmp_path, monkeypatch):
     assert (L, steps, True) not in calls
 
 
+@pytest.mark.parametrize("name, lambda_steps", [("example1", 120), ("example2", 50)])
+def test_side_shelves_reuse_the_grid_pass(name, lambda_steps, request, monkeypatch):
+    # the pass keeps its lambda1 and lambda2 lines as g_path legs: the left
+    # and right shelves sweep nothing, and the legs equal fresh ones bit for bit
+    problem = replace(request.getfixturevalue(name), x_steps=200,
+                      lambda_steps=lambda_steps)
+    _psi_grids(problem)
+    calls = count_rk4_calls(monkeypatch)
+    kept = [problem.g_path(lam) for lam in (problem.lambda1, problem.lambda2)]
+    assert calls == []
+    monkeypatch.undo()
+    fresh = replace(problem)
+    for path, lam in zip(kept, (problem.lambda1, problem.lambda2)):
+        want = fresh.g_path(lam)
+        assert path.lam == want.lam and path.direction == want.direction
+        for field in ("xs", "frames", "scale_log"):
+            assert np.array_equal(getattr(path, field), getattr(want, field))
+    assert [shelf_path(problem, s).psi1.tobytes() for s in ("left", "right")] == \
+        [shelf_path(fresh, s).psi1.tobytes() for s in ("left", "right")]
+
+
 def test_psi_window_honors_no_rescale(example2, monkeypatch):
     raw = replace(example2, x_steps=200, rescale=False)
     lams = [-1.0, 0.1, 0.6]
