@@ -63,13 +63,25 @@ is then C_0 + lam (C_1 + lam (...)) by elementwise Horner, with no BLAS call, so
 line's bits do not depend on its batch, and no interpolation nodes, so no
 lambda is an extrapolation; Horner writes into a buffer padded to whole
 blocks with exact identity steps, so nothing is copied to pad it.
-The steps are then grouped in blocks of b = ceil(sqrt(steps)): b batched
-products give every block's partial products Q_j = P_j ... P_1, the block
-starts are carried one block after another, and every node is expanded as
-Q_j F_start.  That is about 2 sqrt(steps) numpy-level iterations per leg
-instead of `steps`.  In endpoint mode the products and carries are the same
-but only the last node is expanded and normalized, so it equals the last
-node of the full result bit for bit at a fraction of the cost and memory.
+The steps are then grouped in blocks of b = ceil(sqrt(steps)): b - 1
+batched products give every block's partial products Q_j = P_j ... P_1
+(`_prefixes`), the block starts are carried one block after another
+(`_carry`), and each block's nodes are expanded by one product, its stacked
+prefixes (b n x n) times its start (`_expand`), which gives the same bits
+as b separate (n x n)(n x m) products (the kernel tests check this against
+a frozen copy of the per-node expansion).  A 1,000-step leg, 32 blocks of
+32, thus takes 31 product calls per chunk of lines, 31 carry iterations of
+5 calls and one expansion call, each over many lines at once, instead of
+1,000 steps; inside the expansion BLAS runs 32 products per line instead of
+1,000.  In endpoint mode (`_endpoint`) each chunk of lines keeps only its
+block totals, its last block's prefixes and its exponent sums, and one
+carry serves a batch of whole chunks whose kept arrays fit 4 * STEP_BUDGET
+bytes (128 lines of a 1,000-step leg at n = 4, where a chunk holds 8).  The
+last node is expanded through the same stacked product as in the full
+sweep, the last block's (b n x n) prefixes times its start, and normalized
+by the same reductions, so it equals the full sweep's last node bit for bit
+by construction: the same BLAS call on the same operands, not two products
+of different shapes that happen to round alike.
 With rescaling, each P_k is divided by a power of two s_k before the
 products (an exact operation), so every partial product is the true one
 divided by the scalar s = s_1 ... s_j and cannot overflow inside a block;
@@ -90,8 +102,10 @@ ways.  An x segment holds STEP_BUDGET bytes of one line's step matrices, so
 a longer leg is cut into segments that depend on steps and n only (a
 larger STEP_BUDGET would move them, and with them the bits of long legs).
 A chunk of lines fills up to 4 * STEP_BUDGET bytes of (lines, steps, n, n)
-temporaries; lines are independent, so the chunk changes no bit, only the
-number of numpy calls.
+temporaries, two buffers that every chunk of a call reuses (fresh ones per
+chunk cost more in page faults than the batching saves), and an endpoint
+batch as much again of kept arrays; lines are independent, so neither
+changes a bit, only the number of numpy calls.
 """
 
 from __future__ import annotations
@@ -167,19 +181,27 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     if coefficients is None:
         coefficients = {}
     seg, chunk = sweep_layout(n, steps)
+    # Horner's step matrices and _max_abs's |entries|, one buffer each for
+    # every chunk: fresh megabyte temporaries per chunk cost page faults
+    padded = max(math.prod(_blocks(k)) for k in {seg, steps - (steps - 1) // seg * seg})
+    work = np.empty((2, min(chunk, L) * padded * n * n))
     for s0 in range(0, steps, seg):
         s1 = min(s0 + seg, steps)
         C = next((kept[:, :s1 - s0] for (a, t), kept in coefficients.items()
                   if a == s0 and t >= s1), None)
         if C is None:
             C = coefficients[s0, s1] = _coefficients(a_half[2 * s0:2 * s1 + 1], E, h[s0:s1])
-        nodes = slice(None) if endpoint else slice(s0, s1 + 1)
+        if endpoint:
+            batch = _endpoint_batch(n, s1 - s0, chunk)
+            for lo in range(0, L, batch):
+                lines = slice(lo, lo + batch)
+                _endpoint(C, lams[lines], chunk, frames[lines], slog[lines], rescale, work)
+            frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]  # the next segment's start
+            continue
         for lo in range(0, L, chunk):
             lines = slice(lo, lo + chunk)
-            _chain(_horner(C, lams[lines]), s1 - s0, frames[lines, nodes],
-                   slog[lines, nodes], rescale)
-        if endpoint:  # the segment's end starts the next one
-            frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]
+            _chain(_horner(C, lams[lines], work[0]), s1 - s0, frames[lines, s0:s1 + 1],
+                   slog[lines, s0:s1 + 1], rescale, work[1])
     return (frames[:, :1], slog[:, :1]) if endpoint else (frames, slog)
 
 
@@ -228,16 +250,18 @@ def _blocks(steps):
     return b, -(-steps // b)
 
 
-def _horner(C, lams):
+def _horner(C, lams, buf=None):
     """Every line's step matrices sum_j lam^j C_j, padded with identity steps
     to whole blocks: (lines, b * blocks, n, n), see _blocks.
 
     Elementwise Horner (no BLAS call, so a line's bits do not depend on its
-    batch), written straight into the padded buffer.
+    batch), written straight into the padded buffer: the head of the flat
+    array buf if given, else a new one.
     """
     steps, n = C.shape[1:3]
     b, nb = _blocks(steps)
-    out = np.empty((len(lams), nb * b, n, n))
+    shape = (len(lams), nb * b, n, n)
+    out = np.empty(shape) if buf is None else buf[:math.prod(shape)].reshape(shape)
     out[:, steps:] = np.eye(n)
     P = out[:, :steps]
     lam = lams[:, None, None, None]
@@ -249,69 +273,149 @@ def _horner(C, lams):
     return out
 
 
-def _max_abs(P):
-    """The largest |entry| of every matrix of P (..., n, n).
+def _max_abs(P, buf):
+    """The largest |entry| of every matrix of P (..., n, n); the |entries|
+    go to the head of the flat array buf.
 
     One np.maximum per entry over the contiguous (..., n*n) view: exact, like
     np.max (NaN included), and several times faster than a reduction over
     rows as short as n*n.
     """
-    A = np.abs(P).reshape(-1, P.shape[-1] * P.shape[-2])
+    A = np.abs(P, out=buf[:P.size].reshape(P.shape)).reshape(-1, P.shape[-1] * P.shape[-2])
     top = A[:, 0].copy()
     for c in range(1, A.shape[1]):
         np.maximum(top, A[:, c], out=top)
     return top.reshape(P.shape[:-2])
 
 
-def _chain(P, steps, frames, slog, rescale):
+def _prefixes(P, steps, rescale, buf):
+    """Every block's partial products Q_j = P_j ... P_1, in place of P.
+
+    P is _horner's padded output, (lines, b * blocks, n, n), and buf
+    _max_abs's scratch.  Returns Q as
+    (lines, blocks, b, n, n) and, with rescaling, the cumulative exponents
+    (lines, blocks, b) of the powers of two that each block's steps were
+    divided by; otherwise None.
+    """
+    lines, _, n = P.shape[:3]
+    b, nb = _blocks(steps)
+    Q = P.reshape(lines, nb, b, n, n)
+    cum = None
+    if rescale:
+        e = np.frexp(_max_abs(P, buf).reshape(lines, nb, b))[1]
+        np.ldexp(Q, -e[..., None, None], out=Q)
+        cum = np.cumsum(e, axis=2)
+    for j in range(1, b):
+        np.matmul(Q[:, :, j], Q[:, :, j - 1], out=Q[:, :, j])
+    return Q, cum
+
+
+def _carry(totals, start, acc, m_log_s, rescale):
+    """Every block's start frame and scale_log from the block totals.
+
+    totals (lines, blocks-1, n, n) are the products of all blocks but the
+    last, start (lines, n, m) and acc (lines,) the first block's start, and
+    m_log_s (lines, blocks-1) the m log s at each block's end (rescale only).
+    Returns starts (lines, blocks, n, m) and their scale_logs (lines, blocks).
+    """
+    lines, nb1 = totals.shape[:2]
+    m = start.shape[-1]
+    starts = np.empty((lines, nb1 + 1) + start.shape[1:])
+    starts[:, 0] = start
+    nrms = np.empty((lines, nb1, m))
+    for i in range(nb1):
+        F = np.matmul(totals[:, i], starts[:, i], out=starts[:, i + 1])
+        if rescale:
+            nrm = np.sqrt(np.sum(F * F, axis=-2), out=nrms[:, i])
+            F /= nrm[..., None, :]
+    if not rescale:
+        return starts, np.repeat(acc[:, None], nb1 + 1, axis=1)
+    # acc_{i+1} = (acc_i + m log s) + sum log nrm, one cumsum in that order
+    terms = np.empty((lines, 2 * nb1 + 1))
+    terms[:, 0] = acc
+    terms[:, 1::2] = m_log_s
+    terms[:, 2::2] = np.sum(np.log(nrms), axis=-1)
+    return starts, np.cumsum(terms, axis=1)[:, ::2]
+
+
+def _expand(Q, starts):
+    """The nodes Q_j F_start of blocks (..., b, n, n) from their starts
+    (..., n, m): one (b n x n)(n x m) product per block, (..., b, n, m)."""
+    b, n = Q.shape[-3:-1]
+    lead = Q.shape[:-3]
+    return (Q.reshape(lead + (b * n, n)) @ starts).reshape(lead + (b, n, starts.shape[-1]))
+
+
+def _store(nodes, s, m_log_s, frames, slog, rescale):
+    """Write expanded nodes (lines, k, n, m) and their block starts'
+    scale_logs s (lines, k) into frames[:, 1:] and slog[:, 1:], column-
+    normalized with rescaling, m_log_s (lines, k) being their m log s."""
+    if rescale:
+        nrm = np.sqrt(_sum_rows(np.moveaxis(nodes * nodes, -2, 0)))
+        nodes /= nrm[..., None, :]
+        s = s + (m_log_s + _sum_rows(np.moveaxis(np.log(nrm), -1, 0)))
+    frames[:, 1:] = nodes
+    slog[:, 1:] = s
+
+
+def _chain(P, steps, frames, slog, rescale, buf):
     """Chain the first `steps` step matrices of P from frames[:, 0] into frames[:, 1:].
 
     P is _horner's padded output, (lines, b * blocks, n, n), and is
-    overwritten.  frames (lines, steps+1, n, m) and slog (lines, steps+1) are
-    written in place; frames[:, 0] and slog[:, 0] hold the start.  Given two
-    nodes, (lines, 2, n, m), only the last node is expanded, by the same
-    products and reductions.
+    overwritten; buf is _max_abs's scratch.  frames (lines, steps+1, n, m) and slog (lines, steps+1) are
+    written in place; frames[:, 0] and slog[:, 0] hold the start.
     """
     lines, _, n = P.shape[:3]
     m = frames.shape[-1]
     b, nb = _blocks(steps)
-    Q = P.reshape(lines, nb, b, n, n)
+    Q, cum = _prefixes(P, steps, rescale, buf)
+    m_log_s = np.zeros((lines, nb * b))
     if rescale:
-        e = np.frexp(_max_abs(P).reshape(lines, nb, b))[1]
-        np.ldexp(Q, -e[..., None, None], out=Q)
-        m_log_s = (np.cumsum(e, axis=2) * (m * math.log(2.0))).reshape(lines, nb * b)
-        nrms = np.empty((lines, nb - 1, m))
-    for j in range(1, b):
-        np.matmul(Q[:, :, j], Q[:, :, j - 1], out=Q[:, :, j])
-    starts = np.empty((lines, nb, n, m))  # every block's start frame
-    starts[:, 0] = frames[:, 0]
-    for i in range(nb - 1):
-        F = np.matmul(Q[:, i, -1], starts[:, i], out=starts[:, i + 1])
+        m_log_s = (cum * (m * math.log(2.0))).reshape(lines, nb * b)
+    starts, accs = _carry(Q[:, :-1, -1], frames[:, 0], slog[:, 0],
+                          m_log_s[:, b - 1:(nb - 1) * b:b], rescale)
+    nodes = _expand(Q, starts).reshape(lines, nb * b, n, m)[:, :steps]
+    _store(nodes, np.repeat(accs, b, axis=1)[:, :steps], m_log_s[:, :steps],
+           frames, slog, rescale)
+
+
+def _endpoint_batch(n, steps, chunk):
+    """Lines per `_endpoint` call: whole chunks whose kept arrays, the block
+    totals and the last block's prefixes, fit 4 * STEP_BUDGET bytes."""
+    b, nb = _blocks(steps)
+    return chunk * max(1, 4 * STEP_BUDGET // (8 * n * n * (nb - 1 + b) * chunk))
+
+
+def _endpoint(C, lams, chunk, frames, slog, rescale, work):
+    """The last node of every line's chain from frames[:, 0] into frames[:, 1].
+
+    C holds the segment's step coefficients, frames (lines, 2, n, m) and
+    slog (lines, 2), and work the chunks' Horner and _max_abs buffers.  Each chunk of lines runs Horner, the rescale and the
+    prefix products, and keeps the block totals, the last block's prefixes
+    and the exponent sums; one block-start carry then serves every line, and
+    the last block is expanded by the same product as in `_chain`, so the
+    node equals the full chain's last node bit for bit.
+    """
+    steps, n = C.shape[1:3]
+    m = frames.shape[-1]
+    b, nb = _blocks(steps)
+    j = (steps - 1) % b  # the last node's position in the last block
+    lines = len(lams)
+    totals = np.empty((lines, nb - 1, n, n))
+    last = np.empty((lines, b, n, n))
+    exps = np.zeros((lines, nb))  # exponent sums at the block ends, then at the last node
+    for lo in range(0, lines, chunk):
+        part = slice(lo, lo + chunk)
+        Q, cum = _prefixes(_horner(C, lams[part], work[0]), steps, rescale, work[1])
+        totals[part] = Q[:, :-1, -1]
+        last[part] = Q[:, -1]
         if rescale:
-            nrm = np.sqrt(np.sum(F * F, axis=-2), out=nrms[:, i])
-            F /= nrm[..., None, :]
-    if rescale:  # acc_{i+1} = (acc_i + m log s) + sum log nrm, one cumsum in that order
-        terms = np.empty((lines, 2 * nb - 1))
-        terms[:, 0] = slog[:, 0]
-        terms[:, 1::2] = m_log_s[:, b - 1:(nb - 1) * b:b]
-        terms[:, 2::2] = np.sum(np.log(nrms), axis=-1)
-        accs = np.cumsum(terms, axis=1)[:, ::2]
-    else:
-        accs = np.repeat(slog[:, :1], nb, axis=1)
-    if frames.shape[1] == steps + 1:  # every node
-        nodes = (Q @ starts[:, :, None]).reshape(lines, nb * b, n, m)[:, :steps]
-        s = np.repeat(accs, b, axis=1)[:, :steps]
-        k = slice(0, steps)
-    else:  # the last node: block i, position j
-        i, j = divmod(steps - 1, b)
-        nodes, s = Q[:, i, j:j + 1] @ starts[:, i, None], accs[:, i, None]
-        k = slice(steps - 1, steps)
-    if rescale:
-        nrm = np.sqrt(_sum_rows(np.moveaxis(nodes * nodes, -2, 0)))
-        nodes /= nrm[..., None, :]
-        s = s + (m_log_s[:, k] + _sum_rows(np.moveaxis(np.log(nrm), -1, 0)))
-    frames[:, 1:] = nodes
-    slog[:, 1:] = s
+            exps[part, :-1] = cum[:, :-1, -1]
+            exps[part, -1] = cum[:, -1, j]
+    m_log_s = exps * (m * math.log(2.0))
+    starts, accs = _carry(totals, frames[:, 0], slog[:, 0], m_log_s[:, :-1], rescale)
+    _store(_expand(last, starts[:, -1])[:, j:j + 1], accs[:, -1:], m_log_s[:, -1:],
+           frames, slog, rescale)
 
 
 @functools.lru_cache(maxsize=None)

@@ -125,7 +125,7 @@ def _volume_rates(frames, A):
 
 
 def _psi_grids(problem: SpectralProblem, dh_log=None):
-    """psi1, psi2, rho over the full (lambda, x) grid, in one streamed pass.
+    """psi1 and psi2 over the full (lambda, x) grid, in one streamed pass.
 
     The pass sweeps the grid leg in blocks of about _BLOCK_NODES nodes,
     whole lambda lines, one propagate_lambda_grid call each on the leg's
@@ -148,7 +148,7 @@ def _psi_grids(problem: SpectralProblem, dh_log=None):
         return cache["psi_grids"]
     lams, xs = problem.lambda_grid(), problem.x_grid()
     hp, AT = problem.h_path(), problem.a_tilde()
-    psi1, psi2, rho = np.empty((3, len(lams), len(xs)))
+    psi1, psi2 = np.empty((2, len(lams), len(xs)))
     top = np.empty((len(lams), problem.n, problem.m))
     if dh_log is not None:
         base, E = problem.field.base_table(xs), problem.field.lambda_mat
@@ -169,7 +169,7 @@ def _psi_grids(problem: SpectralProblem, dh_log=None):
                     scale_log=slog[line - lo].copy(), direction="forward"))
         w1, w2, d = _kernels.omega_tables(frames, hp.frames, AT.block_g, AT.block_h)
         p1, p2 = normalized_forms(w1, w2, d, "the full grid")
-        psi1[lines], psi2[lines], rho[lines] = p1, p2, 0.5 * (p1 ** 2 + p2 ** 2)
+        psi1[lines], psi2[lines] = p1, p2
         if dh_log is None:
             continue
         ratio, dg_log = _volume_rates(frames, base + lams[lines, None, None, None] * E)
@@ -179,7 +179,7 @@ def _psi_grids(problem: SpectralProblem, dh_log=None):
         dlog = (dg_log + dh_log)[:, 1:-1]
         delta = max(delta, float(np.max(np.abs(fd + p2[:, 1:-1] * dlog))))
     cache["top_frames"] = top
-    cache["psi_grids"] = psi1, psi2, rho
+    cache["psi_grids"] = psi1, psi2
     if dh_log is not None:
         cache["g_extrema"] = ratio_min, dg_max, delta
     return cache["psi_grids"]
@@ -326,7 +326,10 @@ def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2) -> ScanResul
     iteration on (psi1, psi2); a candidate is kept as a loss point only if
     the polished rho falls below RHO_ZERO_TOL.
     """
-    psi1, psi2, rho = _psi_grids(problem)
+    psi1, psi2 = _psi_grids(problem)
+    rho = psi1 * psi1  # 0.5 * (psi1 ** 2 + psi2 ** 2), in place
+    rho += psi2 * psi2
+    rho *= 0.5
     lams = problem.lambda_grid()
     xs = problem.x_grid()
     L, S1 = rho.shape

@@ -190,17 +190,17 @@ def shelf_path(problem: SpectralProblem, shelf: str) -> PathSamples:
         raise InvalidInputError(f"shelf must be one of {SHELVES}")
     AT = problem.a_tilde()
     ATg, ATh = AT.block_g, AT.block_h
-    hp = problem.h_path()
 
+    if shelf == "top":  # x = 1, where H is Q itself: no H sweep
+        lams = problem.lambda_grid()
+        w1, w2, d = _kernels.omega_tables(problem.top_frames(), problem.Q.entries, ATg, ATh)
+        return _samples_from_tables(lams, w1, w2, d, "top")
+    hp = problem.h_path()
     if shelf == "bottom":  # x = 0 does not depend on lambda: one node, repeated
         lams = problem.lambda_grid()
         tables = _kernels.omega_tables(problem.P.entries[None], hp.frames[0], ATg, ATh)
         return _samples_from_tables(lams, *(np.repeat(t, len(lams)) for t in tables),
                                     "bottom")
-    if shelf == "top":
-        lams = problem.lambda_grid()
-        w1, w2, d = _kernels.omega_tables(problem.top_frames(), problem.Q.entries, ATg, ATh)
-        return _samples_from_tables(lams, w1, w2, d, "top")
 
     lam = problem.lambda2 if shelf == "right" else problem.lambda1
     gp = problem.g_path(lam)

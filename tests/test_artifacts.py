@@ -187,7 +187,7 @@ def test_marching_squares_single_signed_grids_have_no_segments(sign):
 
 def test_marching_squares_on_example1_grid(example1):
     problem = replace(example1, x_steps=200, lambda_steps=60)
-    psi1, _, _ = _psi_grids(problem)
+    psi1, _ = _psi_grids(problem)
     lam_axis, x_axis = problem.lambda_grid(), problem.x_grid()
     got = artifacts.marching_squares(lam_axis, x_axis, psi1)
     assert got and got == reference_marching_squares(lam_axis, x_axis, psi1)

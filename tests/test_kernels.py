@@ -5,6 +5,9 @@
 a blocked prefix product, and must agree with it.  `direct_propagators`
 builds the step matrices line by line from A = a + lam E with three batched
 matmuls per stage; the kernel's polynomial build must agree with it.
+`frozen_rk4_grid` is a frozen copy of the kernel's sweep before its numpy
+calls were batched (one carry per chunk, one product per node); the kernel
+must equal it bit for bit.
 `reference_forms` is the
 definition of the forms, one node at a time: det([G H]), the
 column-replacement sum of determinants and sqrt(det(F^T F));
@@ -17,6 +20,7 @@ the volume log-derivative, tr((F^T F)^-1 F^T A F), in long double;
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -189,17 +193,84 @@ def test_rk4_stiff_leg_rescales_inside_blocks():
     assert 0 < first == np.argmin(np.isfinite(ref_raw[0, :, 0, 0]))
 
 
-def reference_chain(P, steps, frames, slog, rescale):
-    """`_kernels._chain` with every column norm and log sum as an np.sum
-    over its short axis, as the kernel once reduced the expanded nodes."""
+# -- a frozen copy of the kernel's sweep before its numpy calls were batched:
+# one block-start carry per chunk of lines, and one (n x n)(n x m) product
+# per expanded node.  The kernel must give its frames and scale_logs bit for bit.
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def frozen_rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False):
+    a_half = np.ascontiguousarray(a_half, dtype=float)
+    E = np.ascontiguousarray(E, dtype=float)
+    lams = np.ascontiguousarray(lams, dtype=float)
+    init = np.ascontiguousarray(init, dtype=float)
+    steps = (a_half.shape[0] - 1) // 2
+    h = np.broadcast_to(np.asarray(h, dtype=float), (steps,)).reshape(steps, 1, 1)
+    n, m = init.shape[-2:]
+    L = lams.shape[0]
+    frames = np.empty((L, 2 if endpoint else steps + 1, n, m))
+    slog = np.zeros(frames.shape[:2])
+    frames[:, 0] = init
+    matrix_bytes = 8 * n * n
+    seg = max(1, min(steps, _kernels.STEP_BUDGET // matrix_bytes))
+    chunk = max(1, 4 * _kernels.STEP_BUDGET // (matrix_bytes * seg))
+    for s0 in range(0, steps, seg):
+        s1 = min(s0 + seg, steps)
+        C = _kernels._coefficients(a_half[2 * s0:2 * s1 + 1], E, h[s0:s1])
+        nodes = slice(None) if endpoint else slice(s0, s1 + 1)
+        for lo in range(0, L, chunk):
+            lines = slice(lo, lo + chunk)
+            frozen_chain(frozen_horner(C, lams[lines]), s1 - s0, frames[lines, nodes],
+                         slog[lines, nodes], rescale)
+        if endpoint:
+            frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]
+    return (frames[:, :1], slog[:, :1]) if endpoint else (frames, slog)
+
+
+def frozen_blocks(steps):
+    b = math.isqrt(steps - 1) + 1
+    return b, -(-steps // b)
+
+
+def frozen_horner(C, lams):
+    steps, n = C.shape[1:3]
+    b, nb = frozen_blocks(steps)
+    out = np.empty((len(lams), nb * b, n, n))
+    out[:, steps:] = np.eye(n)
+    P = out[:, :steps]
+    lam = lams[:, None, None, None]
+    np.multiply(C[-1], lam, out=P)
+    for c in C[-2:0:-1]:
+        P += c
+        P *= lam
+    P += C[0]
+    return out
+
+
+def frozen_max_abs(P):
+    A = np.abs(P).reshape(-1, P.shape[-1] * P.shape[-2])
+    top = A[:, 0].copy()
+    for c in range(1, A.shape[1]):
+        np.maximum(top, A[:, c], out=top)
+    return top.reshape(P.shape[:-2])
+
+
+def frozen_sum_rows(a):
+    acc = a[0].copy()
+    for row in a[1:]:
+        acc += row
+    return acc
+
+
+def frozen_chain(P, steps, frames, slog, rescale):
     lines, _, n = P.shape[:3]
     m = frames.shape[-1]
-    b, nb = _kernels._blocks(steps)
+    b, nb = frozen_blocks(steps)
     Q = P.reshape(lines, nb, b, n, n)
     if rescale:
-        e = np.frexp(_kernels._max_abs(P).reshape(lines, nb, b))[1]
+        e = np.frexp(frozen_max_abs(P).reshape(lines, nb, b))[1]
         np.ldexp(Q, -e[..., None, None], out=Q)
-        m_log_s = (np.cumsum(e, axis=2) * (m * np.log(2.0))).reshape(lines, nb * b)
+        m_log_s = (np.cumsum(e, axis=2) * (m * math.log(2.0))).reshape(lines, nb * b)
         nrms = np.empty((lines, nb - 1, m))
     for j in range(1, b):
         np.matmul(Q[:, :, j], Q[:, :, j - 1], out=Q[:, :, j])
@@ -227,25 +298,33 @@ def reference_chain(P, steps, frames, slog, rescale):
         nodes, s = Q[:, i, j:j + 1] @ starts[:, i, None], accs[:, i, None]
         k = slice(steps - 1, steps)
     if rescale:
-        nrm = np.sqrt(np.sum(nodes * nodes, axis=-2))
+        nrm = np.sqrt(frozen_sum_rows(np.moveaxis(nodes * nodes, -2, 0)))
         nodes /= nrm[..., None, :]
-        s = s + (m_log_s[:, k] + np.sum(np.log(nrm), axis=-1))
+        s = s + (m_log_s[:, k] + frozen_sum_rows(np.moveaxis(np.log(nrm), -1, 0)))
     frames[:, 1:] = nodes
     slog[:, 1:] = s
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-def test_chain_row_order_reductions_match_short_axis_sums(n, monkeypatch):
-    # The node norms add rows one after another instead of np.sum over an
-    # axis 2-7 long; below 8 terms np.sum adds in the same order, so every
-    # frame and scale_log is the same, bit for bit, in both modes.
-    for m, rescale, endpoint in itertools.product(range(1, n), (True, False), (False, True)):
-        leg = random_leg(37, 3, m, False, n=n)
-        got = _kernels.rk4_grid(*leg, rescale, endpoint)
-        with monkeypatch.context() as patched:
-            patched.setattr(_kernels, "_chain", reference_chain)
-            want = _kernels.rk4_grid(*leg, rescale, endpoint)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+def test_rk4_grid_matches_frozen_kernel(n, monkeypatch):
+    # Every frame and scale_log equals the frozen sweep's bit for bit, in
+    # both modes, rescaled or not, from one init or one per line.  At the
+    # shrunk budget a segment holds 36 steps, so 80 steps make three x
+    # segments, the last one of 8 steps in a partial block; a chunk holds 4
+    # lines and an endpoint carry batch 12 (36 steps: 6 blocks of 6, whose
+    # kept arrays fit 4 * STEP_BUDGET 13 lines at a time), so 30 lines make
+    # several of each.
+    for budget, steps, L in ((None, 200, 9), (8 * n * n * 36, 80, 30)):
+        if budget:
+            monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
+            assert _kernels.sweep_layout(n, steps) == (36, 4)
+            assert _kernels._endpoint_batch(n, 36, 4) == 12
+        for m, rescale, endpoint in itertools.product(range(1, n), (True, False), (False, True)):
+            a_half, E, lams, init, h = random_leg(steps, L, m, False, n=n, per_step=True)
+            for start in (init, rng.normal(size=(L, n, m))):
+                got = _kernels.rk4_grid(a_half, E, lams, start, h, rescale, endpoint)
+                want = frozen_rk4_grid(a_half, E, lams, start, h, rescale, endpoint)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_rk4_per_line_init_matches_separate_lines():

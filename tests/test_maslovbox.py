@@ -351,7 +351,7 @@ def test_psi_at_grid_nodes_matches_the_grid_and_the_left_shelf():
     # leg's steps up to rounding: no tail, and H read off the H path
     problem = replace(load_problem(builtin_catalog("example2")),
                       x_steps=200, lambda_steps=40)
-    psi1, psi2, _ = _psi_grids(problem)
+    psi1, psi2 = _psi_grids(problem)
     grid, lams = problem.x_grid(), problem.lambda_grid()
     left = shelf_path(problem, "left")
     for a, b in ((0, 12), (57, 80), (190, 200)):
@@ -447,6 +447,18 @@ def test_top_shelf_does_not_depend_on_the_grid_cache(name):
     for key in ("ts", "omega1", "omega2", "d", "psi1", "psi2", "rho"):
         assert np.array_equal(getattr(got, key), getattr(want, key))
     assert got.label == want.label == "top"
+
+
+@pytest.mark.parametrize("name", ["example2", "harmonic-dirichlet"])
+def test_top_shelf_search_makes_no_h_sweep(name):
+    # at x = 1 the H family is Q itself: the top shelf and the search's cuts
+    # never read the H path, and the eigenvalues do not depend on it being cached
+    base = replace(load_problem(builtin_catalog(name)), x_steps=300, lambda_steps=120)
+    fresh, with_h = replace(base), replace(base)
+    with_h.h_path()
+    got = localize_eigenvalues_top(fresh, 1e-10)
+    assert "h_path" not in fresh._cache
+    assert got and got == localize_eigenvalues_top(with_h, 1e-10)
 
 
 def test_box_sweeps_the_grid_leg_once_in_blocks(tmp_path, monkeypatch):

@@ -17,6 +17,10 @@ the numbers is the same, or "text differs" when it is not.  It also prints
 each run's peak RSS on both sides, the child's ru_maxrss as os.wait4
 reports it for that one process, so one command shows both whether the
 outputs are byte-identical and what each run's memory peak is.
+
+The exit status is the byte-identity gate: 0 when every run's exit code,
+stdout and output files are the same on both sides, 1 when any of them
+differs or a file exists on one side only.
 """
 
 from __future__ import annotations
@@ -83,26 +87,33 @@ def main(argv=None):
         parent_checkout(parent, trees["parent"])
         change_checkout(trees["change"])
         print(f"parent {parent} against the working tree")
+        same = True
         for k, run in enumerate(RUNS):
             outs = {side: Path(tmp) / f"out{k}_{side}" for side in trees}
             got = {side: run_catalog(trees[side], run, outs[side]) for side in trees}
             print(" ".join(run))
             codes = {side: code for side, (code, _, _) in got.items()}
             if codes["parent"] != codes["change"]:
+                same = False
                 print(f"  exit code: {codes['parent']} -> {codes['change']}")
             print(f"  peak RSS: parent {got['parent'][2]:.1f} MB, "
                   f"change {got['change'][2]:.1f} MB")
-            print(f"  stdout: {compare(got['parent'][1], got['change'][1])}")
+            verdict = compare(got["parent"][1], got["change"][1])
+            same &= verdict == "identical"
+            print(f"  stdout: {verdict}")
             names = sorted({p.name for out in outs.values() if out.is_dir()
                             for p in out.iterdir()})
             for name in names:
                 files = [outs[side] / name for side in ("parent", "change")]
                 if not all(f.is_file() for f in files):
+                    same = False
                     print(f"  {name}: only in {'parent' if files[0].is_file() else 'change'}")
                     continue
                 texts = [f.read_text(encoding="utf-8") for f in files]
-                print(f"  {name}: {compare(*texts)}")
-    return 0
+                verdict = compare(*texts)
+                same &= verdict == "identical"
+                print(f"  {name}: {verdict}")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
