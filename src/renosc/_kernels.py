@@ -82,6 +82,17 @@ sweep, the last block's (b n x n) prefixes times its start, and normalized
 by the same reductions, so it equals the full sweep's last node bit for bit
 by construction: the same BLAS call on the same operands, not two products
 of different shapes that happen to round alike.
+An x segment whose half-step rows and step sizes are all bitwise equal
+(a constant-coefficient field in one run) has one P_k for all steps: its
+coefficients are built from one step and kept as (5, 1, n, n), the length-1
+step axis meaning "every step is this step".  Horner fills one block of b
+steps with that step, the rescale and the prefix products run over that one
+block, and `_prefixes` broadcasts its Q and exponent sums to every block, so
+the carry, the expansion and the endpoint are unchanged (an endpoint chunk
+holds nb times as many lines).  The bits are the full path's by
+construction: every block's prefix products come from identical operands in
+the same order, and the last block is read only at positions up to
+(steps - 1) mod b, equal to the full block's, never at the padding.
 With rescaling, each P_k is divided by a power of two s_k before the
 products (an exact operation), so every partial product is the true one
 divided by the scalar s = s_1 ... s_j and cannot overflow inside a block;
@@ -162,10 +173,11 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     factors, so raw-form values can be reconstructed as value * exp(scale_log).
     `coefficients` is a dict that keeps the step coefficients of this
     (a_half, E, h) for later calls, one entry per x segment keyed by its
-    step range; it is filled on first use.  A prefix of the same table and
-    steps may pass the same dict: a segment (s0, s1) is served from any kept
-    (s0, t) with t >= s1, sliced to its first s1 - s0 steps, so a prefix of
-    a swept chain builds no coefficients.
+    step range (one step's worth for an x-uniform segment, see above); it is
+    filled on first use.  A prefix of the same table and steps may pass the
+    same dict: a segment (s0, s1) is served from any kept (s0, t) with
+    t >= s1, sliced to its first s1 - s0 steps, so a prefix of a swept chain
+    builds no coefficients.
     """
     a_half = np.ascontiguousarray(a_half, dtype=float)
     E = np.ascontiguousarray(E, dtype=float)
@@ -187,22 +199,31 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     work = np.empty((2, min(chunk, L) * padded * n * n))
     for s0 in range(0, steps, seg):
         s1 = min(s0 + seg, steps)
-        C = next((kept[:, :s1 - s0] for (a, t), kept in coefficients.items()
+        k = s1 - s0
+        C = next((kept[:, :k] for (a, t), kept in coefficients.items()
                   if a == s0 and t >= s1), None)
         if C is None:
-            C = coefficients[s0, s1] = _coefficients(a_half[2 * s0:2 * s1 + 1], E, h[s0:s1])
+            table, hs = a_half[2 * s0:2 * s1 + 1], h[s0:s1]
+            if _bitwise_equal(hs, hs[0]) and _bitwise_equal(table, table[0]):
+                table, hs = table[:3], hs[:1]  # x-uniform: one step stands for every step
+            C = coefficients[s0, s1] = _coefficients(table, E, hs)
         if endpoint:
-            batch = _endpoint_batch(n, s1 - s0, chunk)
+            batch = _endpoint_batch(n, k, chunk)
             for lo in range(0, L, batch):
                 lines = slice(lo, lo + batch)
-                _endpoint(C, lams[lines], chunk, frames[lines], slog[lines], rescale, work)
+                _endpoint(C, k, lams[lines], chunk, frames[lines], slog[lines], rescale, work)
             frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]  # the next segment's start
             continue
         for lo in range(0, L, chunk):
             lines = slice(lo, lo + chunk)
-            _chain(_horner(C, lams[lines], work[0]), s1 - s0, frames[lines, s0:s1 + 1],
+            _chain(_horner(C, k, lams[lines], work[0]), k, frames[lines, s0:s1 + 1],
                    slog[lines, s0:s1 + 1], rescale, work[1])
     return (frames[:, :1], slog[:, :1]) if endpoint else (frames, slog)
+
+
+def _bitwise_equal(a, b):
+    """Whether every entry of a has the bits of b (b broadcast against a)."""
+    return bool(np.all(a.view(np.int64) == b.view(np.int64)))
 
 
 def _times(a, E, X):
@@ -250,26 +271,28 @@ def _blocks(steps):
     return b, -(-steps // b)
 
 
-def _horner(C, lams, buf=None):
+def _horner(C, steps, lams, buf=None):
     """Every line's step matrices sum_j lam^j C_j, padded with identity steps
-    to whole blocks: (lines, b * blocks, n, n), see _blocks.
+    to whole blocks: (lines, b * blocks, n, n), see _blocks.  C of a uniform
+    segment holds one step for all `steps`: its one step is evaluated and
+    fills one block, (lines, b, n, n), which stands for every block.
 
     Elementwise Horner (no BLAS call, so a line's bits do not depend on its
     batch), written straight into the padded buffer: the head of the flat
     array buf if given, else a new one.
     """
-    steps, n = C.shape[1:3]
+    k, n = C.shape[1:3]
     b, nb = _blocks(steps)
-    shape = (len(lams), nb * b, n, n)
+    shape = (len(lams), b if k < steps else nb * b, n, n)
     out = np.empty(shape) if buf is None else buf[:math.prod(shape)].reshape(shape)
-    out[:, steps:] = np.eye(n)
-    P = out[:, :steps]
+    P = out[:, :k]
     lam = lams[:, None, None, None]
     np.multiply(C[-1], lam, out=P)
     for c in C[-2:0:-1]:
         P += c
         P *= lam
     P += C[0]
+    out[:, k:] = P if k < steps else np.eye(n)
     return out
 
 
@@ -291,23 +314,23 @@ def _max_abs(P, buf):
 def _prefixes(P, steps, rescale, buf):
     """Every block's partial products Q_j = P_j ... P_1, in place of P.
 
-    P is _horner's padded output, (lines, b * blocks, n, n), and buf
-    _max_abs's scratch.  Returns Q as
+    P is _horner's output, and buf _max_abs's scratch.  Returns Q as
     (lines, blocks, b, n, n) and, with rescaling, the cumulative exponents
     (lines, blocks, b) of the powers of two that each block's steps were
-    divided by; otherwise None.
+    divided by; otherwise None.  A uniform segment's one block is broadcast
+    to every block (its last block's padding is never read).
     """
     lines, _, n = P.shape[:3]
     b, nb = _blocks(steps)
-    Q = P.reshape(lines, nb, b, n, n)
+    Q = P.reshape(lines, -1, b, n, n)
     cum = None
     if rescale:
-        e = np.frexp(_max_abs(P, buf).reshape(lines, nb, b))[1]
+        e = np.frexp(_max_abs(P, buf).reshape(Q.shape[:3]))[1]
         np.ldexp(Q, -e[..., None, None], out=Q)
-        cum = np.cumsum(e, axis=2)
+        cum = np.broadcast_to(np.cumsum(e, axis=2), (lines, nb, b))
     for j in range(1, b):
         np.matmul(Q[:, :, j], Q[:, :, j - 1], out=Q[:, :, j])
-    return Q, cum
+    return np.broadcast_to(Q, (lines, nb, b, n, n)), cum
 
 
 def _carry(totals, start, acc, m_log_s, rescale):
@@ -386,27 +409,30 @@ def _endpoint_batch(n, steps, chunk):
     return chunk * max(1, 4 * STEP_BUDGET // (8 * n * n * (nb - 1 + b) * chunk))
 
 
-def _endpoint(C, lams, chunk, frames, slog, rescale, work):
+def _endpoint(C, steps, lams, chunk, frames, slog, rescale, work):
     """The last node of every line's chain from frames[:, 0] into frames[:, 1].
 
-    C holds the segment's step coefficients, frames (lines, 2, n, m) and
-    slog (lines, 2), and work the chunks' Horner and _max_abs buffers.  Each chunk of lines runs Horner, the rescale and the
+    C holds the segment's step coefficients (see _horner), frames
+    (lines, 2, n, m) and slog (lines, 2), and work the chunks' Horner and
+    _max_abs buffers.  Each chunk of lines runs Horner, the rescale and the
     prefix products, and keeps the block totals, the last block's prefixes
     and the exponent sums; one block-start carry then serves every line, and
     the last block is expanded by the same product as in `_chain`, so the
     node equals the full chain's last node bit for bit.
     """
-    steps, n = C.shape[1:3]
+    n = C.shape[2]
     m = frames.shape[-1]
     b, nb = _blocks(steps)
     j = (steps - 1) % b  # the last node's position in the last block
+    if C.shape[1] < steps:  # uniform: Horner and prefix temporaries are nb times smaller
+        chunk *= nb
     lines = len(lams)
     totals = np.empty((lines, nb - 1, n, n))
     last = np.empty((lines, b, n, n))
     exps = np.zeros((lines, nb))  # exponent sums at the block ends, then at the last node
     for lo in range(0, lines, chunk):
         part = slice(lo, lo + chunk)
-        Q, cum = _prefixes(_horner(C, lams[part], work[0]), steps, rescale, work[1])
+        Q, cum = _prefixes(_horner(C, steps, lams[part], work[0]), steps, rescale, work[1])
         totals[part] = Q[:, :-1, -1]
         last[part] = Q[:, -1]
         if rescale:

@@ -11,9 +11,12 @@ lambda line by Horner, and the steps are chained by a blocked prefix
 product, blocks of ceil(sqrt(steps)) steps, so a leg costs about
 2 sqrt(steps) numpy-level iterations.  One call can run a chain of uniform
 runs (a tail and a window, or the gaps between points) with one step size
-per step, over one half-step table.  A query that reads only the end of a
-chain (a psi point, a top-edge sweep) runs in endpoint mode, which expands
-only the last node and equals the full sweep's last node bit for bit.
+per step, over one half-step table.  On an x segment whose half-step rows
+and step sizes are bitwise equal (a constant field in one run) the kernel
+keeps one step of coefficients and one block of prefixes, with the same bits.
+A query that reads only the end of a chain (a psi point, a top-edge sweep)
+runs in endpoint mode, which expands only the last node and equals the full
+sweep's last node bit for bit.
 Every sweep goes through one core, `_sweep`, behind one of three fronts:
 `propagate_chain` caches the chain's table and coefficients,
 `chain_prefix` runs the first steps of a cached chain on its table and

@@ -327,6 +327,38 @@ def test_rk4_grid_matches_frozen_kernel(n, monkeypatch):
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("steps", [1, 2, 37, 1000, 2049])
+@pytest.mark.parametrize("n, m", [(2, 1), (4, 2)])
+def test_rk4_grid_on_uniform_tables_matches_frozen_kernel(n, m, steps):
+    # A constant half-step table and step size make every step matrix the
+    # same: each x segment keeps one step of coefficients and expands one
+    # block of prefixes for all its blocks, and the frames and scale_logs
+    # are the frozen sweep's bit for bit, in both modes, rescaled or not,
+    # from one init or one per line (2049 steps at n = 4 make two x
+    # segments).  One half-step entry moved by one ulp keeps its segment's
+    # full step axis, and the same agreement.
+    L = 5
+    a_half = np.repeat(rng.normal(size=(1, n, n)) * 0.8, 2 * steps + 1, axis=0)
+    moved = a_half.copy()
+    moved[steps, 0, 0] = np.nextafter(moved[steps, 0, 0], np.inf)
+    E = rng.normal(size=(n, n)) * 0.5
+    lams = rng.uniform(-2, 2, size=L)
+    seg = _kernels.sweep_layout(n, steps)[0]
+    segments = [(s0, min(s0 + seg, steps)) for s0 in range(0, steps, seg)]
+    assert len(segments) == (2 if (n, steps) == (4, 2049) else 1)
+    for table in (a_half, moved):
+        kept = {(s0, s1): s1 - s0 if table is moved and s0 <= steps // 2 < s1 else 1
+                for s0, s1 in segments}
+        starts = (rng.normal(size=(n, m)), rng.normal(size=(L, n, m)))
+        for rescale, endpoint, start in itertools.product((True, False), (False, True), starts):
+            coefficients = {}
+            got = _kernels.rk4_grid(table, E, lams, start, 1.0 / steps, rescale, endpoint,
+                                    coefficients)
+            want = frozen_rk4_grid(table, E, lams, start, 1.0 / steps, rescale, endpoint)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert {k: C.shape[1] for k, C in coefficients.items()} == kept
+
+
 def test_rk4_per_line_init_matches_separate_lines():
     a_half, E, lams, _, h = random_leg(60, 5, 2, False)
     inits = rng.normal(size=(len(lams), 4, 2))
@@ -349,7 +381,7 @@ def test_polynomial_build_matches_direct_build(steps):
     h = (rng.uniform(0.5, 1.5, size=steps) / max(steps, 200)).reshape(steps, 1, 1)
     lams = np.concatenate((np.linspace(-1e3, 1e3, 41), [0.0, 1e-3, -7.5]))
     ref = direct_propagators(table[None], lams[:, None, None, None] * E, h)
-    got = _kernels._horner(_kernels._coefficients(table, E, h), lams)
+    got = _kernels._horner(_kernels._coefficients(table, E, h), steps, lams)
     b, nb = _kernels._blocks(steps)
     assert nb * b >= steps > (nb - 1) * b
     assert ref.shape == (len(lams), steps, n, n)

@@ -373,6 +373,41 @@ def test_chain_prefix_reuses_the_chain_coefficients(budget, monkeypatch):
             chain_prefix(field, init, lams, 0.0, runs, steps)
 
 
+def test_constant_field_keeps_one_step_of_coefficients(monkeypatch):
+    # a field whose table does not depend on x, swept in one run, keeps one
+    # step of C_0..C_4 for the chain, built once; a later sweep and every
+    # prefix build none and give a cold copy's bits.  Two runs of different
+    # step sizes keep every step of the segment that holds both, and one
+    # step of each segment inside a run (5 steps a segment at 160 bytes).
+    built = count_coefficient_builds(monkeypatch)
+    field = harmonic_field()
+    init = np.array([[0.0, 1.0], [1.0, 0.0]])
+    lams = [1.0, 4.0, 9.0]
+    runs = [(1.0, 60)]
+    for rescale, builds in ((True, [1]), (False, [])):
+        warm = propagate_chain(field, init, lams, 0.0, runs, rescale)
+        assert built == builds
+        cold = propagate_chain(cold_copy(field), init, lams, 0.0, runs, rescale)
+        for a, b in zip(warm, cold):
+            assert np.array_equal(a, b)
+        built.clear()
+    (_, coefficients), = field._chains.values()
+    assert [C.shape[1] for C in coefficients.values()] == [1]
+    for steps in (1, 7, 59, 60):
+        got = chain_prefix(field, init, lams, 0.0, runs, steps)
+        assert built == []
+        for a, b in zip(got, chain_prefix(cold_copy(field), init, lams, 0.0, runs, steps)):
+            assert np.array_equal(a, b)
+        built.clear()
+    for budget, kept in ((_kernels.STEP_BUDGET, [60]), (8 * 4 * 5, [1, 1, 1, 5] + [1] * 8)):
+        monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
+        field = harmonic_field()
+        propagate_chain(field, init, lams, 0.0, [(0.3, 17), (1.0, 43)], True)
+        (_, coefficients), = field._chains.values()
+        assert built == [C.shape[1] for C in coefficients.values()] == kept
+        built.clear()
+
+
 def test_propagate_chains_equal_cached_chains_and_keep_nothing():
     # one base_table call for every chain; each chain's bits are those of
     # propagate_chain, and the field's chain cache is left alone

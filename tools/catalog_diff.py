@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Output differences of the five catalog CLI runs between two trees.
+"""Output differences of seven catalog CLI runs between two trees.
 
     python3 tools/catalog_diff.py --parent HEAD
 
 Run from the repository root; the standard library only.  The two trees are
 made as tools/bench_pairs.py makes them, in a temporary directory removed
 afterwards: the parent is `git archive` of the --parent revision, the change
-a copy of the working tree's tracked and unignored files.  Each catalog run
+a copy of the working tree's tracked and unignored files.  The runs are the
+five catalog runs of the benchmark's end-to-end aim, whose coefficients
+depend on x, and two on the constant-coefficient harmonic systems (`box
+harmonic-neumann`, `left-shelf harmonic-dirichlet`), whose half-step tables
+are x-uniform and so take the kernel's uniform-segment path.  Each run
 
     python3 -m renosc.cli COMMAND CONFIG [--scan] --out DIR
 
@@ -42,6 +46,8 @@ RUNS = (
     ("left-shelf", "example2"),
     ("invariance", "example1"),
     ("invariance", "example3", "--scan"),
+    ("box", "harmonic-neumann"),
+    ("left-shelf", "harmonic-dirichlet"),
 )
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
