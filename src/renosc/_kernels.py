@@ -82,17 +82,31 @@ sweep, the last block's (b n x n) prefixes times its start, and normalized
 by the same reductions, so it equals the full sweep's last node bit for bit
 by construction: the same BLAS call on the same operands, not two products
 of different shapes that happen to round alike.
-An x segment whose half-step rows and step sizes are all bitwise equal
-(a constant-coefficient field in one run) has one P_k for all steps: its
-coefficients are built from one step and kept as (5, 1, n, n), the length-1
-step axis meaning "every step is this step".  Horner fills one block of b
-steps with that step, the rescale and the prefix products run over that one
-block, and `_prefixes` broadcasts its Q and exponent sums to every block, so
-the carry, the expansion and the endpoint are unchanged (an endpoint chunk
-holds nb times as many lines).  The bits are the full path's by
-construction: every block's prefix products come from identical operands in
-the same order, and the last block is read only at positions up to
-(steps - 1) mod b, equal to the full block's, never at the padding.
+An x segment of more than one step whose half-step rows and step sizes are
+all bitwise equal (a constant-coefficient field in one run) has one step
+matrix P: its coefficients are built from one step and kept as (5, 1, n,
+n), the length-1 step axis meaning "every step is this step", and it is
+chained by repeated squaring, about log2(steps) products per line instead
+of a carry over sqrt(steps) block starts (`_powers`, `_squaring`).  Node j
+is the start with P^(2^l) applied for each set bit l of j, lowest bit
+first, its columns normalized after each application; the endpoint applies
+the last node's powers by the same products in the same order, so it
+equals the full sweep's last node bit for bit.  Near the identity the
+powers are squared as a I + D_l (D_0 = P - I), so their rounding scales
+with |D_l| and is not doubled by every squaring; once a bound from |P -
+I| no longer keeps D_l within a / 2 they are plain squares, which also
+keeps a power that every mode has decayed through from cancelling against
+a I.
+Against P^j F0 in long double, the frames of random 1,000- and 2,049-step
+legs come out 2 to 84 times closer than the step-by-step chain's (median
+16).  Plain squares of a strongly non-normal P lose more: at -phi'' -
+2000 phi' = lam phi over 1,000 steps (each step decays by e^-1) the frames
+are up to 9 times farther off than the step-by-step chain's, while RK4
+itself is 2% off exp(h A) per step there.
+These are not the blocked path's bits, which every x-dependent segment
+keeps.  Between column normalizations the squaring applies up to
+2^floor(log2 steps) steps where a block carry applies b; neither
+re-orthogonalizes, so neither keeps subdominant directions better.
 With rescaling, each P_k is divided by a power of two s_k before the
 products (an exact operation), so every partial product is the true one
 divided by the scalar s = s_1 ... s_j and cannot overflow inside a block;
@@ -116,7 +130,10 @@ A chunk of lines fills up to 4 * STEP_BUDGET bytes of (lines, steps, n, n)
 temporaries, two buffers that every chunk of a call reuses (fresh ones per
 chunk cost more in page faults than the batching saves), and an endpoint
 batch as much again of kept arrays; lines are independent, so neither
-changes a bit, only the number of numpy calls.
+changes a bit, only the number of numpy calls.  An x-uniform segment makes
+no (lines, steps, n, n) temporary: its powers take (log2 steps, lines, n,
+n), and its full sweep's temporaries are a few times one level's nodes,
+no more than the frames it fills.
 """
 
 from __future__ import annotations
@@ -207,17 +224,21 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
             if _bitwise_equal(hs, hs[0]) and _bitwise_equal(table, table[0]):
                 table, hs = table[:3], hs[:1]  # x-uniform: one step stands for every step
             C = coefficients[s0, s1] = _coefficients(table, E, hs)
-        if endpoint:
+        if C.shape[1] == 1 < k:  # one step stands for every step: powers by squaring
+            nodes = slice(None) if endpoint else slice(s0, s1 + 1)
+            _squaring(C, k, lams, frames[:, nodes], slog[:, nodes], rescale, endpoint)
+        elif endpoint:
             batch = _endpoint_batch(n, k, chunk)
             for lo in range(0, L, batch):
                 lines = slice(lo, lo + batch)
                 _endpoint(C, k, lams[lines], chunk, frames[lines], slog[lines], rescale, work)
+        else:
+            for lo in range(0, L, chunk):
+                lines = slice(lo, lo + chunk)
+                _chain(_horner(C, k, lams[lines], work[0]), k, frames[lines, s0:s1 + 1],
+                       slog[lines, s0:s1 + 1], rescale, work[1])
+        if endpoint:
             frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]  # the next segment's start
-            continue
-        for lo in range(0, L, chunk):
-            lines = slice(lo, lo + chunk)
-            _chain(_horner(C, k, lams[lines], work[0]), k, frames[lines, s0:s1 + 1],
-                   slog[lines, s0:s1 + 1], rescale, work[1])
     return (frames[:, :1], slog[:, :1]) if endpoint else (frames, slog)
 
 
@@ -273,26 +294,24 @@ def _blocks(steps):
 
 def _horner(C, steps, lams, buf=None):
     """Every line's step matrices sum_j lam^j C_j, padded with identity steps
-    to whole blocks: (lines, b * blocks, n, n), see _blocks.  C of a uniform
-    segment holds one step for all `steps`: its one step is evaluated and
-    fills one block, (lines, b, n, n), which stands for every block.
+    to whole blocks: (lines, b * blocks, n, n), see _blocks.
 
     Elementwise Horner (no BLAS call, so a line's bits do not depend on its
     batch), written straight into the padded buffer: the head of the flat
     array buf if given, else a new one.
     """
-    k, n = C.shape[1:3]
+    n = C.shape[2]
     b, nb = _blocks(steps)
-    shape = (len(lams), b if k < steps else nb * b, n, n)
+    shape = (len(lams), nb * b, n, n)
     out = np.empty(shape) if buf is None else buf[:math.prod(shape)].reshape(shape)
-    P = out[:, :k]
+    P = out[:, :steps]
     lam = lams[:, None, None, None]
     np.multiply(C[-1], lam, out=P)
     for c in C[-2:0:-1]:
         P += c
         P *= lam
     P += C[0]
-    out[:, k:] = P if k < steps else np.eye(n)
+    out[:, steps:] = np.eye(n)
     return out
 
 
@@ -317,20 +336,19 @@ def _prefixes(P, steps, rescale, buf):
     P is _horner's output, and buf _max_abs's scratch.  Returns Q as
     (lines, blocks, b, n, n) and, with rescaling, the cumulative exponents
     (lines, blocks, b) of the powers of two that each block's steps were
-    divided by; otherwise None.  A uniform segment's one block is broadcast
-    to every block (its last block's padding is never read).
+    divided by; otherwise None.
     """
     lines, _, n = P.shape[:3]
     b, nb = _blocks(steps)
-    Q = P.reshape(lines, -1, b, n, n)
+    Q = P.reshape(lines, nb, b, n, n)
     cum = None
     if rescale:
         e = np.frexp(_max_abs(P, buf).reshape(Q.shape[:3]))[1]
         np.ldexp(Q, -e[..., None, None], out=Q)
-        cum = np.broadcast_to(np.cumsum(e, axis=2), (lines, nb, b))
+        cum = np.cumsum(e, axis=2)
     for j in range(1, b):
         np.matmul(Q[:, :, j], Q[:, :, j - 1], out=Q[:, :, j])
-    return np.broadcast_to(Q, (lines, nb, b, n, n)), cum
+    return Q, cum
 
 
 def _carry(totals, start, acc, m_log_s, rescale):
@@ -369,14 +387,20 @@ def _expand(Q, starts):
     return (Q.reshape(lead + (b * n, n)) @ starts).reshape(lead + (b, n, starts.shape[-1]))
 
 
+def _normalize(nodes, s, m_log_s):
+    """Normalize the columns of nodes (..., n, m) in place; returns their
+    scale_logs s + (m log s + the log of the m column norms), elementwise."""
+    nrm = np.sqrt(_sum_rows(np.moveaxis(nodes * nodes, -2, 0)))
+    nodes /= nrm[..., None, :]
+    return s + (m_log_s + _sum_rows(np.moveaxis(np.log(nrm), -1, 0)))
+
+
 def _store(nodes, s, m_log_s, frames, slog, rescale):
     """Write expanded nodes (lines, k, n, m) and their block starts'
     scale_logs s (lines, k) into frames[:, 1:] and slog[:, 1:], column-
     normalized with rescaling, m_log_s (lines, k) being their m log s."""
     if rescale:
-        nrm = np.sqrt(_sum_rows(np.moveaxis(nodes * nodes, -2, 0)))
-        nodes /= nrm[..., None, :]
-        s = s + (m_log_s + _sum_rows(np.moveaxis(np.log(nrm), -1, 0)))
+        s = _normalize(nodes, s, m_log_s)
     frames[:, 1:] = nodes
     slog[:, 1:] = s
 
@@ -424,8 +448,6 @@ def _endpoint(C, steps, lams, chunk, frames, slog, rescale, work):
     m = frames.shape[-1]
     b, nb = _blocks(steps)
     j = (steps - 1) % b  # the last node's position in the last block
-    if C.shape[1] < steps:  # uniform: Horner and prefix temporaries are nb times smaller
-        chunk *= nb
     lines = len(lams)
     totals = np.empty((lines, nb - 1, n, n))
     last = np.empty((lines, b, n, n))
@@ -442,6 +464,98 @@ def _endpoint(C, steps, lams, chunk, frames, slog, rescale, work):
     starts, accs = _carry(totals, frames[:, 0], slog[:, 0], m_log_s[:, :-1], rescale)
     _store(_expand(last, starts[:, -1])[:, j:j + 1], accs[:, -1:], m_log_s[:, -1:],
            frames, slog, rescale)
+
+
+def _powers(C, steps, lams, rescale):
+    """The powers S_l = P^(2^l), l < steps.bit_length(), of every line's one
+    step matrix P (C of an x-uniform segment, (5, 1, n, n)): (levels, lines,
+    n, n).
+
+    Near the identity each power is squared as a I + D_l, D_0 = P - I and
+    D_(l+1) = 2 a D_l + D_l D_l, so that its rounding scales with |D_l|,
+    not with |S_l|, and is not doubled by every later squaring.  A line
+    keeps that form while |D_l|_F <= a / 2 is certain from the bound
+    |D_l|_F <= a ((1 + |D_0|_F)^(2^l) - 1), and for one level more, whose
+    power is then at least a / 4 in every direction, so a I + D_l cancels
+    at most about nine-fold; after it the line's powers are plain squares
+    (D_l = S_l, a = 0), and a line with no certain level starts from S_0 =
+    P.  Further out the form gains nothing, and a power that every mode has
+    decayed through would lose its digits to the cancellation of a I + D_l.
+    Without rescaling a = 1 until then; returns (S, None).  With rescaling
+    each power is divided by the power of two 2^e of its largest |entry|
+    (exact), so that P^(2^l) = 2^E_l S_l with E_l = 2 E_(l-1) + e, and so
+    is a (a = 2^-E_l); returns (S, E), E (levels, lines).
+    """
+    P = _horner(C, 1, lams)[:, 0]
+    lines, n = P.shape[:2]
+    D = P - np.eye(n)
+    S = np.empty((steps.bit_length(), lines, n, n))
+    E = np.zeros(S.shape[:2], dtype=np.int64) if rescale else None
+    a = np.ones((lines, 1, 1))
+    # each line's last level as a I + D_l: one past the last l with 2^l <= r =
+    # log 1.5 / log1p(|D_0|_F), which is frexp's exponent of r; 0 if there is
+    # none (or r is NaN, or infinite: P = I)
+    r = math.log(1.5) / np.log1p(np.sqrt((D * D).sum(axis=(-2, -1))))
+    last = np.maximum(np.frexp(r)[1], 0)
+    top, turns = last.max(), set(last.tolist())
+    for l in range(len(S)):
+        if l > top or not top:  # every line squares plainly
+            S[l] = S[l - 1] @ S[l - 1] if l else P
+        else:
+            if l:
+                twice = D * (2.0 * a)
+                D = D @ D
+                D += twice
+                a = a * a
+            S[l] = D
+            S[l].reshape(lines, n * n)[:, ::n + 1] += a[:, 0]
+            if l in turns:
+                turn = last == l
+                if not l:
+                    S[0, turn] = P[turn]
+                D[turn], a[turn] = S[l, turn], 0.0
+        if rescale:
+            e = np.frexp(np.abs(S[l]).max(axis=(-2, -1)))[1][:, None, None]
+            np.ldexp(S[l], -e, out=S[l])
+            if l < top:
+                np.ldexp(D, -e, out=D)
+                a = np.ldexp(a, -e)
+            E[l] = 2 * E[l - 1] + e[:, 0, 0] if l else e[:, 0, 0]
+    return S, E
+
+
+def _squaring(C, steps, lams, frames, slog, rescale, endpoint):
+    """Chain `steps` equal steps from frames[:, 0] by the powers of _powers.
+
+    Node j is the start with S_l applied for each set bit l of j, lowest bit
+    first, its columns normalized after each application (rescale only), so
+    its scale_log is the start's plus, per applied power, m E_l log 2 and
+    the log of the m column norms.  In full mode frames (lines, steps+1, n,
+    m) and slog (lines, steps+1) are filled level by level: nodes 2^l ..
+    2^(l+1) - 1 are S_l times nodes 0 .. 2^l - 1, one batched product.  With
+    `endpoint`, frames (lines, 2, n, m) and slog (lines, 2) get the last node
+    in frames[:, 1] by the same products of the same operands in the same
+    order, so it equals the full sweep's last node bit for bit.
+    """
+    S, E = _powers(C, steps, lams, rescale)
+    m_log = E * (frames.shape[-1] * math.log(2.0)) if rescale else None
+    if endpoint:
+        F, s = frames[:, 0], slog[:, 0]
+        for l in range(len(S)):
+            if steps >> l & 1:
+                F = S[l] @ F
+                if rescale:
+                    s = _normalize(F, s, m_log[l])
+        frames[:, 1], slog[:, 1] = F, s
+        return
+    for l in range(len(S)):
+        lo = 1 << l
+        k = min(lo, steps + 1 - lo)  # nodes made at this level
+        nodes = np.matmul(S[l][:, None], frames[:, :k], out=frames[:, lo:lo + k])
+        s = slog[:, :k]
+        if rescale:
+            s = _normalize(nodes, s, m_log[l][:, None])
+        slog[:, lo:lo + k] = s
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ collapsed, rank-deficient frames), 3 numeric blow-up.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,7 +65,10 @@ def _add_common(sub):
     sub.add_argument("--out", default="renosc-out", help="output directory")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The CLI's parser, built once per process (about a millisecond) and
+    shared by every `main` call; parse_args leaves it as it was."""
     ap = _Parser(prog="renosc", description=__doc__)
     sp = ap.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,8 @@ product, blocks of ceil(sqrt(steps)) steps, so a leg costs about
 runs (a tail and a window, or the gaps between points) with one step size
 per step, over one half-step table.  On an x segment whose half-step rows
 and step sizes are bitwise equal (a constant field in one run) the kernel
-keeps one step of coefficients and one block of prefixes, with the same bits.
+keeps one step of coefficients and chains that step by repeated squaring,
+about log2(steps) products per line, with its own bits.
 A query that reads only the end of a chain (a psi point, a top-edge sweep)
 runs in endpoint mode, which expands only the last node and equals the full
 sweep's last node bit for bit.

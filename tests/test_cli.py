@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -347,3 +349,43 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: renosc") and "error:" in err
     assert not (tmp_path / "out").exists()
+
+
+ONE_PROCESS = """
+import contextlib, io, json, sys
+from renosc import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out.append([code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_one_process_runs_like_fresh_processes(tmp_path):
+    # main builds its parser once per process: box, then left-shelf, then a
+    # usage error through one process print what fresh processes print and
+    # give the same exit codes
+    doc = {"kind": "second-order", "l": 1, "B": [1.0], "V": [["0"]], "W": [["0"]],
+           "P": "neumann", "Q": "neumann", "lambda": [0.5, 30.0],
+           "x_steps": 200, "lambda_steps": 60}
+    config = tmp_path / "harmonic.json"
+    config.write_text(json.dumps(doc))
+    runs = [["box", str(config), "--out", str(tmp_path / "box")],
+            ["left-shelf", str(config), "--out", str(tmp_path / "left")],
+            ["box", str(config), "--x-steps", "many", "--out", str(tmp_path / "bad")]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = [subprocess.run([sys.executable, "-m", "renosc.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in runs]
+    one = subprocess.run([sys.executable, "-c", ONE_PROCESS, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, check=True)
+    got = json.loads(one.stdout)
+    assert [code for code, _, _ in got] == [p.returncode for p in fresh] == [0, 0, 1]
+    assert [(out, err) for _, out, err in got] == [(p.stdout, p.stderr) for p in fresh]
+    assert "invalid int value: 'many'" in got[2][2]

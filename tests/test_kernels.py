@@ -7,7 +7,9 @@ builds the step matrices line by line from A = a + lam E with three batched
 matmuls per stage; the kernel's polynomial build must agree with it.
 `frozen_rk4_grid` is a frozen copy of the kernel's sweep before its numpy
 calls were batched (one carry per chunk, one product per node); the kernel
-must equal it bit for bit.
+must equal it bit for bit, except on x-uniform segments, which it chains by
+repeated squaring and must then be no less accurate than it against a long
+double reference (`long_double_powers`).
 `reference_forms` is the
 definition of the forms, one node at a time: det([G H]), the
 column-replacement sum of determinants and sqrt(det(F^T F));
@@ -327,36 +329,143 @@ def test_rk4_grid_matches_frozen_kernel(n, monkeypatch):
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def uniform_leg(n, m, steps, L=5):
+    """A constant half-step table and step size: every step matrix is the same."""
+    a_half = np.repeat(rng.normal(size=(1, n, n)) * 0.8, 2 * steps + 1, axis=0)
+    E = rng.normal(size=(n, n)) * 0.5
+    lams = rng.uniform(-2, 2, size=L)
+    return a_half, E, lams, (rng.normal(size=(n, m)), rng.normal(size=(L, n, m)))
+
+
+def long_double_powers(P, init, steps, rescale):
+    """P^j F0 for j = 0..steps, one step after another in long double, per
+    line of P (L, n, n), as rk4_grid returns it: columns normalized and
+    scale_log the log of their norms with rescaling, else raw and 0."""
+    F = np.broadcast_to(init, (len(P),) + init.shape[-2:]).astype(np.longdouble)
+    P = P.astype(np.longdouble)
+    frames = np.empty((steps + 1,) + F.shape, dtype=np.longdouble)
+    frames[0] = F
+    for j in range(steps):
+        frames[j + 1] = P @ frames[j]
+    frames = np.moveaxis(frames, 0, 1)
+    slog = np.zeros(frames.shape[:2], dtype=np.longdouble)
+    if rescale:
+        nrm = np.sqrt(np.sum(frames[:, 1:] ** 2, axis=-2))
+        frames[:, 1:] /= nrm[..., None, :]
+        slog[:, 1:] = np.sum(np.log(nrm), axis=-1)
+    return frames, slog
+
+
+def frame_error(got, want):
+    """The largest |error| of every node's frame over its largest |entry|."""
+    want = want.reshape(want.shape[:2] + (-1,))
+    err = np.max(np.abs(got.reshape(want.shape) - want), axis=-1) / np.max(np.abs(want), axis=-1)
+    return float(np.max(err))
+
+
 @pytest.mark.parametrize("steps", [1, 2, 37, 1000, 2049])
 @pytest.mark.parametrize("n, m", [(2, 1), (4, 2)])
 def test_rk4_grid_on_uniform_tables_matches_frozen_kernel(n, m, steps):
     # A constant half-step table and step size make every step matrix the
-    # same: each x segment keeps one step of coefficients and expands one
-    # block of prefixes for all its blocks, and the frames and scale_logs
-    # are the frozen sweep's bit for bit, in both modes, rescaled or not,
-    # from one init or one per line (2049 steps at n = 4 make two x
-    # segments).  One half-step entry moved by one ulp keeps its segment's
-    # full step axis, and the same agreement.
-    L = 5
-    a_half = np.repeat(rng.normal(size=(1, n, n)) * 0.8, 2 * steps + 1, axis=0)
+    # same matrix P: each x segment keeps one step of coefficients and
+    # chains it by repeated squaring, so its frames and scale_logs are no
+    # longer the frozen sweep's bits.  They are no less accurate: against
+    # P^j F0 in long double, their error is at most twice the frozen
+    # sweep's plus 1e-15, in both modes, rescaled or not, from one init or
+    # one per line (2049 steps at n = 4 make two x segments).  One
+    # half-step entry moved by one ulp keeps its segment's full step axis
+    # and the frozen sweep's bits.
+    a_half, E, lams, starts = uniform_leg(n, m, steps)
+    h = 1.0 / steps
     moved = a_half.copy()
     moved[steps, 0, 0] = np.nextafter(moved[steps, 0, 0], np.inf)
-    E = rng.normal(size=(n, n)) * 0.5
-    lams = rng.uniform(-2, 2, size=L)
     seg = _kernels.sweep_layout(n, steps)[0]
     segments = [(s0, min(s0 + seg, steps)) for s0 in range(0, steps, seg)]
     assert len(segments) == (2 if (n, steps) == (4, 2049) else 1)
-    for table in (a_half, moved):
-        kept = {(s0, s1): s1 - s0 if table is moved and s0 <= steps // 2 < s1 else 1
-                for s0, s1 in segments}
-        starts = (rng.normal(size=(n, m)), rng.normal(size=(L, n, m)))
-        for rescale, endpoint, start in itertools.product((True, False), (False, True), starts):
+    P = _kernels._horner(_kernels._coefficients(a_half[:3], E, np.full((1, 1, 1), h)), 1,
+                         lams)[:, 0]
+    for rescale, endpoint, start in itertools.product((True, False), (False, True), starts):
+        for table in (moved, a_half):
             coefficients = {}
-            got = _kernels.rk4_grid(table, E, lams, start, 1.0 / steps, rescale, endpoint,
-                                    coefficients)
-            want = frozen_rk4_grid(table, E, lams, start, 1.0 / steps, rescale, endpoint)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert {k: C.shape[1] for k, C in coefficients.items()} == kept
+            got = _kernels.rk4_grid(table, E, lams, start, h, rescale, endpoint, coefficients)
+            want = frozen_rk4_grid(table, E, lams, start, h, rescale, endpoint)
+            assert {k: C.shape[1] for k, C in coefficients.items()} == {
+                (s0, s1): s1 - s0 if table is moved and s0 <= steps // 2 < s1 else 1
+                for s0, s1 in segments}
+            if table is moved:
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # got and want are now the uniform table's
+        ref_frames, ref_slog = long_double_powers(P, start, steps, rescale)
+        if endpoint:
+            ref_frames, ref_slog = ref_frames[:, -1:], ref_slog[:, -1:]
+        assert frame_error(got[0], ref_frames) <= 2 * frame_error(want[0], ref_frames) + 1e-15
+        slog_error = [float(np.max(np.abs(s - ref_slog))) for s in (got[1], want[1])]
+        assert slog_error[0] <= 2 * slog_error[1] + 1e-15
+
+
+@pytest.mark.parametrize("n, m, steps", [(2, 1, 1), (2, 1, 2), (2, 1, 1023), (2, 1, 1024),
+                                         (4, 2, 3), (4, 2, 37), (4, 2, 1000), (4, 2, 2049)])
+def test_squaring_endpoint_is_the_last_node(n, m, steps):
+    # On a uniform segment the endpoint applies the last node's powers in
+    # the full sweep's order: its frame and scale_log equal the full
+    # sweep's last node bit for bit, rescaled or not, from one init or one
+    # per line, across the two x segments of 2049 steps at n = 4
+    a_half, E, lams, starts = uniform_leg(n, m, steps)
+    for rescale, start in itertools.product((True, False), starts):
+        frames, slog = _kernels.rk4_grid(a_half, E, lams, start, 1.0 / steps, rescale)
+        last, last_log = _kernels.rk4_grid(a_half, E, lams, start, 1.0 / steps, rescale, True)
+        assert last.shape == (len(lams), 1, n, m)
+        assert np.array_equal(last, frames[:, -1:]) and np.array_equal(last_log, slog[:, -1:])
+
+
+@pytest.mark.parametrize("endpoint", [False, True])
+def test_squaring_does_not_depend_on_the_batch(endpoint):
+    # each line of a uniform segment equals a one-line call, bit for bit
+    n, m, steps = 4, 2, 777
+    a_half, E, lams, (init, inits) = uniform_leg(n, m, steps, L=7)
+    for rescale, start in itertools.product((True, False), (init, inits)):
+        f, s = _kernels.rk4_grid(a_half, E, lams, start, 1.0 / steps, rescale, endpoint)
+        for i in range(len(lams)):
+            one = start if start.ndim == 2 else start[i]
+            fi, si = _kernels.rk4_grid(a_half, E, lams[i:i + 1], one, 1.0 / steps, rescale,
+                                       endpoint)
+            assert np.array_equal(f[i], fi[0]) and np.array_equal(s[i], si[0])
+
+
+@pytest.mark.parametrize("W, lams, rescales, loss", [
+    (-80.0, [1700.0, 1757.9, 1800.0], (True, False), 2),
+    (-200.0, [10000.0, 10009.87, 10100.0], (True, False), 2),
+    (-2000.0, [1000100.0, 1000400.0], (True,), 16),
+])
+def test_squaring_on_a_decaying_constant_system(W, lams, rescales, loss):
+    # -phi'' + W phi' = lam phi with W < 0 and lam > W^2 / 4: every mode
+    # decays like exp(W x / 2), so P^(2^l) falls far below the identity
+    # (down to 2^-1440 at W = -2000, where a rescaled a = 2^-E_l would
+    # overflow).  The powers leave the a I + D form there, and against P^j
+    # F0 in long double the frames and scale_logs are within `loss` times
+    # the frozen sweep's error (plus 1e-15), in both modes.  At W = -2000
+    # each step decays by e^-1 and P is strongly non-normal: plain squaring
+    # of it is up to 9 times less accurate than the step-by-step chain (and
+    # RK4 there is 2% off exp(h A) per step).  Unscaled frames of W = -2000
+    # underflow, so it runs rescaled only.
+    steps = 1000
+    h = 1.0 / steps
+    a_half = np.repeat(np.array([[[0.0, 1.0], [0.0, W]]]), 2 * steps + 1, axis=0)
+    E = np.array([[0.0, 0.0], [-1.0, 0.0]])
+    lams = np.array(lams)
+    init = np.array([[1.0], [0.0]])
+    P = _kernels._horner(_kernels._coefficients(a_half[:3], E, np.full((1, 1, 1), h)), 1,
+                         lams)[:, 0]
+    for rescale, endpoint in itertools.product(rescales, (False, True)):
+        got = _kernels.rk4_grid(a_half, E, lams, init, h, rescale, endpoint)
+        want = frozen_rk4_grid(a_half, E, lams, init, h, rescale, endpoint)
+        ref_frames, ref_slog = long_double_powers(P, init, steps, rescale)
+        if endpoint:
+            ref_frames, ref_slog = ref_frames[:, -1:], ref_slog[:, -1:]
+        assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+        assert frame_error(got[0], ref_frames) <= loss * frame_error(want[0], ref_frames) + 1e-15
+        slog_error = [float(np.max(np.abs(s - ref_slog))) for s in (got[1], want[1])]
+        assert slog_error[0] <= loss * slog_error[1] + 1e-15
 
 
 def test_rk4_per_line_init_matches_separate_lines():

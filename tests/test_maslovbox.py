@@ -699,3 +699,45 @@ def test_every_eigenvalue_is_the_midpoint_of_a_sign_change_bracket(bc, B, V):
     below = _psi1_at_one(problem, eigs - tol / 2)
     above = _psi1_at_one(problem, eigs + tol / 2)
     assert np.all((below < 0) != (above < 0))
+
+
+def diag_strings(values):
+    return [[str(v) if i == j else "0" for j in range(len(values))]
+            for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("V, W, lam, crossings, eigenvalues, closed, tol", [
+    ([2500.0, 400.0], [0.0, 0.0], (390.0, 420.0), [0.2102682064204045, 0.8632691106545821],
+     [400.0000000000168, 409.8696044011303], [400.0, 400.0 + np.pi ** 2], 1e-6),
+    ([2500.0, 400.0], [0.0, 0.0], (2490.0, 2540.0),
+     [0.005270276988540739, 0.437604635639225, 0.9270401853694007],
+     [2500.0, 2509.8696044011303, 2539.478417605408],
+     [2500.0, 2500.0 + np.pi ** 2, 2500.0 + 4 * np.pi ** 2], 1e-6),
+    ([0.0], [-80.0], (1700.0, 1800.0), [0.3916085376376949], [1757.9136984534005],
+     [1600.0 + 16 * np.pi ** 2], 1e-4),
+    ([0.0], [-200.0], (10000.0, 10100.0),
+     [0.14828837914320786, 0.4994089018094423, 0.8209763933178248],
+     [10009.869695106841, 10039.478778130488, 10088.827242189273],
+     [10000.0 + (k * np.pi) ** 2 for k in (1, 2, 3)], 1e-3),
+])
+def test_constant_system_counts_and_eigenvalues(V, W, lam, crossings, eigenvalues, closed, tol):
+    """-phi'' + W phi' + V phi = lam phi, diagonal V and W, Neumann: the
+    x-uniform legs chain their step matrix by repeated squaring.  With V =
+    diag(2500, 400), W = 0 and lam in [390, 420] the first component grows
+    and decays like exp(+-46 x); with W < 0 and lam > W^2 / 4 every mode
+    decays like exp(W x / 2), so the powers P^(2^l) fall far below the
+    identity.  The counts, the crossings (to 1e-12) and the localized
+    eigenvalues (to 1e-10) are those of the blocked sweep, which chains
+    every step, and the eigenvalues are the closed form's to the RK4 error
+    of 1000 steps (`tol`)."""
+    problem = load_problem(config_from_dict({
+        "kind": "second-order", "l": len(V), "B": [1.0] * len(V), "V": diag_strings(V),
+        "W": diag_strings(W), "P": "neumann", "Q": "neumann", "lambda": list(lam),
+        "x_steps": 1000, "lambda_steps": 200,
+    }))
+    count, xs = renormalized_count(problem)
+    assert count == len(crossings) == len(eigenvalues)
+    assert np.max(np.abs(np.array(xs) - crossings)) < 1e-12
+    eigs = np.array(localize_eigenvalues_top(problem, tol=1e-10))
+    assert np.max(np.abs(eigs - eigenvalues)) < 1e-10
+    assert np.max(np.abs(eigs - closed)) < tol

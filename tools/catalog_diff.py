@@ -18,9 +18,11 @@ runs in both trees with PYTHONPATH=src.  For the run's stdout and every
 output file the script prints "identical", or the largest absolute and
 relative difference of the numbers the two files hold when the text around
 the numbers is the same, or "text differs" when it is not.  It also prints
-each run's peak RSS on both sides, the child's ru_maxrss as os.wait4
-reports it for that one process, so one command shows both whether the
-outputs are byte-identical and what each run's memory peak is.
+each run's peak RSS on both sides: the VmHWM of the run's own address
+space, which the child reads from /proc/self/status as it exits (os.wait4's
+ru_maxrss would also count the peak of this script, which the child held
+until exec).  So one command shows both whether the outputs are
+byte-identical and what each run's memory peak is.
 
 The exit status is the byte-identity gate: 0 when every run's exit code,
 stdout and output files are the same on both sides, 1 when any of them
@@ -30,6 +32,7 @@ differs or a file exists on one side only.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import subprocess
@@ -50,21 +53,34 @@ RUNS = (
     ("left-shelf", "harmonic-dirichlet"),
 )
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+# `python -m renosc.cli ARGS` that writes its VmHWM line to the file named
+# by its first argument as it exits, however it exits
+PEAK_PROBE = """import runpy, sys
+peak_file = sys.argv.pop(1)
+try:
+    runpy.run_module("renosc.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as status, open(peak_file, "w") as out:
+        out.write(next(line for line in status if line.startswith("VmHWM:")))
+"""
 
 
 def run_catalog(tree: Path, args, out: Path):
     """Exit code, stdout and peak RSS in MB of one CLI run in `tree`, writing
-    into `out`.  The peak is the child's own ru_maxrss (KB on Linux), read
-    by os.wait4 when the child is reaped."""
+    into `out`.  The peak is the VmHWM of the child's own address space (kB),
+    which the child writes beside `out` as it exits; NaN when the child died
+    before writing it (killed by a signal, say), whose exit code and outputs
+    are still compared."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.Popen([sys.executable, "-m", "renosc.cli", *args, "--out", str(out)],
-                            cwd=tree, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL, text=True)
-    stdout = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, stdout, usage.ru_maxrss / 1024.0
+    peak_file = out.with_name(out.name + ".peak")
+    proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, str(peak_file), *args,
+                           "--out", str(out)], cwd=tree, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    try:
+        peak_kb = int(peak_file.read_text().split()[1])
+    except (FileNotFoundError, IndexError, ValueError):
+        peak_kb = math.nan
+    return proc.returncode, proc.stdout, peak_kb / 1024.0
 
 
 def compare(a: str, b: str) -> str:
