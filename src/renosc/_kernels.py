@@ -51,17 +51,21 @@ step is a matrix, F_{k+1} = P_k F_k, with
 (A0, Ah, A1: A at the step's start, midpoint and end; h may differ from
 step to step, for a chain of runs), so a leg is a prefix product of step
 matrices.  Since A = a + lam E is affine in lambda, K_j is a polynomial of
-degree j in lambda and P_k one of degree 4, P_k(lam) = sum_j lam^j C_j.  The
+degree j in lambda and P_k one of degree at most 4, P_k(lam) = sum_j lam^j C_j.  The
 coefficients C_0..C_4 of every x segment are built by exact
 polynomial-matrix arithmetic on (a + lam E): three stages, each one batched
 product with the a table and one with E, about 18 (steps, n, n) products in
-all.  They are built once per chain: a caller that passes a dict as
+all.  They are kept up to the last C_j that is not all zero (`_trimmed`):
+a companion-form E has E^2 = 0, which makes C_3 = C_4 = 0 exactly, so
+both catalog field kinds keep C_0..C_2, while a field with E^2 != 0 keeps
+degree 4.  They are built once per chain: a caller that passes a dict as
 `coefficients` (propagation keeps one per chain, next to its half-step
 table) gets them kept, keyed by the segment's step range, and every later
 call on the chain, or on a prefix of it, skips the build.  Every line's P_k
 is then C_0 + lam (C_1 + lam (...)) by elementwise Horner, with no BLAS call, so a
 line's bits do not depend on its batch, and no interpolation nodes, so no
-lambda is an extrapolation; Horner writes into a buffer padded to whole
+lambda is an extrapolation; the dropped terms would only add zeros, so no
+value changes (at most the sign of an exact zero).  Horner writes into a buffer padded to whole
 blocks with exact identity steps, so nothing is copied to pad it.
 The steps are then grouped in blocks of b = ceil(sqrt(steps)): b - 1
 batched products give every block's partial products Q_j = P_j ... P_1
@@ -84,8 +88,8 @@ by construction: the same BLAS call on the same operands, not two products
 of different shapes that happen to round alike.
 An x segment of more than one step whose half-step rows and step sizes are
 all bitwise equal (a constant-coefficient field in one run) has one step
-matrix P: its coefficients are built from one step and kept as (5, 1, n,
-n), the length-1 step axis meaning "every step is this step", and it is
+matrix P: its coefficients are built from one step and kept as (d + 1, 1,
+n, n), the length-1 step axis meaning "every step is this step", and it is
 chained by repeated squaring, about log2(steps) products per line instead
 of a carry over sqrt(steps) block starts (`_powers`, `_squaring`).  Node j
 is the start with P^(2^l) applied for each set bit l of j, lowest bit
@@ -116,12 +120,15 @@ the log of the m column norms.  The carry loop does only the products and
 the column normalizations; the logs come after it, and the block starts'
 scale_logs are one cumsum over [acc, m log s, sum log norms, ...], which
 adds in the order of a step-by-step loop.  The expanded nodes' column
-norms and their log sums over m add rows one after another (`_sum_rows`),
+norms and their log sums over m add one term after another (`_normalize`),
 not by np.sum over an axis n or m long, whose per-call cost dominates at
 such lengths; below 8 terms np.sum adds in the same order, so the bits are
 the same (from 8 terms on, at m = 1 with n >= 8 or at m >= 8, np.sum adds
-pairwise and the last bits differ).  The block-start carry keeps np.sum:
-its arrays are small, and one call costs less than 2n - 1 row adds.
+pairwise and the last bits differ).  Each column is read as the entries
+i*m + c of the nodes' (..., n*m) view, so every square, add and divide
+runs along the long node axes, not along an inner axis m long.  The
+block-start carry keeps np.sum: its arrays are small, and one call costs
+less than 2n - 1 row adds.
 Temporaries are bounded two
 ways.  An x segment holds STEP_BUDGET bytes of one line's step matrices, so
 a longer leg is cut into segments that depend on steps and n only (a
@@ -223,7 +230,7 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
             table, hs = a_half[2 * s0:2 * s1 + 1], h[s0:s1]
             if _bitwise_equal(hs, hs[0]) and _bitwise_equal(table, table[0]):
                 table, hs = table[:3], hs[:1]  # x-uniform: one step stands for every step
-            C = coefficients[s0, s1] = _coefficients(table, E, hs)
+            C = coefficients[s0, s1] = _trimmed(_coefficients(table, E, hs))
         if C.shape[1] == 1 < k:  # one step stands for every step: powers by squaring
             nodes = slice(None) if endpoint else slice(s0, s1 + 1)
             _squaring(C, k, lams, frames[:, nodes], slog[:, nodes], rescale, endpoint)
@@ -286,6 +293,18 @@ def _coefficients(table, E, h):
     return P
 
 
+def _trimmed(C):
+    """C_0..C_d, d >= 1 the degree of the last C_j that is not all zero.
+
+    A companion-form E has E^2 = 0, so C_3 = C_4 = 0 exactly and Horner
+    stops at lam^2; the dropped terms would only have added zeros.
+    """
+    d = len(C) - 1
+    while d > 1 and not C[d].any():
+        d -= 1
+    return C if d == len(C) - 1 else C[:d + 1].copy()
+
+
 def _blocks(steps):
     """Block length b = ceil(sqrt(steps)) of a leg, and its number of blocks."""
     b = math.isqrt(steps - 1) + 1
@@ -294,7 +313,8 @@ def _blocks(steps):
 
 def _horner(C, steps, lams, buf=None):
     """Every line's step matrices sum_j lam^j C_j, padded with identity steps
-    to whole blocks: (lines, b * blocks, n, n), see _blocks.
+    to whole blocks: (lines, b * blocks, n, n), see _blocks.  C holds the
+    coefficients up to the polynomial's degree (at least 1, see _trimmed).
 
     Elementwise Horner (no BLAS call, so a line's bits do not depend on its
     batch), written straight into the padded buffer: the head of the flat
@@ -389,10 +409,28 @@ def _expand(Q, starts):
 
 def _normalize(nodes, s, m_log_s):
     """Normalize the columns of nodes (..., n, m) in place; returns their
-    scale_logs s + (m log s + the log of the m column norms), elementwise."""
-    nrm = np.sqrt(_sum_rows(np.moveaxis(nodes * nodes, -2, 0)))
-    nodes /= nrm[..., None, :]
-    return s + (m_log_s + _sum_rows(np.moveaxis(np.log(nrm), -1, 0)))
+    scale_logs s + (m log s + the log of the m column norms), elementwise.
+
+    Column c is the entries i*m + c of the (..., n*m) view (a view even of
+    a non-contiguous slice of frames, whose (n, m) trailing axes are
+    contiguous): its squares are added row after row and each entry is
+    divided by the root, every call running along the long leading axes.
+    """
+    n, m = nodes.shape[-2:]
+    flat = nodes.reshape(nodes.shape[:-2] + (n * m,), copy=False)
+    acc, sq = np.empty((2,) + nodes.shape[:-2])
+    logs = np.zeros(nodes.shape[:-2])  # 0 + log(norm) is log(norm) exactly
+    for c in range(m):
+        col = flat[..., c]
+        np.multiply(col, col, out=acc)
+        for i in range(1, n):
+            col = flat[..., i * m + c]
+            acc += np.multiply(col, col, out=sq)
+        np.sqrt(acc, out=acc)
+        for i in range(n):
+            flat[..., i * m + c] /= acc
+        logs += np.log(acc, out=sq)
+    return s + (m_log_s + logs)
 
 
 def _store(nodes, s, m_log_s, frames, slog, rescale):
@@ -468,8 +506,8 @@ def _endpoint(C, steps, lams, chunk, frames, slog, rescale, work):
 
 def _powers(C, steps, lams, rescale):
     """The powers S_l = P^(2^l), l < steps.bit_length(), of every line's one
-    step matrix P (C of an x-uniform segment, (5, 1, n, n)): (levels, lines,
-    n, n).
+    step matrix P (C of an x-uniform segment, (d + 1, 1, n, n)): (levels,
+    lines, n, n).
 
     Near the identity each power is squared as a I + D_l, D_0 = P - I and
     D_(l+1) = 2 a D_l + D_l D_l, so that its rounding scales with |D_l|,

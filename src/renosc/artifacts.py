@@ -199,8 +199,9 @@ def write_heatmap_svg(path, lam_axis, x_axis, values, loss_points=(),
     """Down-sampled (at most HEATMAP_CELLS per axis) log10 heat map of rho
     with loss points marked.
 
-    Rect geometry and shades are computed as arrays; each row's x/width and
-    each column's y/height strings are formatted once.
+    Rect geometry and shades are computed as arrays; each row's x/width,
+    each column's y/height and each shade's fill strings are formatted once,
+    and the rects are written one lambda row at a time.
     """
     L, S = values.shape
     li = np.unique(np.linspace(0, L - 1, min(L, HEATMAP_CELLS)).astype(int))
@@ -221,11 +222,8 @@ def write_heatmap_svg(path, lam_axis, x_axis, values, loss_points=(),
     rows = [(f'<rect x="{a:.2f}" y="', f'" width="{b:.2f}" height="')
             for a, b in zip(px, pw)]
     cols = [(f"{a:.2f}", f"{b:.2f}") for a, b in zip(py, ph)]
-    parts = _svg_header(title)
-    for (x_part, w_part), shades in zip(rows, shade):
-        for (y, h), s in zip(cols, shades):
-            parts.append(f'{x_part}{y}{w_part}{h}" fill="rgb({s},{s},255)"/>')
-    parts += _svg_axes(lam_lo, lam_hi)
+    fill = [f'" fill="rgb({s},{s},255)"/>\n' for s in range(256)]
+    parts = _svg_axes(lam_lo, lam_hi)
     for p in loss_points:
         parts.append(
             f'<circle cx="{_x_px(p.lambda_star, lam_lo, lam_hi):.2f}" '
@@ -234,6 +232,10 @@ def write_heatmap_svg(path, lam_axis, x_axis, values, loss_points=(),
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(_svg_header(title)) + "\n")
+        for (x_part, w_part), shades in zip(rows, shade):
+            fh.write("".join([f"{x_part}{y}{w_part}{h}{fill[s]}"
+                              for (y, h), s in zip(cols, shades)]))
         fh.write("\n".join(parts) + "\n")
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, NeedsFinerGridError, RankDeficiencyError
-from .maslovbox import SpectralProblem, normalized_forms, psi_point, shelf_path
+from .maslovbox import SpectralProblem, normalized_forms, shelf_path
 from .maslovbox import psi_window as _psi_window
 from .propagation import FramePath, propagate_lambda_grid
 from .winding import ZERO_TOL, linear_zero, sign_changes
@@ -288,34 +288,37 @@ def asymptotic_bc_determinants(problem: SpectralProblem) -> Tuple[float, float]:
 
 def _newton_polish(problem: SpectralProblem, x0: float, lam0: float,
                    hx: float, hl: float):
-    """Drive (psi1, psi2) to zero with a finite-difference Newton iteration:
-    psi at (x, lam) and (x, lam +- hl) is one point window, at x +- hx one
-    three-node x window.  Returns (x, lam, rho); when rho fell below 1e-24
-    it is the last point window's, which psi_point would repeat bit for bit
-    (a line's bits do not depend on its batch)."""
+    """Drive (psi1, psi2) to zero with a finite-difference Newton iteration.
+
+    Each step is one window: the lambdas (lam, lam + hl, lam - hl) on the
+    three x nodes lo, (lo + hi) / 2, hi, with lo, hi = x -+ hx clipped to
+    [0, 1].  The iterate's x becomes the middle node; psi there gives the
+    value and the lambda differences, line lam's end nodes the x difference.
+    Returns (x, lam, rho) of the last window's middle node at lam, whether
+    rho fell below 1e-24, J was singular, the step fell below the
+    tolerances or the iterations ran out."""
     x, lam = x0, lam0
     for _ in range(NEWTON_ITERS):
-        _, p1, p2 = _psi_window(problem, [lam, lam + hl, lam - hl], x, x, 0)
-        p1, p2 = p1[:, 0], p2[:, 0]
-        rho = 0.5 * (p1[0] * p1[0] + p2[0] * p2[0])
-        if rho < 1e-24:
-            return x, lam, float(rho)
         lo, hi = max(x - hx, 0.0), min(x + hx, 1.0)
-        _, q1, q2 = _psi_window(problem, [lam], lo, hi, 2)
+        wxs, p1, p2 = _psi_window(problem, [lam, lam + hl, lam - hl], lo, hi, 2)
+        x_w, lam_w = float(wxs[1]), lam
+        rho = 0.5 * (p1[0, 1] * p1[0, 1] + p2[0, 1] * p2[0, 1])
+        if rho < 1e-24:
+            break
         J = np.array([
-            [(q1[0, 2] - q1[0, 0]) / (hi - lo), (p1[1] - p1[2]) / (2 * hl)],
-            [(q2[0, 2] - q2[0, 0]) / (hi - lo), (p2[1] - p2[2]) / (2 * hl)],
+            [(p1[0, 2] - p1[0, 0]) / (hi - lo), (p1[1, 1] - p1[2, 1]) / (2 * hl)],
+            [(p2[0, 2] - p2[0, 0]) / (hi - lo), (p2[1, 1] - p2[2, 1]) / (2 * hl)],
         ])
         try:
-            step = np.linalg.solve(J, [p1[0], p2[0]])
+            step = np.linalg.solve(J, [p1[0, 1], p2[0, 1]])
         except np.linalg.LinAlgError:
             break
-        # keep the iterate inside the open rectangle
-        x = min(max(x - step[0], 1e-6), 1.0 - 1e-6)
-        lam = lam - step[1]
         if abs(step[0]) < 1e-13 and abs(step[1]) < 1e-12:
             break
-    return x, lam, psi_point(problem, x, lam)[2]
+        # keep the iterate inside the open rectangle
+        x = min(max(x_w - step[0], 1e-6), 1.0 - 1e-6)
+        lam = lam_w - step[1]
+    return x_w, lam_w, float(rho)
 
 
 def rho_grid_scan(problem: SpectralProblem, refine_rounds: int = 2) -> ScanResult:

@@ -18,7 +18,7 @@ from renosc import (
     propagate_lambda_grid,
     rho_grid_scan,
 )
-from renosc import _kernels, cli, invariance, psi_point
+from renosc import _kernels, cli, invariance
 from renosc.invariance import (
     LossPoint,
     _newton_polish,
@@ -302,7 +302,7 @@ def test_certificate_and_scan_share_one_full_grid_pass(example3, monkeypatch):
     # 70 lines of 231 nodes fit _BLOCK_NODES, two kernel chunks of 35
     assert sorted(c for c in calls if c > 1) == [51, 70]
     # the scan reads the pass's psi grids: its sweeps are refine windows (21
-    # lambda columns), Newton stencils (3) and points (1)
+    # lambda columns) and Newton windows (3)
     calls.clear()
     rho_grid_scan(problem)
     assert calls and max(calls) <= 21
@@ -323,10 +323,36 @@ def test_full_grid_pass_keeps_no_frame_grid():
     assert peak < 301 * 1001 * 4 * 2 * 8
 
 
-def test_newton_rho_is_the_point_rho(example3_scan, example3):
-    # the polish returns its last point window's rho, which psi_point repeats
-    for p in example3_scan.loss_points:
-        assert p.rho == psi_point(example3, p.x_star, p.lambda_star)[2]
+def test_newton_returns_its_last_window_middle_node(example3, monkeypatch):
+    # the polish returns the x of its last window's middle node and the rho
+    # at that node on the window's first lambda line, bit for bit
+    windows = []
+    real = invariance._psi_window
+
+    def recorded(problem, lams, lo, hi, nx):
+        out = real(problem, lams, lo, hi, nx)
+        windows.append((lams, nx, out))
+        return out
+
+    monkeypatch.setattr(invariance, "_psi_window", recorded)
+    for x0, lam0 in ((0.8696, -3.3712), (0.8689, -0.1288), (0.5, -1.0)):
+        windows.clear()
+        x, lam, rho = _newton_polish(example3, x0, lam0, hx=1e-5, hl=1e-4)
+        lams, nx, (wxs, p1, p2) = windows[-1]
+        assert nx == 2 and len(windows) <= invariance.NEWTON_ITERS
+        assert x == wxs[1] and lam == lams[0]
+        assert rho == 0.5 * (p1[0, 1] * p1[0, 1] + p2[0, 1] * p2[0, 1])
+
+
+def test_example3_loss_points_are_pinned(example3_scan):
+    # the catalog scan's polished loss points, as (lambda*, x*), as a polish
+    # at point windows gave them; the stencil window's middle node is another
+    # RK4 discretization of the same psi and moves them by under 1e-12
+    pinned = ((-3.37121023243286, 0.8696391117845156),
+              (-0.12880464057333058, 0.868905575791469))
+    for p, (lam, x) in zip(example3_scan.loss_points, pinned, strict=True):
+        assert abs(p.lambda_star - lam) <= 1e-9 and abs(p.x_star - x) <= 1e-9
+        assert p.rho < 1e-24
 
 
 def test_classification_doubling_sweeps_do_not_depend_on_columns(example3, monkeypatch):
@@ -357,8 +383,8 @@ def test_refine_round_and_newton_sweep_counts(example3, monkeypatch):
         rho_grid_scan(problem, refine_rounds=1)
     assert polished and len(calls) <= 4 * len(polished)
 
-    # one Newton iteration plus the final point evaluation
+    # one Newton iteration is one window: the grid lead, the G run and the H run
     calls.clear()
     monkeypatch.setattr(invariance, "NEWTON_ITERS", 1)
     _newton_polish(problem, 0.5, -1.0, hx=1e-5, hl=1e-4)
-    assert len(calls) <= 6 + 2
+    assert len(calls) <= 3

@@ -329,6 +329,52 @@ def test_rk4_grid_matches_frozen_kernel(n, monkeypatch):
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("kind, kept", [("companion", 3), ("general", 5), ("lambda-free", 2)])
+def test_rk4_grid_horner_stops_at_the_coefficients_degree(kind, kept):
+    # A companion-form E (E^2 = 0, as both catalog field kinds build it)
+    # makes C_3 = C_4 = 0 exactly, so each kept segment holds C_0..C_2 and
+    # Horner stops at lam^2; a general E (E^2 != 0) keeps degree 4, and a
+    # lambda-free field degree 1.  Every frame and scale_log equals the
+    # frozen sweep's, which runs Horner to degree 4, bit for bit.
+    n, m, steps = 4, 2, 120
+    a_half, E, lams, init, h = random_leg(steps, 9, m, False, n=n, per_step=True)
+    if kind == "companion":
+        E = np.zeros((n, n))
+        E[2, 0] = E[3, 1] = -1.0
+    elif kind == "lambda-free":
+        E = np.zeros((n, n))
+    assert np.any(E @ E) == (kind == "general")
+    for rescale, endpoint in itertools.product((True, False), (False, True)):
+        coefficients = {}
+        got = _kernels.rk4_grid(a_half, E, lams, init, h, rescale, endpoint, coefficients)
+        want = frozen_rk4_grid(a_half, E, lams, init, h, rescale, endpoint)
+        assert [len(C) for C in coefficients.values()] == [kept]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def row_normalize(nodes, s, m_log_s):
+    """The column normalization as a sum over the rows of (..., n, m) nodes."""
+    nrm = np.sqrt(frozen_sum_rows(np.moveaxis(nodes * nodes, -2, 0)))
+    nodes /= nrm[..., None, :]
+    return s + (m_log_s + frozen_sum_rows(np.moveaxis(np.log(nrm), -1, 0)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(1, 4))
+def test_normalize_matches_the_row_formula(n, m):
+    # _normalize runs column by column along the leading axes; its nodes and
+    # scale_logs have the row formula's bytes, on whole frames, on a
+    # non-contiguous block of nodes (as _squaring passes frames[:, lo:lo + k])
+    # and on one node per line (the endpoint)
+    frames = rng.normal(size=(3, 40, n, m)) * np.exp(rng.normal(size=(3, 40, 1, m)) * 20)
+    s, m_log_s = rng.normal(size=(2, 3, 40))
+    for nodes in (np.s_[:, :], np.s_[:, 5:17], np.s_[:, 23]):
+        got, want = frames.copy(), frames.copy()
+        got_log = _kernels._normalize(got[nodes], s[nodes], m_log_s[nodes])
+        want_log = row_normalize(want[nodes], s[nodes], m_log_s[nodes])
+        assert got.tobytes() == want.tobytes() and got_log.tobytes() == want_log.tobytes()
+
+
 def uniform_leg(n, m, steps, L=5):
     """A constant half-step table and step size: every step matrix is the same."""
     a_half = np.repeat(rng.normal(size=(1, n, n)) * 0.8, 2 * steps + 1, axis=0)
