@@ -26,11 +26,13 @@ coefficients (a psi window's lead is a prefix of the grid leg), and
 window runs) over one base_table call, uncached.  Temporaries are bounded by
 `_kernels.STEP_BUDGET`: x segments of at most that many bytes of one
 line's step matrices cut long legs, and lines run in chunks of up to four
-times that.  Column rescaling keeps stiff problems in range: inside a block
-every step matrix is divided by a power of two s, adding m log s to
-scale_log, and every node's columns are normalized, adding the log of their
-norms.  It multiplies both determinant forms by a common positive factor and
-therefore changes nothing at the psi level.
+times that.  Column rescaling keeps stiff problems in range: every node's
+columns are normalized, adding the log of their norms to scale_log, and
+inside a block every step matrix of a stiff line is divided by a power of
+two s, adding m log s; a line whose steps all lie within 1/2 of the
+identity on a segment cannot leave range inside a block and skips that
+division (same frames, bit for bit).  It multiplies both determinant forms
+by a common positive factor and therefore changes nothing at the psi level.
 """
 
 from __future__ import annotations

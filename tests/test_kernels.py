@@ -180,19 +180,32 @@ def test_rk4_step_budget_splits_segments_and_lines(budget, L, chains, monkeypatc
 
 def test_rk4_stiff_leg_rescales_inside_blocks():
     # y' = 6e5 y on 1000 steps: each step multiplies by about 5.4e9, so the
-    # 32-step prefix products of one block overflow unless rescaled.
+    # products of 32 steps (a block) or of 2^5 steps (a power) overflow
+    # unless rescaled.  The constant table is x-uniform and chained by
+    # powers; one half-step entry moved by one ulp makes it run in blocks.
     steps = 1000
-    leg = (np.full((2 * steps + 1, 1, 1), 6e5), np.zeros((1, 1)), np.zeros(1),
-           np.ones((1, 1)), 1.0 / steps)
-    frames, slog = _kernels.rk4_grid(*leg, True)
-    ref_frames, ref_slog = reference_rk4(*leg, True)
-    assert np.array_equal(frames, ref_frames)
-    assert_rel_close(slog, ref_slog)
-    # without rescaling both overflow at the same node
-    raw = _kernels.rk4_grid(*leg, False)[0]
-    ref_raw = reference_rk4(*leg, False)[0]
-    first = np.argmin(np.isfinite(raw[0, :, 0, 0]))
-    assert 0 < first == np.argmin(np.isfinite(ref_raw[0, :, 0, 0]))
+    table = np.full((2 * steps + 1, 1, 1), 6e5)
+    moved = table.copy()
+    moved[steps, 0, 0] = np.nextafter(6e5, np.inf)
+    for a_half in (table, moved):
+        leg = (a_half, np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)), 1.0 / steps)
+        frames, slog = _kernels.rk4_grid(*leg, True)
+        ref_frames, ref_slog = reference_rk4(*leg, True)
+        assert np.array_equal(frames, ref_frames)
+        assert_rel_close(slog, ref_slog)
+        # without rescaling both overflow at the same node
+        raw = _kernels.rk4_grid(*leg, False)[0]
+        ref_raw = reference_rk4(*leg, False)[0]
+        first = np.argmin(np.isfinite(raw[0, :, 0, 0]))
+        assert 0 < first == np.argmin(np.isfinite(ref_raw[0, :, 0, 0]))
+    # the blocked leg's steps are far from the identity, so they keep the
+    # power-of-two rescale and the frozen sweep's frames and scale_logs,
+    # bit for bit
+    assert stiff_lines(moved, leg[1], leg[2], leg[4]).all()
+    for endpoint in (False, True):
+        got = _kernels.rk4_grid(*leg, True, endpoint)
+        want = frozen_rk4_grid(*leg, True, endpoint)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # -- a frozen copy of the kernel's sweep before its numpy calls were batched:
@@ -309,8 +322,10 @@ def frozen_chain(P, steps, frames, slog, rescale):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_rk4_grid_matches_frozen_kernel(n, monkeypatch):
-    # Every frame and scale_log equals the frozen sweep's bit for bit, in
-    # both modes, rescaled or not, from one init or one per line.  At the
+    # Every frame equals the frozen sweep's bit for bit, in both modes,
+    # rescaled or not, from one init or one per line, and every scale_log
+    # to 1e-12: its rounding follows the powers of two applied, and steps
+    # near the identity now apply none (see near_identity_leg).  At the
     # shrunk budget a segment holds 36 steps, so 80 steps make three x
     # segments, the last one of 8 steps in a partial block; a chunk holds 4
     # lines and an endpoint carry batch 12 (36 steps: 6 blocks of 6, whose
@@ -326,7 +341,8 @@ def test_rk4_grid_matches_frozen_kernel(n, monkeypatch):
             for start in (init, rng.normal(size=(L, n, m))):
                 got = _kernels.rk4_grid(a_half, E, lams, start, h, rescale, endpoint)
                 want = frozen_rk4_grid(a_half, E, lams, start, h, rescale, endpoint)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert np.array_equal(got[0], want[0])
+                assert_rel_close(got[1], want[1])
 
 
 @pytest.mark.parametrize("kind, kept", [("companion", 3), ("general", 5), ("lambda-free", 2)])
@@ -334,8 +350,9 @@ def test_rk4_grid_horner_stops_at_the_coefficients_degree(kind, kept):
     # A companion-form E (E^2 = 0, as both catalog field kinds build it)
     # makes C_3 = C_4 = 0 exactly, so each kept segment holds C_0..C_2 and
     # Horner stops at lam^2; a general E (E^2 != 0) keeps degree 4, and a
-    # lambda-free field degree 1.  Every frame and scale_log equals the
-    # frozen sweep's, which runs Horner to degree 4, bit for bit.
+    # lambda-free field degree 1.  Every frame equals the frozen sweep's,
+    # which runs Horner to degree 4, bit for bit, and every scale_log to
+    # 1e-12 (see test_rk4_grid_matches_frozen_kernel).
     n, m, steps = 4, 2, 120
     a_half, E, lams, init, h = random_leg(steps, 9, m, False, n=n, per_step=True)
     if kind == "companion":
@@ -348,8 +365,106 @@ def test_rk4_grid_horner_stops_at_the_coefficients_degree(kind, kept):
         coefficients = {}
         got = _kernels.rk4_grid(a_half, E, lams, init, h, rescale, endpoint, coefficients)
         want = frozen_rk4_grid(a_half, E, lams, init, h, rescale, endpoint)
-        assert [len(C) for C in coefficients.values()] == [kept]
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert [len(C) for C, _ in coefficients.values()] == [kept]
+        assert np.array_equal(got[0], want[0])
+        assert_rel_close(got[1], want[1])
+
+
+def count_max_abs(monkeypatch):
+    """Record the number of lines of every `_kernels._max_abs` call."""
+    seen = []
+    real = _kernels._max_abs
+
+    def counted(P, buf):
+        seen.append(len(P))
+        return real(P, buf)
+
+    monkeypatch.setattr(_kernels, "_max_abs", counted)
+    return seen
+
+
+def stiff_lines(a_half, E, lams, h):
+    """The lines of a one-segment leg that keep the power-of-two rescale."""
+    h = np.broadcast_to(h, ((len(a_half) - 1) // 2,)).reshape(-1, 1, 1)
+    return _kernels._stiff(_kernels._step_bounds(_kernels._coefficients(a_half, E, h)), lams)
+
+
+@pytest.mark.parametrize("budget", [None, 8 * 16 * 36])
+def test_near_identity_leg_skips_the_rescale(budget, monkeypatch):
+    # random_leg's steps (h about 1/200) lie within 1/2 of the identity at
+    # every |lam| <= 2, so no step is divided by a power of two: _max_abs
+    # never runs, every frame equals the frozen sweep's (which divides
+    # every step) bit for bit, since a power of two scales exactly, and the
+    # endpoint equals the full sweep's last node bit for bit.  Across x
+    # segments and chunks too (36 steps a segment and 4 lines a chunk).
+    if budget:
+        monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
+    seen = count_max_abs(monkeypatch)
+    for m in (1, 2, 3):
+        a_half, E, lams, init, h = random_leg(200, 9, m, False, per_step=True)
+        assert not stiff_lines(a_half, E, lams, h).any()
+        for start in (init, rng.normal(size=(9, 4, m))):
+            frames, slog = _kernels.rk4_grid(a_half, E, lams, start, h, True)
+            last, last_log = _kernels.rk4_grid(a_half, E, lams, start, h, True, True)
+            want = frozen_rk4_grid(a_half, E, lams, start, h, True)
+            assert np.array_equal(frames, want[0])
+            assert_rel_close(slog, want[1])
+            assert np.array_equal(last, frames[:, -1:]) and np.array_equal(last_log, slog[:, -1:])
+    assert seen == []
+
+
+@pytest.mark.parametrize("endpoint", [False, True])
+def test_mixed_batch_lines_do_not_depend_on_the_batch(endpoint, monkeypatch):
+    # A large |lam| pushes some lines past 1/2 of the identity, so they keep
+    # the power-of-two rescale while the lines sharing their chunk (4 lines
+    # at this budget) skip it, or share none (the second chunk).  Every line's frame and scale_log equal its
+    # one-line call's bit for bit, and the rescaled lines equal the frozen
+    # sweep's bit for bit, scale_log included.
+    monkeypatch.setattr(_kernels, "STEP_BUDGET", 8 * 16 * 36)
+    a_half, E, _, init, h = random_leg(80, 9, 2, False, per_step=True)
+    lams = np.array([300.0, -1.5, 0.0, 120.0, 1.0, -2.0, 0.5, 1.5, -300.0])
+    stiff = stiff_lines(a_half, E, lams, h)
+    assert stiff[[0, 3, 8]].all() and not stiff[[1, 2, 4, 5, 6, 7]].any()
+    seen = count_max_abs(monkeypatch)
+    f, s = _kernels.rk4_grid(a_half, E, lams, init, h, True, endpoint)
+    assert seen
+    want = frozen_rk4_grid(a_half, E, lams, init, h, True, endpoint)
+    assert np.array_equal(f, want[0])
+    assert np.array_equal(f[stiff], want[0][stiff]) and np.array_equal(s[stiff], want[1][stiff])
+    for i in range(len(lams)):
+        fi, si = _kernels.rk4_grid(a_half, E, lams[i:i + 1], init, h, True, endpoint)
+        assert np.array_equal(f[i], fi[0]) and np.array_equal(s[i], si[0])
+
+
+def test_nan_table_is_never_near_the_identity(monkeypatch):
+    # A coefficient that is NaN past x = 0.6 makes the step bounds NaN, which
+    # no line counts as near the identity, not even at lam = 0 (where
+    # |lam|^j times a NaN bound is NaN); a bound that is NaN only at one
+    # degree counts too.  The sweep keeps the rescale and _sweep raises
+    # BlowUpError at the frozen sweep's first non-finite node.
+    from renosc.errors import BlowUpError
+    from renosc.propagation import CoefficientField, propagate_chain
+
+    n, steps = 4, 200
+    a_half, E, _, init, _ = random_leg(steps, 1, 2, False, n=n)
+
+    def base_table(xs):
+        table = np.array(a_half[np.rint(xs * 2 * steps).astype(int)])
+        table[xs > 0.6, 1, 0] = np.nan
+        return table
+
+    lams = np.array([0.0, 1.0, -2.0])
+    xh = np.arange(2 * steps + 1) / (2 * steps)
+    h = 1.0 / steps
+    assert stiff_lines(base_table(xh), E, lams, h).all()
+    assert _kernels._stiff(np.array([0.1, 0.1, np.nan]), np.array([0.0, 0.3])).all()
+    frames, _ = frozen_rk4_grid(base_table(xh), E, lams, init, h, True)
+    first = int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))
+    assert 0 < first < steps
+    seen = count_max_abs(monkeypatch)
+    with pytest.raises(BlowUpError) as blown:
+        propagate_chain(CoefficientField(n, base_table, E), init, lams, 0.0, [(1.0, steps)])
+    assert seen and blown.value.x == xh[2 * first]
 
 
 def row_normalize(nodes, s, m_log_s):
@@ -420,7 +535,8 @@ def test_rk4_grid_on_uniform_tables_matches_frozen_kernel(n, m, steps):
     # sweep's plus 1e-15, in both modes, rescaled or not, from one init or
     # one per line (2049 steps at n = 4 make two x segments).  One
     # half-step entry moved by one ulp keeps its segment's full step axis
-    # and the frozen sweep's bits.
+    # and the frozen sweep's frames bit for bit, its scale_logs to 1e-12
+    # (see test_rk4_grid_matches_frozen_kernel).
     a_half, E, lams, starts = uniform_leg(n, m, steps)
     h = 1.0 / steps
     moved = a_half.copy()
@@ -435,11 +551,12 @@ def test_rk4_grid_on_uniform_tables_matches_frozen_kernel(n, m, steps):
             coefficients = {}
             got = _kernels.rk4_grid(table, E, lams, start, h, rescale, endpoint, coefficients)
             want = frozen_rk4_grid(table, E, lams, start, h, rescale, endpoint)
-            assert {k: C.shape[1] for k, C in coefficients.items()} == {
+            assert {k: C.shape[1] for k, (C, _) in coefficients.items()} == {
                 (s0, s1): s1 - s0 if table is moved and s0 <= steps // 2 < s1 else 1
                 for s0, s1 in segments}
             if table is moved:
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert np.array_equal(got[0], want[0])
+                assert_rel_close(got[1], want[1])
         # got and want are now the uniform table's
         ref_frames, ref_slog = long_double_powers(P, start, steps, rescale)
         if endpoint:

@@ -341,7 +341,7 @@ def test_chains_with_different_runs_share_no_coefficients(monkeypatch):
             assert np.array_equal(a, b)
     assert built == [20] * 4
     kept = [C for _, coefficients in field._chains.values()
-            for C in coefficients.values()]
+            for C, _ in coefficients.values()]
     assert len(kept) == 2 and not np.shares_memory(kept[0], kept[1])
 
 
@@ -392,7 +392,7 @@ def test_constant_field_keeps_one_step_of_coefficients(monkeypatch):
             assert np.array_equal(a, b)
         built.clear()
     (_, coefficients), = field._chains.values()
-    assert [C.shape[1] for C in coefficients.values()] == [1]
+    assert [C.shape[1] for C, _ in coefficients.values()] == [1]
     for steps in (1, 7, 59, 60):
         got = chain_prefix(field, init, lams, 0.0, runs, steps)
         assert built == []
@@ -404,7 +404,7 @@ def test_constant_field_keeps_one_step_of_coefficients(monkeypatch):
         field = harmonic_field()
         propagate_chain(field, init, lams, 0.0, [(0.3, 17), (1.0, 43)], True)
         (_, coefficients), = field._chains.values()
-        assert built == [C.shape[1] for C in coefficients.values()] == kept
+        assert built == [C.shape[1] for C, _ in coefficients.values()] == kept
         built.clear()
 
 
