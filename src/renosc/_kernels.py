@@ -120,23 +120,25 @@ products (an exact operation), so every partial product is the true one
 divided by s and cannot overflow inside a block.  A line near the identity
 on a segment needs none: when rho_0 + |lam| rho_1 + ... + |lam|^d rho_d <=
 1/2, with rho_0 = max_k |C_0[k] - I|_inf and rho_j = max_k |C_j[k]|_inf
-(`_step_bounds`, kept beside the segment's coefficients once a rescaled
-sweep chains it in blocks, and bounds of every prefix too), every step has
-|P_k|_inf <= 3/2 and |P_k^-1|_inf <= 2, so a block of b <= 182 steps (a
-segment holds at most 8,192 steps at n = 2, 32,768 at n = 1) keeps a normalized start's columns between about
-2^-182 and 1.5^182 in norm, far inside double range, and its steps take s_k
-= 1 (`_stiff`; a NaN bound is stiff).  A chunk of lines all near the
-identity reads no |entry| and makes no exponent or m log s; in a chunk
-with a stiff line the other lines' exponents are 0, and ldexp by 2^0 is
-exact, so a line's bits depend on that line alone.  Scaling by a power of
-two is exact, so the frames have the same bits either way; only the last
-bits of scale_log follow the exponents applied.  On the catalog's
-x-dependent legs every rescaled step is near the identity (the largest
-bound is about 0.19).  The carry loop does only the products and the
-column normalizations; the logs come after it, and the block starts'
+(`_step_bounds`, bounds of every prefix too), every step has |P_k|_inf <=
+3/2 and |P_k^-1|_inf <= 2, so a block of b <= 182 steps (a segment holds
+at most 8,192 steps at n = 2, 32,768 at n = 1) keeps a normalized start's
+columns between about 2^-182 and 1.5^182 in norm, far inside double range,
+and its steps take s_k = 1 (`_stiff`; a NaN bound is stiff).  The bounds
+read every C_j once, more than one line's |entries|, so only a call that
+keeps its coefficients (a `coefficients` dict) builds them, once per kept
+segment, beside C; a call without one divides every line as before.  A
+chunk of lines all near the identity reads no |entry| and makes no
+exponent (m log s is 0); in a chunk with a stiff line the other lines'
+exponents are 0, and ldexp by 2^0 is exact, so a line's bits do not
+depend on the other lines of its batch.  Scaling by a power of two is
+exact, so the frames have the same bits either way; only the last bits of
+scale_log follow the exponents applied.  On the catalog's x-dependent
+legs every rescaled step is near the identity (the largest bound is about
+0.19).  The carry loop does only the products and
+the column normalizations; the logs come after it, and the block starts'
 scale_logs are one cumsum over [acc, m log s, sum log norms, ...], which
-adds in the order of a step-by-step loop (without m log s where no line
-was divided).  The expanded nodes' column
+adds in the order of a step-by-step loop.  The expanded nodes' column
 norms and their log sums over m add one term after another (`_normalize`),
 not by np.sum over an axis n or m long, whose per-call cost dominates at
 such lengths; below 8 terms np.sum adds in the same order, so the bits are
@@ -152,10 +154,10 @@ ways.  An x segment holds STEP_BUDGET bytes of one line's step matrices, so
 a longer leg is cut into segments that depend on steps and n only (a
 larger STEP_BUDGET would move them, and with them the bits of long legs).
 A chunk of lines fills up to 4 * STEP_BUDGET bytes of (lines, steps, n, n)
-temporaries, Horner's step matrices and, made by the first chunk with a
-stiff line, their |entries|: two buffers that every chunk of a call reuses
-(fresh ones per chunk cost more in page faults than the batching saves),
-of which a call near the identity makes only the first; and an endpoint
+temporaries, Horner's step matrices and their |entries|: two buffers that
+every chunk of a call reuses (fresh ones per chunk cost more in page
+faults than the batching saves), of which a call with no stiff line never
+writes the second; and an endpoint
 batch as much again of kept arrays; lines are independent, so neither
 changes a bit, only the number of numpy calls.  An x-uniform segment makes
 no (lines, steps, n, n) temporary: its powers take (log2 steps, lines, n,
@@ -219,11 +221,13 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     (a_half, E, h) for later calls, one entry (C, rho) per x segment keyed
     by its step range: C_0..C_d (one step's worth for an x-uniform segment,
     see above) and their step bounds (`_step_bounds`, None until a rescaled
-    sweep chains the segment in blocks); it is filled on first use.  A
-    prefix of the same table and steps may pass the same dict: a segment
-    (s0, s1) is served from any kept (s0, t) with t >= s1, sliced to its
-    first s1 - s0 steps, so a prefix of a swept chain builds no
-    coefficients.
+    sweep chains the segment in blocks); it is filled on first use.  Only
+    a call with such a dict skips the rescale of lines near the identity
+    (see above), so scale_log's last bits may differ from a call without
+    one; the frames do not.  A prefix of the same table and steps may pass
+    the same dict: a segment (s0, s1) is served from any kept (s0, t) with
+    t >= s1, sliced to its first s1 - s0 steps, so a prefix of a swept
+    chain builds no coefficients.
     """
     a_half = np.ascontiguousarray(a_half, dtype=float)
     E = np.ascontiguousarray(E, dtype=float)
@@ -236,14 +240,17 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     frames = np.empty((L, 2 if endpoint else steps + 1, n, m))
     slog = np.zeros(frames.shape[:2])
     frames[:, 0] = init
-    if coefficients is None:
+    cached = coefficients is not None
+    if not cached:
         coefficients = {}
     seg, chunk = sweep_layout(n, steps)
-    # Horner's step matrices, one buffer for every chunk (fresh megabyte
-    # temporaries per chunk cost page faults), and _max_abs's |entries|,
-    # made by the first chunk with a stiff line (see _prefixes)
+    # Horner's step matrices and _max_abs's |entries|, one buffer each for
+    # every chunk: fresh megabyte temporaries per chunk cost page faults.
+    # A call with no stiff line never writes the second, so touches none
+    # of its pages; made as one array, the two keep glibc's mmap threshold
+    # high enough that later temporaries reuse the heap's resident pages
     padded = max(math.prod(_blocks(k)) for k in {seg, steps - (steps - 1) // seg * seg})
-    work = [np.empty(min(chunk, L) * padded * n * n), None]
+    work = np.empty((2, min(chunk, L) * padded * n * n))
     for s0 in range(0, steps, seg):
         s1 = min(s0 + seg, steps)
         k = s1 - s0
@@ -259,10 +266,12 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
             nodes = slice(None) if endpoint else slice(s0, s1 + 1)
             _squaring(C, k, lams, frames[:, nodes], slog[:, nodes], rescale, endpoint)
         else:
-            if rescale and rho is None:  # built once, by the first rescaled blocked sweep
-                rho = _step_bounds(C)
-                coefficients[key] = C, rho
-            stiff = _stiff(rho, lams) if rescale else np.zeros(L, dtype=bool)
+            stiff = np.full(L, rescale)
+            if rescale and cached:  # bounds pay off once kept: built by the first sweep
+                if rho is None:
+                    rho = _step_bounds(C)
+                    coefficients[key] = C, rho
+                stiff = _stiff(rho, lams)
             C = C[:, :k]
             if endpoint:
                 batch = _endpoint_batch(n, k, chunk)
@@ -274,7 +283,7 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
                 for lo in range(0, L, chunk):
                     lines = slice(lo, lo + chunk)
                     _chain(_horner(C, k, lams[lines], work[0]), k, frames[lines, s0:s1 + 1],
-                           slog[lines, s0:s1 + 1], rescale, stiff[lines], work)
+                           slog[lines, s0:s1 + 1], rescale, stiff[lines], work[1])
         if endpoint:
             frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]  # the next segment's start
     return (frames[:, :1], slog[:, :1]) if endpoint else (frames, slog)
@@ -402,10 +411,10 @@ def _max_abs(P, buf):
     return top.reshape(P.shape[:-2])
 
 
-def _prefixes(P, steps, stiff, work):
+def _prefixes(P, steps, stiff, buf):
     """Every block's partial products Q_j = P_j ... P_1, in place of P.
 
-    P is _horner's output and work rk4_grid's buffers; stiff (lines,) marks
+    P is _horner's output and buf _max_abs's scratch; stiff (lines,) marks
     the lines whose steps are divided by the power of two of their largest
     |entry| (see _stiff).  Returns Q as (lines, blocks, b, n, n) and, if
     some line is stiff, the cumulative exponents (lines, blocks, b) of those
@@ -417,9 +426,7 @@ def _prefixes(P, steps, stiff, work):
     Q = P.reshape(lines, nb, b, n, n)
     cum = None
     if stiff.any():
-        if work[1] is None:
-            work[1] = np.empty_like(work[0])
-        e = np.frexp(_max_abs(P, work[1]).reshape(Q.shape[:3]))[1]
+        e = np.frexp(_max_abs(P, buf).reshape(Q.shape[:3]))[1]
         e[~stiff] = 0
         np.ldexp(Q, -e[..., None, None], out=Q)
         cum = np.cumsum(e, axis=2)
@@ -433,9 +440,8 @@ def _carry(totals, start, acc, m_log_s, rescale):
 
     totals (lines, blocks-1, n, n) are the products of all blocks but the
     last, start (lines, n, m) and acc (lines,) the first block's start, and
-    m_log_s (lines, blocks-1) the m log s at each block's end, or None where
-    no step was divided by a power of two.  Returns starts (lines, blocks,
-    n, m) and their scale_logs (lines, blocks).
+    m_log_s (lines, blocks-1) the m log s at each block's end (rescale only).
+    Returns starts (lines, blocks, n, m) and their scale_logs (lines, blocks).
     """
     lines, nb1 = totals.shape[:2]
     m = start.shape[-1]
@@ -453,13 +459,10 @@ def _carry(totals, start, acc, m_log_s, rescale):
     if not rescale:
         return starts, np.repeat(acc[:, None], nb1 + 1, axis=1)
     # acc_{i+1} = (acc_i + m log s) + sum log nrm, one cumsum in that order
-    logs = np.sum(np.log(nrms), axis=-1)
-    if m_log_s is None:  # m log s = 0 would add nothing
-        return starts, np.cumsum(np.concatenate((acc[:, None], logs), axis=1), axis=1)
     terms = np.empty((lines, 2 * nb1 + 1))
     terms[:, 0] = acc
     terms[:, 1::2] = m_log_s
-    terms[:, 2::2] = logs
+    terms[:, 2::2] = np.sum(np.log(nrms), axis=-1)
     return starts, np.cumsum(terms, axis=1)[:, ::2]
 
 
@@ -473,8 +476,7 @@ def _expand(Q, starts):
 
 def _normalize(nodes, s, m_log_s):
     """Normalize the columns of nodes (..., n, m) in place; returns their
-    scale_logs s + (m log s + the log of the m column norms), elementwise,
-    or s + the log sum where m_log_s is None (m log s = 0 would add nothing).
+    scale_logs s + (m log s + the log of the m column norms), elementwise.
 
     Column c is the entries i*m + c of the (..., n*m) view (a view even of
     a non-contiguous slice of frames, whose (n, m) trailing axes are
@@ -495,39 +497,39 @@ def _normalize(nodes, s, m_log_s):
         for i in range(n):
             flat[..., i * m + c] /= acc
         logs += np.log(acc, out=sq)
-    return s + logs if m_log_s is None else s + (m_log_s + logs)
+    return s + (m_log_s + logs)
 
 
 def _store(nodes, s, m_log_s, frames, slog, rescale):
     """Write expanded nodes (lines, k, n, m) and their block starts'
     scale_logs s (lines, k) into frames[:, 1:] and slog[:, 1:], column-
-    normalized with rescaling, m_log_s (lines, k) being their m log s (or
-    None, see _normalize)."""
+    normalized with rescaling, m_log_s (lines, k) being their m log s."""
     if rescale:
         s = _normalize(nodes, s, m_log_s)
     frames[:, 1:] = nodes
     slog[:, 1:] = s
 
 
-def _chain(P, steps, frames, slog, rescale, stiff, work):
+def _chain(P, steps, frames, slog, rescale, stiff, buf):
     """Chain the first `steps` step matrices of P from frames[:, 0] into frames[:, 1:].
 
     P is _horner's padded output, (lines, b * blocks, n, n), and is
-    overwritten; stiff and work are as in _prefixes.  frames (lines,
+    overwritten; stiff and buf are as in _prefixes.  frames (lines,
     steps+1, n, m) and slog (lines, steps+1) are written in place;
     frames[:, 0] and slog[:, 0] hold the start.
     """
     lines, _, n = P.shape[:3]
     m = frames.shape[-1]
     b, nb = _blocks(steps)
-    Q, cum = _prefixes(P, steps, stiff, work)
-    m_log_s = ends = None
+    Q, cum = _prefixes(P, steps, stiff, buf)
+    m_log_s = np.zeros((lines, nb * b))  # + 0 where no step was divided: exact
     if cum is not None:
         m_log_s = (cum * (m * math.log(2.0))).reshape(lines, nb * b)
-        ends, m_log_s = m_log_s[:, b - 1:(nb - 1) * b:b], m_log_s[:, :steps]
-    starts, accs = _carry(Q[:, :-1, -1], frames[:, 0], slog[:, 0], ends, rescale)
+    starts, accs = _carry(Q[:, :-1, -1], frames[:, 0], slog[:, 0],
+                          m_log_s[:, b - 1:(nb - 1) * b:b], rescale)
     nodes = _expand(Q, starts).reshape(lines, nb * b, n, m)[:, :steps]
-    _store(nodes, np.repeat(accs, b, axis=1)[:, :steps], m_log_s, frames, slog, rescale)
+    _store(nodes, np.repeat(accs, b, axis=1)[:, :steps], m_log_s[:, :steps],
+           frames, slog, rescale)
 
 
 def _endpoint_batch(n, steps, chunk):
@@ -541,13 +543,13 @@ def _endpoint(C, steps, lams, chunk, frames, slog, rescale, stiff, work):
     """The last node of every line's chain from frames[:, 0] into frames[:, 1].
 
     C holds the segment's step coefficients (see _horner), frames
-    (lines, 2, n, m) and slog (lines, 2), and stiff and work are as in
-    _prefixes.  Each chunk of lines runs Horner, the rescale of its stiff
-    lines and the prefix products, and keeps the block totals, the last
-    block's prefixes and the exponent sums; one block-start carry then
-    serves every line, and the last block is expanded by the same product
-    as in `_chain`, so the node equals the full chain's last node bit for
-    bit.
+    (lines, 2, n, m) and slog (lines, 2), stiff is as in _prefixes, and
+    work holds the chunks' Horner and _max_abs buffers.  Each chunk of
+    lines runs Horner, the rescale of its stiff lines and the prefix
+    products, and keeps the block totals, the last block's prefixes and
+    the exponent sums; one block-start carry then serves every line, and
+    the last block is expanded by the same product as in `_chain`, so the
+    node equals the full chain's last node bit for bit.
     """
     n = C.shape[2]
     m = frames.shape[-1]
@@ -559,18 +561,15 @@ def _endpoint(C, steps, lams, chunk, frames, slog, rescale, stiff, work):
     exps = np.zeros((lines, nb))  # exponent sums at the block ends, then at the last node
     for lo in range(0, lines, chunk):
         part = slice(lo, lo + chunk)
-        Q, cum = _prefixes(_horner(C, steps, lams[part], work[0]), steps, stiff[part], work)
+        Q, cum = _prefixes(_horner(C, steps, lams[part], work[0]), steps, stiff[part], work[1])
         totals[part] = Q[:, :-1, -1]
         last[part] = Q[:, -1]
         if cum is not None:
             exps[part, :-1] = cum[:, :-1, -1]
             exps[part, -1] = cum[:, -1, j]
-    ends = at_last = None
-    if stiff.any():
-        m_log_s = exps * (m * math.log(2.0))
-        ends, at_last = m_log_s[:, :-1], m_log_s[:, -1:]
-    starts, accs = _carry(totals, frames[:, 0], slog[:, 0], ends, rescale)
-    _store(_expand(last, starts[:, -1])[:, j:j + 1], accs[:, -1:], at_last,
+    m_log_s = exps * (m * math.log(2.0))
+    starts, accs = _carry(totals, frames[:, 0], slog[:, 0], m_log_s[:, :-1], rescale)
+    _store(_expand(last, starts[:, -1])[:, j:j + 1], accs[:, -1:], m_log_s[:, -1:],
            frames, slog, rescale)
 
 

@@ -29,9 +29,9 @@ line's step matrices cut long legs, and lines run in chunks of up to four
 times that.  Column rescaling keeps stiff problems in range: every node's
 columns are normalized, adding the log of their norms to scale_log, and
 inside a block every step matrix of a stiff line is divided by a power of
-two s, adding m log s; a line whose steps all lie within 1/2 of the
-identity on a segment cannot leave range inside a block and skips that
-division (same frames, bit for bit).  It multiplies both determinant forms
+two s, adding m log s; on a cached chain a line whose steps all lie
+within 1/2 of the identity on a segment cannot leave range inside a block
+and skips that division (same frames, bit for bit).  It multiplies both determinant forms
 by a common positive factor and therefore changes nothing at the psi level.
 """
 

@@ -203,7 +203,7 @@ def test_rk4_stiff_leg_rescales_inside_blocks():
     # bit for bit
     assert stiff_lines(moved, leg[1], leg[2], leg[4]).all()
     for endpoint in (False, True):
-        got = _kernels.rk4_grid(*leg, True, endpoint)
+        got = _kernels.rk4_grid(*leg, True, endpoint, {})
         want = frozen_rk4_grid(*leg, True, endpoint)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -322,10 +322,12 @@ def frozen_chain(P, steps, frames, slog, rescale):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_rk4_grid_matches_frozen_kernel(n, monkeypatch):
-    # Every frame equals the frozen sweep's bit for bit, in both modes,
-    # rescaled or not, from one init or one per line, and every scale_log
-    # to 1e-12: its rounding follows the powers of two applied, and steps
-    # near the identity now apply none (see near_identity_leg).  At the
+    # Every frame and scale_log equals the frozen sweep's bit for bit, in
+    # both modes, rescaled or not, from one init or one per line.  A call
+    # that keeps its coefficients has the same frames and its scale_logs to
+    # 1e-12: their rounding follows the powers of two applied, and steps
+    # near the identity then apply none (see
+    # test_near_identity_leg_skips_the_rescale).  At the
     # shrunk budget a segment holds 36 steps, so 80 steps make three x
     # segments, the last one of 8 steps in a partial block; a chunk holds 4
     # lines and an endpoint carry batch 12 (36 steps: 6 blocks of 6, whose
@@ -341,8 +343,10 @@ def test_rk4_grid_matches_frozen_kernel(n, monkeypatch):
             for start in (init, rng.normal(size=(L, n, m))):
                 got = _kernels.rk4_grid(a_half, E, lams, start, h, rescale, endpoint)
                 want = frozen_rk4_grid(a_half, E, lams, start, h, rescale, endpoint)
-                assert np.array_equal(got[0], want[0])
-                assert_rel_close(got[1], want[1])
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                kept = _kernels.rk4_grid(a_half, E, lams, start, h, rescale, endpoint, {})
+                assert np.array_equal(kept[0], want[0])
+                assert_rel_close(kept[1], want[1])
 
 
 @pytest.mark.parametrize("kind, kept", [("companion", 3), ("general", 5), ("lambda-free", 2)])
@@ -392,11 +396,13 @@ def stiff_lines(a_half, E, lams, h):
 @pytest.mark.parametrize("budget", [None, 8 * 16 * 36])
 def test_near_identity_leg_skips_the_rescale(budget, monkeypatch):
     # random_leg's steps (h about 1/200) lie within 1/2 of the identity at
-    # every |lam| <= 2, so no step is divided by a power of two: _max_abs
-    # never runs, every frame equals the frozen sweep's (which divides
-    # every step) bit for bit, since a power of two scales exactly, and the
-    # endpoint equals the full sweep's last node bit for bit.  Across x
-    # segments and chunks too (36 steps a segment and 4 lines a chunk).
+    # every |lam| <= 2, so a call that keeps its coefficients divides no
+    # step by a power of two: _max_abs never runs, every frame equals the
+    # frozen sweep's (which divides every step) bit for bit, since a power
+    # of two scales exactly, and the endpoint, served by the kept bounds,
+    # equals the full sweep's last node bit for bit.  Across x segments and
+    # chunks too (36 steps a segment and 4 lines a chunk).  A call without
+    # a dict builds no bounds and divides every line, as the frozen sweep.
     if budget:
         monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
     seen = count_max_abs(monkeypatch)
@@ -404,35 +410,39 @@ def test_near_identity_leg_skips_the_rescale(budget, monkeypatch):
         a_half, E, lams, init, h = random_leg(200, 9, m, False, per_step=True)
         assert not stiff_lines(a_half, E, lams, h).any()
         for start in (init, rng.normal(size=(9, 4, m))):
-            frames, slog = _kernels.rk4_grid(a_half, E, lams, start, h, True)
-            last, last_log = _kernels.rk4_grid(a_half, E, lams, start, h, True, True)
+            kept = {}
+            frames, slog = _kernels.rk4_grid(a_half, E, lams, start, h, True, False, kept)
+            last, last_log = _kernels.rk4_grid(a_half, E, lams, start, h, True, True, kept)
             want = frozen_rk4_grid(a_half, E, lams, start, h, True)
             assert np.array_equal(frames, want[0])
             assert_rel_close(slog, want[1])
             assert np.array_equal(last, frames[:, -1:]) and np.array_equal(last_log, slog[:, -1:])
     assert seen == []
+    got = _kernels.rk4_grid(a_half, E, lams, start, h, True)
+    assert seen and np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("endpoint", [False, True])
 def test_mixed_batch_lines_do_not_depend_on_the_batch(endpoint, monkeypatch):
     # A large |lam| pushes some lines past 1/2 of the identity, so they keep
     # the power-of-two rescale while the lines sharing their chunk (4 lines
-    # at this budget) skip it, or share none (the second chunk).  Every line's frame and scale_log equal its
-    # one-line call's bit for bit, and the rescaled lines equal the frozen
-    # sweep's bit for bit, scale_log included.
+    # at this budget) skip it, or share none (the second chunk).  Every
+    # line's frame and scale_log equal its one-line call's bit for bit,
+    # every call keeping its coefficients, and the rescaled lines equal the
+    # frozen sweep's bit for bit, scale_log included.
     monkeypatch.setattr(_kernels, "STEP_BUDGET", 8 * 16 * 36)
     a_half, E, _, init, h = random_leg(80, 9, 2, False, per_step=True)
     lams = np.array([300.0, -1.5, 0.0, 120.0, 1.0, -2.0, 0.5, 1.5, -300.0])
     stiff = stiff_lines(a_half, E, lams, h)
     assert stiff[[0, 3, 8]].all() and not stiff[[1, 2, 4, 5, 6, 7]].any()
     seen = count_max_abs(monkeypatch)
-    f, s = _kernels.rk4_grid(a_half, E, lams, init, h, True, endpoint)
+    f, s = _kernels.rk4_grid(a_half, E, lams, init, h, True, endpoint, {})
     assert seen
     want = frozen_rk4_grid(a_half, E, lams, init, h, True, endpoint)
     assert np.array_equal(f, want[0])
     assert np.array_equal(f[stiff], want[0][stiff]) and np.array_equal(s[stiff], want[1][stiff])
     for i in range(len(lams)):
-        fi, si = _kernels.rk4_grid(a_half, E, lams[i:i + 1], init, h, True, endpoint)
+        fi, si = _kernels.rk4_grid(a_half, E, lams[i:i + 1], init, h, True, endpoint, {})
         assert np.array_equal(f[i], fi[0]) and np.array_equal(s[i], si[0])
 
 
