@@ -247,8 +247,9 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     # Horner's step matrices and _max_abs's |entries|, one buffer each for
     # every chunk: fresh megabyte temporaries per chunk cost page faults.
     # A call with no stiff line never writes the second, so touches none
-    # of its pages; made as one array, the two keep glibc's mmap threshold
-    # high enough that later temporaries reuse the heap's resident pages
+    # of its pages.  Made apart, the two cost a count-oracle pass about
+    # 1,300 more minor faults (a smaller largest allocation leaves glibc's
+    # dynamic mmap threshold lower, so later temporaries are mapped afresh)
     padded = max(math.prod(_blocks(k)) for k in {seg, steps - (steps - 1) // seg * seg})
     work = np.empty((2, min(chunk, L) * padded * n * n))
     for s0 in range(0, steps, seg):
