@@ -1,7 +1,8 @@
 """Hot numeric kernels: RK4 frame propagation and determinant-form tables.
 
 Both kernels are batched numpy: `rk4_grid` propagates every lambda line of a
-batch at once, `omega_tables` evaluates the forms over all nodes in chunks.
+batch at once, `march` every line of a problem's whole lambda grid one step
+at a time, and `omega_tables` evaluates the forms over all nodes in chunks.
 It is the one evaluator of omega1, omega2 and the Gram normalization d (a
 single node is a batch of one), and `volume_rates` gives a frame's volume
 data.  COLLAPSE_TOL is the one rank rule, for given and propagated frames
@@ -62,8 +63,8 @@ degree 4.  They are built once per chain: a caller that passes a dict as
 `coefficients` (propagation keeps one per chain, next to its half-step
 table) gets them kept, keyed by the segment's step range, and every later
 call on the chain, or on a prefix of it, skips the build.  Every line's P_k
-is then C_0 + lam (C_1 + lam (...)) by elementwise Horner, with no BLAS call, so a
-line's bits do not depend on its batch, and no interpolation nodes, so no
+is then C_0 + lam (C_1 + lam (...)) by elementwise Horner, with no BLAS call, so in
+rk4_grid a line's bits do not depend on its batch, and no interpolation nodes, so no
 lambda is an extrapolation; the dropped terms would only add zeros, so no
 value changes (at most the sign of an exact zero).  Horner writes into a buffer padded to whole
 blocks with exact identity steps, so nothing is copied to pad it.
@@ -163,6 +164,26 @@ changes a bit, only the number of numpy calls.  An x-uniform segment makes
 no (lines, steps, n, n) temporary: its powers take (log2 steps, lines, n,
 n), and its full sweep's temporaries are a few times one level's nodes,
 no more than the frames it fills.
+
+`march` serves the full-grid pass, which needs every node of every line of
+the lambda grid, and the top edge of an x-dependent leg.  It reads the same
+kept coefficients but forms no line's P_k: with the carried frames of all
+L lines as the columns of F (n, L m), one step is F <- sum_j C_j lam^j F =
+[C_0 ... C_d] Z, Z = [F; lam F; ...; lam^d F] stacked from F by one
+elementwise product, so each step is one (n x (d+1) n)((d+1) n x L m) GEMM
+whose numpy cost barely grows with L, where rk4_grid pays small products
+per line.  This is not step-by-step frame marching, which formed each line's P_k and paid
+one small product per line per step.  Z holds (lam / s)^j F against C_j
+s^j, s the power of two above every |lam|: the same bits while in range,
+and no |lam|^d F overflows on a step whose result fits.  A GEMM column's
+bits depend on the width of its batch, so a line's bits here depend on the
+lambda grid it is marched with; the march runs only over a problem's whole
+lambda grid, so every run repeats, and never over a narrow batch.  The
+nodes come in x-blocks of MARCH_NODES // L steps, shorter with rescaling
+where _step_bounds asks for it (see `march`); each block's last node is
+column-normalized and carried into the next, and the block's nodes are
+yielded as a view of one buffer, so the caller streams them and no frame
+grid is kept.
 """
 
 from __future__ import annotations
@@ -183,6 +204,10 @@ def backend_name() -> str:
 
 # Bytes allowed for each (lines, steps, n, n) temporary of `rk4_grid`.
 STEP_BUDGET = 1 << 18
+
+# Nodes (lines times steps) per x-block of `march`: bounds the block's node
+# buffer and what its caller makes of one block.
+MARCH_NODES = 1 << 14
 
 # Bytes allowed for the temporaries of one `omega_tables` chunk.
 FORM_BUDGET = 1 << 20
@@ -255,24 +280,15 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
     for s0 in range(0, steps, seg):
         s1 = min(s0 + seg, steps)
         k = s1 - s0
-        key = next(((a, t) for a, t in coefficients if a == s0 and t >= s1), None)
-        if key is None:
-            table, hs = a_half[2 * s0:2 * s1 + 1], h[s0:s1]
-            if _bitwise_equal(hs, hs[0]) and _bitwise_equal(table, table[0]):
-                table, hs = table[:3], hs[:1]  # x-uniform: one step stands for every step
-            key = s0, s1
-            coefficients[key] = _trimmed(_coefficients(table, E, hs)), None
-        C, rho = coefficients[key]
+        key = _kept(a_half, E, h, coefficients, s0, s1)
+        C = coefficients[key][0]
         if C.shape[1] == 1 < k:  # one step stands for every step: powers by squaring
             nodes = slice(None) if endpoint else slice(s0, s1 + 1)
             _squaring(C, k, lams, frames[:, nodes], slog[:, nodes], rescale, endpoint)
         else:
             stiff = np.full(L, rescale)
             if rescale and cached:  # bounds pay off once kept: built by the first sweep
-                if rho is None:
-                    rho = _step_bounds(C)
-                    coefficients[key] = C, rho
-                stiff = _stiff(rho, lams)
+                stiff = _stiff(_kept_bounds(coefficients, key), lams)
             C = C[:, :k]
             if endpoint:
                 batch = _endpoint_batch(n, k, chunk)
@@ -288,6 +304,50 @@ def rk4_grid(a_half, E, lams, init, h, rescale, endpoint=False, coefficients=Non
         if endpoint:
             frames[:, 0], slog[:, 0] = frames[:, 1], slog[:, 1]  # the next segment's start
     return (frames[:, :1], slog[:, :1]) if endpoint else (frames, slog)
+
+
+def _kept(a_half, E, h, coefficients, s0, s1):
+    """The key of the kept coefficients that serve the x segment s0..s1 of
+    the chain (a_half, E, h), built and kept in the dict `coefficients` on
+    first use: any kept (s0, t) with t >= s1 serves it (see rk4_grid)."""
+    key = next(((a, t) for a, t in coefficients if a == s0 and t >= s1), None)
+    if key is None:
+        table, hs = a_half[2 * s0:2 * s1 + 1], h[s0:s1]
+        if _bitwise_equal(hs, hs[0]) and _bitwise_equal(table, table[0]):
+            table, hs = table[:3], hs[:1]  # x-uniform: one step stands for every step
+        key = s0, s1
+        coefficients[key] = _trimmed(_coefficients(table, E, hs)), None
+    return key
+
+
+def _segment_keys(a_half, E, h, coefficients):
+    """The keys of the kept coefficients of every x segment of the chain
+    (a_half, E, h), h of shape (steps, 1, 1), in sweep order (see _kept)."""
+    steps = len(h)
+    seg = sweep_layout(a_half.shape[-1], steps)[0]
+    return [_kept(a_half, E, h, coefficients, s0, min(s0 + seg, steps))
+            for s0 in range(0, steps, seg)]
+
+
+def uniform(a_half, E, h, coefficients):
+    """Whether every x segment of the chain (a_half, E, h) is kept as one
+    step, which rk4_grid chains by squaring: an x-uniform chain.  Arguments
+    are as in march; the coefficients not yet kept are built and kept."""
+    a_half = np.ascontiguousarray(a_half, dtype=float)
+    steps = (a_half.shape[0] - 1) // 2
+    h = np.broadcast_to(np.asarray(h, dtype=float), (steps,)).reshape(steps, 1, 1)
+    return all(coefficients[key][0].shape[1] == 1
+               for key in _segment_keys(a_half, E, h, coefficients))
+
+
+def _kept_bounds(coefficients, key):
+    """The step bounds of a kept segment (_step_bounds), built and kept
+    beside its coefficients on first use."""
+    C, rho = coefficients[key]
+    if rho is None:
+        rho = _step_bounds(C)
+        coefficients[key] = C, rho
+    return rho
 
 
 def _bitwise_equal(a, b):
@@ -355,16 +415,22 @@ def _step_bounds(C):
     return A.sum(axis=-1).max(axis=(1, 2))
 
 
-def _stiff(rho, lams):
-    """The lines whose steps a rescaled sweep divides by powers of two (see
-    _prefixes): every line that is not near the identity, rho_0 + |lam|
-    rho_1 + ... + |lam|^d rho_d <= 1/2 (a NaN bound is not)."""
+def _bounds(rho, lams):
+    """rho_0 + |lam| rho_1 + ... + |lam|^d rho_d at every lambda of lams: a
+    bound on |P_k(lam) - I|_inf at every step (see _step_bounds)."""
     x = np.abs(lams)
     bound = np.full(len(lams), rho[-1])
     for r in rho[-2::-1]:
         bound *= x
         bound += r
-    return ~(bound <= 0.5)
+    return bound
+
+
+def _stiff(rho, lams):
+    """The lines whose steps a rescaled sweep divides by powers of two (see
+    _prefixes): every line that is not near the identity, _bounds <= 1/2
+    (a NaN bound is not)."""
+    return ~(_bounds(rho, lams) <= 0.5)
 
 
 def _blocks(steps):
@@ -664,6 +730,83 @@ def _squaring(C, steps, lams, frames, slog, rescale, endpoint):
         if rescale:
             s = _normalize(nodes, s, m_log[l][:, None])
         slog[:, lo:lo + k] = s
+
+
+def march(a_half, E, lams, init, h, rescale, coefficients):
+    """Every lambda line's nodes, step after step, all lines in one product
+    per step; a generator of x-blocks.
+
+    Arguments are as in rk4_grid, and `coefficients` is the chain's dict:
+    the march reads the kept C_0..C_d of every x segment (building those not
+    yet kept) and never forms a line's step matrix.  The carried frames of
+    all L lines are the columns of F (n, L m); each step stacks Z = [F;
+    lam F; ...; lam^d F], one elementwise product, and sets F <- [C_0 ...
+    C_d] Z, one (n x (d+1) n)((d+1) n x L m) GEMM, whose numpy cost barely
+    grows with L.  A GEMM column's bits depend on the width of its batch,
+    so the march is meant for a problem's whole lambda grid, never for a
+    narrow batch; on that grid every run repeats.
+    An x-block is MARCH_NODES // L steps; with rescaling it is cut to the
+    normalization interval that _step_bounds allows: at most 182 steps (the
+    longest block of rk4_grid's chain, _blocks(STEP_BUDGET // 8)), and
+    where the bound b on |P_k - I|_inf of the grid's largest |lam| exceeds
+    1/2, at most 182 log 1.5 / log(1 + b) steps, so that a normalized
+    start grows by at most 1.5^182 within a block.  The columns of each
+    block's last node are normalized (rescale only) and carried into the
+    next block; no scale_log is kept.  Yields (k0, nodes) per block: nodes
+    (L, k + 1, n, m), the nodes k0 .. k0 + k, a view that the next block
+    overwrites.
+    """
+    a_half = np.ascontiguousarray(a_half, dtype=float)
+    lams = np.ascontiguousarray(lams, dtype=float)
+    init = np.ascontiguousarray(init, dtype=float)
+    steps = (a_half.shape[0] - 1) // 2
+    h = np.broadcast_to(np.asarray(h, dtype=float), (steps,)).reshape(steps, 1, 1)
+    n, m = init.shape[-2:]
+    L = len(lams)
+    seg = sweep_layout(n, steps)[0]
+    keys = _segment_keys(a_half, E, h, coefficients)
+    d = max(len(coefficients[key][0]) for key in keys) - 1
+    b = max(1, MARCH_NODES // L)
+    top = np.abs(lams).max(keepdims=True)  # the grid's largest |lam|
+    if rescale:
+        bound = max(float(_bounds(_kept_bounds(coefficients, key), top)[0]) for key in keys)
+        near = _blocks(STEP_BUDGET // 8)[0]
+        reach = near if bound <= 0.5 else near * math.log1p(0.5) / math.log1p(bound)
+        b = min(b, int(reach)) if reach >= 1 else 1  # an infinite or NaN bound: one step
+    # Z holds (lam / s)^j F and the product C_j s^j, s the power of two
+    # just above every |lam|: exact scalings, the same bits as lam^j F and
+    # C_j while they stay in range, and Z never exceeds F, so no |lam|^d F
+    # overflows on a step whose result fits.  Z is one step's buffer, filled
+    # by one product with the powers j = 0..d laid out (d + 1, n, L m): a
+    # broadcast along the rows costs the product more than it saves.
+    scale = np.ldexp(1.0, np.frexp(top[0])[1]) ** np.arange(d + 1)
+    powers = np.empty((d + 1, n, L * m))
+    powers[:] = (np.repeat(lams / scale[1], m) ** np.arange(d + 1)[:, None])[:, None]
+    Z = np.empty((d + 1, n, L * m))
+    stacked = Z.reshape((d + 1) * n, L * m)
+    N = np.empty((b + 1, n, L * m))  # the block's nodes
+    N[0] = np.broadcast_to(init, (L, n, m)).transpose(1, 0, 2).reshape(n, L * m)
+    nodes = N.reshape(b + 1, n, L, m).transpose(2, 0, 1, 3)
+    for k0 in range(0, steps, b):
+        if k0:
+            N[0] = N[k]  # the last block's end
+        k = min(b, steps - k0)
+        CS = np.zeros((k, n, d + 1, n))  # step i's [C_0 ... C_d] is CS[i] as (n, (d+1) n)
+        for s0, key in zip(range(0, steps, seg), keys):
+            lo, hi = max(k0, s0), min(k0 + k, s0 + seg)
+            if lo < hi:
+                C = coefficients[key][0]
+                C = C[:, :1] if C.shape[1] == 1 else C[:, lo - s0:hi - s0]
+                CS[lo - k0:hi - k0, :, :len(C)] = C.transpose(1, 2, 0, 3)
+        CS *= scale[:, None]
+        CS = CS.reshape(k, n, (d + 1) * n)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # callers refuse blow-ups
+            for F, step, out in zip(N[:k], CS, N[1:k + 1]):
+                np.multiply(F, powers, out=Z)
+                np.matmul(step, stacked, out=out)
+            if rescale:
+                N[k] /= np.sqrt(_sum_rows(N[k] * N[k]))
+        yield k0, nodes[:, :k + 1]
 
 
 @functools.lru_cache(maxsize=None)

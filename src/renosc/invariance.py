@@ -25,7 +25,6 @@ from . import _kernels
 from .errors import InvalidInputError, NeedsFinerGridError, RankDeficiencyError
 from .maslovbox import SpectralProblem, normalized_forms, shelf_path
 from .maslovbox import psi_window as _psi_window
-from .propagation import FramePath, propagate_lambda_grid
 from .winding import ZERO_TOL, linear_zero, sign_changes
 
 RHO_ZERO_TOL = 1e-9
@@ -36,11 +35,6 @@ NEWTON_ITERS = 25
 # classify_loss_point's lambda columns, and how often it may double the box
 CLASSIFY_COLS = 33
 MAX_DOUBLINGS = 5
-# grid nodes per block of whole lambda lines in the full-grid pass; bounds
-# the block's frames and transients.  Blocks are rounded down to whole line
-# chunks of rk4_grid (at least one), since a block ending in a partial chunk
-# pays a full chunk's numpy calls for it.
-_BLOCK_NODES = 1 << 14
 
 
 @dataclass
@@ -127,21 +121,23 @@ def _volume_rates(frames, A):
 def _psi_grids(problem: SpectralProblem, dh_log=None):
     """psi1 and psi2 over the full (lambda, x) grid, in one streamed pass.
 
-    The pass sweeps the grid leg in blocks of about _BLOCK_NODES nodes,
-    whole lambda lines, one propagate_lambda_grid call each on the leg's
-    cached step coefficients (a line's bits do not depend on its block).
-    Each block writes its psi rows and its last nodes, the top-edge frames
-    (SpectralProblem.top_frames), and is dropped: no frame grid is kept.
-    Copies of the first and last lines, the legs at lambda1 and lambda2,
-    are kept as those g_path entries, so the left and right shelves make no
-    sweep of their own (linspace returns the grid's ends exactly).
-    Given dh_log, the H path's d/dx log |hhat| per node, the pass also
-    caches the G family's extrema as "g_extrema": the minimum column-volume
-    ratio, the maximum |d/dx log |ghat|| and the maximum of |d(omega2)/dx /
-    d| = |d(psi2)/dx + psi2 d'/d|.  psi2 is scale-invariant, so its centered
-    difference is legitimate even on rescaled frames; d'/d is the two
-    families' rates, analytic per node.  A call with dh_log after a pass
-    without it sweeps again.  A collapsed frame raises RankDeficiencyError.
+    The pass marches the grid leg over every lambda line at once
+    (SpectralProblem.march, one GEMM per RK4 step) in x-blocks of about
+    _kernels.MARCH_NODES nodes.  Each block's nodes go to omega_tables
+    against that block's H frames, and the block is dropped: no frame grid
+    is kept.  An x-dependent leg's last node is kept as the top-edge frames
+    (SpectralProblem.top_frames, which runs the same march when no pass has
+    run); an x-uniform leg's top frames stay with the squaring endpoint
+    sweep.  Given dh_log, the H path's d/dx log |hhat| per node, the pass
+    also caches the G family's extrema as "g_extrema": the minimum
+    column-volume ratio, the maximum |d/dx log |ghat|| and the maximum of
+    |d(omega2)/dx / d| = |d(psi2)/dx + psi2 d'/d|.  psi2 and the volume
+    data are scale-invariant, so they are legitimate on the march's frames,
+    which are normalized only at block ends; psi2's centered difference
+    at a block's first node reads the previous block's last d'/d.  d'/d is
+    the two families' rates, analytic per node.  A call with dh_log after a
+    pass without it marches again.  A collapsed frame raises
+    RankDeficiencyError.
     """
     cache = problem._cache
     if "psi_grids" in cache and (dh_log is None or "g_extrema" in cache):
@@ -149,36 +145,32 @@ def _psi_grids(problem: SpectralProblem, dh_log=None):
     lams, xs = problem.lambda_grid(), problem.x_grid()
     hp, AT = problem.h_path(), problem.a_tilde()
     psi1, psi2 = np.empty((2, len(lams), len(xs)))
-    top = np.empty((len(lams), problem.n, problem.m))
     if dh_log is not None:
         base, E = problem.field.base_table(xs), problem.field.lambda_mat
         h = xs[1] - xs[0]
         ratio_min, dg_max, delta = math.inf, 0.0, 0.0
-    chunk = _kernels.sweep_layout(problem.n, problem.x_steps)[1]
-    block = max(1, _BLOCK_NODES // len(xs) // chunk) * chunk
-    for lo in range(0, len(lams), block):
-        lines = slice(lo, lo + block)
-        leg_xs, frames, slog = propagate_lambda_grid(
-            problem.field, problem.P.entries, lams[lines], 0.0, 1.0, problem.x_steps,
-            problem.rescale)
-        top[lines] = frames[:, -1]
-        for line, lam in ((0, problem.lambda1), (len(lams) - 1, problem.lambda2)):
-            if lo <= line < lo + block:  # a side shelf's leg, kept for g_path
-                cache.setdefault(("g_path", float(lam)), FramePath(
-                    lam=lam, xs=leg_xs.copy(), frames=frames[line - lo].copy(),
-                    scale_log=slog[line - lo].copy(), direction="forward"))
-        w1, w2, d = _kernels.omega_tables(frames, hp.frames, AT.block_g, AT.block_h)
-        p1, p2 = normalized_forms(w1, w2, d, "the full grid")
-        psi1[lines], psi2[lines] = p1, p2
+    for k0, frames in problem.march():
+        k1 = k0 + frames.shape[1]
+        lo = k0 + 1 if k0 else 0  # node k0 ended the previous block
+        frames = frames[:, lo - k0:]
+        w1, w2, d = _kernels.omega_tables(frames, hp.frames[lo:k1], AT.block_g, AT.block_h)
+        psi1[:, lo:k1], psi2[:, lo:k1] = normalized_forms(w1, w2, d, "the full grid")
         if dh_log is None:
             continue
-        ratio, dg_log = _volume_rates(frames, base + lams[lines, None, None, None] * E)
+        ratio, dg_log = _volume_rates(frames, base[lo:k1] + lams[:, None, None, None] * E)
         ratio_min = min(ratio_min, float(np.min(ratio)))
         dg_max = max(dg_max, float(np.max(np.abs(dg_log))))
-        fd = (p2[:, 2:] - p2[:, :-2]) / (2 * h)
-        dlog = (dg_log + dh_log)[:, 1:-1]
-        delta = max(delta, float(np.max(np.abs(fd + p2[:, 1:-1] * dlog))))
-    cache["top_frames"] = top
+        dlog = dg_log + dh_log[lo:k1]
+        if lo:  # from node lo - 1, whose neighbours are now known
+            dlog, lo = np.concatenate((last[:, None], dlog), axis=1), lo - 1
+        last = dlog[:, -1]
+        i = max(lo, 1)  # the centered difference at nodes i .. k1 - 2
+        if i < k1 - 1:
+            fd = (psi2[:, i + 1:k1] - psi2[:, i - 1:k1 - 2]) / (2 * h)
+            fd += psi2[:, i:k1 - 1] * dlog[:, i - lo:-1]
+            delta = max(delta, float(np.max(np.abs(fd))))
+    if not problem.uniform_leg():
+        cache["top_frames"] = frames[:, -1].copy()
     cache["psi_grids"] = psi1, psi2
     if dh_log is not None:
         cache["g_extrema"] = ratio_min, dg_max, delta

@@ -24,7 +24,7 @@ from . import _kernels
 from .errors import InvalidInputError, RankDeficiencyError, ShelfAssertionError
 from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde
 from .propagation import (CoefficientField, _step_count, chain_prefix, integrate_frame,
-                          propagate_chain, propagate_chains)
+                          march_chain, propagate_chain, propagate_chains, uniform_chain)
 from .winding import (ZERO_TOL, PathSamples, detect_crossings, linear_zero, sign_changes,
                       winding_index)
 
@@ -97,8 +97,8 @@ class SpectralProblem:
         return self._cache["h_path"]
 
     def g_path(self, lam: float):
-        """The G family's leg at lam, cached; the full-grid pass
-        (invariance._psi_grids) caches its lambda1 and lambda2 lines here."""
+        """The G family's leg at lam, one sweep of its own, cached (the left
+        and right shelves' legs)."""
         key = ("g_path", float(lam))
         if key not in self._cache:
             self._cache[key] = integrate_frame(
@@ -106,18 +106,32 @@ class SpectralProblem:
             )
         return self._cache[key]
 
-    def top_frames(self) -> np.ndarray:
-        """G frames at x = 1 for every lambda grid line, shape (L, n, m).
+    def march(self):
+        """The grid leg marched over the whole lambda grid, x-block by
+        x-block (propagation.march_chain)."""
+        return march_chain(self.field, self.P.entries, self.lambda_grid(), 0.0,
+                           [(1.0, self.x_steps)], self.rescale)
 
-        Written by the full-grid pass (invariance._psi_grids) when it has
-        run; otherwise one endpoint sweep, cached, which equals the pass's
-        last nodes bit for bit.
+    def uniform_leg(self) -> bool:
+        """Whether the grid leg is x-uniform (propagation.uniform_chain)."""
+        return uniform_chain(self.field, 0.0, [(1.0, self.x_steps)])
+
+    def top_frames(self) -> np.ndarray:
+        """G frames at x = 1 for every lambda grid line, shape (L, n, m), cached.
+
+        An x-dependent leg's are the last node of its march (self.march),
+        the same routine whether the full-grid pass (invariance._psi_grids)
+        kept them or this call runs it alone.  An x-uniform leg's come from
+        one endpoint sweep, which chains its one step matrix by squaring.
         """
         if "top_frames" not in self._cache:
-            self._cache["top_frames"] = propagate_chain(
-                self.field, self.P.entries, self.lambda_grid(), 0.0,
-                [(1.0, self.x_steps)], self.rescale, endpoint=True,
-            )[1][:, 0]
+            if self.uniform_leg():
+                top = propagate_chain(self.field, self.P.entries, self.lambda_grid(), 0.0,
+                                      [(1.0, self.x_steps)], self.rescale, endpoint=True)[1]
+            else:
+                for _, top in self.march():
+                    pass
+            self._cache["top_frames"] = top[:, -1].copy()
         return self._cache["top_frames"]
 
 

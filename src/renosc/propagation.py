@@ -23,7 +23,14 @@ Every sweep goes through one core, `_sweep`, behind one of three fronts:
 `chain_prefix` runs the first steps of a cached chain on its table and
 coefficients (a psi window's lead is a prefix of the grid leg), and
 `propagate_chains` sweeps chains used once (a psi window's tails and
-window runs) over one base_table call, uncached.  Temporaries are bounded by
+window runs) over one base_table call, uncached.  The full-grid pass does
+not sweep: `march_chain` runs `_kernels.march` on the grid leg's cached
+table and coefficients, one GEMM per step over every line of the whole
+lambda grid (a line's bits depend on that grid, so no narrow batch is
+marched), and yields its nodes x-block by x-block; `rk4_grid` serves
+every other sweep, and there a line's bits do not depend on its batch.
+`uniform_chain` tells an x-uniform chain, whose top edge keeps the
+squaring endpoint sweep.  Temporaries of a sweep are bounded by
 `_kernels.STEP_BUDGET`: x segments of at most that many bytes of one
 line's step matrices cut long legs, and lines run in chunks of up to four
 times that.  Column rescaling keeps stiff problems in range: every node's
@@ -68,7 +75,7 @@ class CoefficientField:
     `_chains` is propagation's per-chain cache (half-step tables and step
     coefficients, both built from base_table and E; at most 9 chains, see
     _chain_cache).  It holds the legs that are swept again or read in part:
-    the grid leg, which the full-grid pass sweeps block by block and whose
+    the grid leg, which the full-grid pass marches in x-blocks and whose
     prefixes lead every psi window, the H path and the shelf legs, and the
     chains of omega_at_points; psi windows' own short sweeps are not kept,
     so they never evict a leg.  It is not a constructor argument, so a field
@@ -278,9 +285,15 @@ def _sweep(field, a_half, h, xh, lams, init, rescale, endpoint, coefficients=Non
                                      endpoint, coefficients)
     xs = xh[-1:] if endpoint else xh[::2].copy()
     if not np.all(np.isfinite(frames)):
-        x = xs[int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))]
-        raise BlowUpError(f"propagation blew up near x = {x:.6g}", x=x)
+        _blew_up(xs, frames)
     return xs, frames, slog
+
+
+def _blew_up(xs, frames):
+    """Raise BlowUpError at the first node xs[k] where some line of frames
+    (L, len(xs), n, m) is not finite."""
+    x = xs[int(np.argmin(np.isfinite(frames).all(axis=(0, 2, 3))))]
+    raise BlowUpError(f"propagation blew up near x = {x:.6g}", x=x)
 
 
 def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=False,
@@ -364,6 +377,39 @@ def propagate_chains(field, chains, rescale=True):
         start += len(xh)
         out.append(_sweep(field, a_half, h, xh, lams, init, rescale, chain[4]))
     return out
+
+
+def march_chain(field, init, lams, from_x, runs, rescale=True):
+    """The chain's nodes at every lambda of `lams`, x-block by x-block, by
+    `_kernels.march`: one GEMM per RK4 step over all lines, on the chain's
+    cached half-step table and step coefficients.
+
+    Meant for a problem's whole lambda grid (a GEMM column's bits depend on
+    its batch width).  Arguments are validated as in propagate_chain.  A
+    generator of (k0, frames) per x-block in sweep order: frames (L, k+1,
+    n, m) are the nodes k0 .. k0 + k, a view that the next block
+    overwrites, whose first node is the previous block's last.  Frames are
+    column-normalized only at block ends (rescale only).  Raises
+    BlowUpError with the first x at which some lambda line leaves
+    double-precision range, as _sweep does.
+    """
+    init, lams, from_x, runs = _chain_front(field, init, lams, from_x, runs)
+    h, xh = _half_steps(from_x, runs)
+    a_half, coefficients = _chain_cache(field, xh, (from_x, runs))
+    for k0, frames in _kernels.march(a_half, field.lambda_mat, lams, init, h, rescale,
+                                     coefficients):
+        if not np.all(np.isfinite(frames[:, -1])):  # a non-finite entry stays so
+            _blew_up(xh[2 * k0::2], frames)
+        yield k0, frames
+
+
+def uniform_chain(field, from_x, runs) -> bool:
+    """Whether the chain is x-uniform, so that rk4_grid chains it by squaring
+    (`_kernels.uniform`), on its cached table and step coefficients."""
+    runs = tuple((float(to_x), _step_count(steps)) for to_x, steps in runs)
+    h, xh = _half_steps(from_x, runs)
+    a_half, coefficients = _chain_cache(field, xh, (from_x, runs))
+    return _kernels.uniform(a_half, field.lambda_mat, h, coefficients)
 
 
 def integrate_frame(

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from renosc import builtin_catalog, load_problem
+from renosc import _kernels, builtin_catalog, load_problem
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,21 @@ def harmonic_dirichlet():
 @pytest.fixture(scope="session")
 def harmonic_neumann():
     return load_problem(builtin_catalog("harmonic-neumann"))
+
+
+@pytest.fixture
+def march_blocks(monkeypatch):
+    """(lines, k0, nodes) of every x-block that _kernels.march yields."""
+    blocks = []
+    real = _kernels.march
+
+    def counted(*args):
+        for k0, nodes in real(*args):
+            blocks.append((len(args[2]), k0, nodes.shape[1]))
+            yield k0, nodes
+
+    monkeypatch.setattr(_kernels, "march", counted)
+    return blocks
 
 
 # -- adaptive-integrator oracle (tests/oracle.py) ------------------------------

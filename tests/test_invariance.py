@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from renosc import (
+    BlowUpError,
     CoefficientField,
     Frame,
     SpectralProblem,
@@ -12,6 +13,7 @@ from renosc import (
     builtin_catalog,
     classify_loss_point,
     compute_box,
+    config_from_dict,
     constants_report,
     delta_bound_higher_order,
     load_problem,
@@ -19,6 +21,8 @@ from renosc import (
     rho_grid_scan,
 )
 from renosc import _kernels, cli, invariance
+from renosc.maslovbox import normalized_forms
+from renosc.propagation import propagate_chain
 from renosc.invariance import (
     LossPoint,
     _newton_polish,
@@ -295,16 +299,18 @@ def test_scan_and_classification_build_each_full_leg_once(monkeypatch, tmp_path)
     assert legs == [(N, -1.0 / N), (N, 1.0 / N)]
 
 
-def test_certificate_and_scan_share_one_full_grid_pass(example3, monkeypatch):
+def test_certificate_and_scan_share_one_full_grid_pass(example3, monkeypatch, march_blocks):
     problem = replace(example3, x_steps=230, lambda_steps=120)
     calls = count_rk4_calls(monkeypatch)
     constants_report(problem)
-    # 70 lines of 231 nodes fit _BLOCK_NODES, two kernel chunks of 35
-    assert sorted(c for c in calls if c > 1) == [51, 70]
+    # the grid leg is marched once, over all 121 lines, and never swept by rk4_grid
+    assert [(lines, k0) for lines, k0, _ in march_blocks] == [(121, 0), (121, 135)]
+    assert not [c for c in calls if c > 1]
     # the scan reads the pass's psi grids: its sweeps are refine windows (21
     # lambda columns) and Newton windows (3)
     calls.clear()
     rho_grid_scan(problem)
+    assert len(march_blocks) == 2
     assert calls and max(calls) <= 21
 
 
@@ -321,6 +327,115 @@ def test_full_grid_pass_keeps_no_frame_grid():
     assert not any(isinstance(v, np.ndarray) and v.ndim >= 4
                    for v in problem._cache.values())
     assert peak < 301 * 1001 * 4 * 2 * 8
+
+
+def rk4_grid_pass(problem):
+    """psi1, psi2 and the top frames of the grid leg swept by rk4_grid."""
+    _, frames, _ = propagate_lambda_grid(problem.field, problem.P.entries,
+                                         problem.lambda_grid(), 0.0, 1.0, problem.x_steps,
+                                         problem.rescale)
+    hp, AT = problem.h_path(), problem.a_tilde()
+    w1, w2, d = _kernels.omega_tables(frames, hp.frames, AT.block_g, AT.block_h)
+    return (*normalized_forms(w1, w2, d, "the rk4_grid pass"), frames[:, -1])
+
+
+def assert_march_matches_rk4_grid(problem):
+    """The full-grid pass's psi and the march's last node against rk4_grid's,
+    within 1e-12: psi relative to its x column's largest |psi| (absolute
+    where that is below 1, psi being normalized), frames relative per
+    column.  Returns the pass's psi grids."""
+    psi1, psi2 = _psi_grids(problem)
+    for _, frames in problem.march():
+        pass
+    ref1, ref2, ref_top = rk4_grid_pass(problem)
+    for got, want in ((psi1, ref1), (psi2, ref2)):
+        scale = np.maximum(1.0, np.abs(want).max(axis=0))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    top = frames[:, -1]
+    assert np.all(np.isfinite(top))
+    err = np.linalg.norm(top - ref_top, axis=-2) / np.linalg.norm(ref_top, axis=-2)
+    assert np.max(err) <= 1e-12
+    return psi1, psi2
+
+
+@pytest.mark.parametrize("lambda_steps", [2, 120, 300])
+@pytest.mark.parametrize("rescale", [True, False])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "harmonic-neumann"])
+def test_grid_march_matches_rk4_grid(name, rescale, lambda_steps):
+    problem = replace(load_problem(replace(builtin_catalog(name), x_steps=400,
+                                           lambda_steps=lambda_steps)), rescale=rescale)
+    psi1, psi2 = assert_march_matches_rk4_grid(problem)
+    # a second pass on the problem repeats every bit, and so does the top
+    # edge with or without a pass; an x-uniform leg's top edge keeps the
+    # squaring endpoint sweep
+    again, alone = replace(problem), replace(problem)
+    assert [a.tobytes() for a in _psi_grids(again)] == [psi1.tobytes(), psi2.tobytes()]
+    assert np.array_equal(problem.top_frames(), again.top_frames())
+    assert np.array_equal(problem.top_frames(), alone.top_frames())
+    assert problem.uniform_leg() == (name == "harmonic-neumann")
+    if problem.uniform_leg():
+        sweep = propagate_chain(problem.field, problem.P.entries, problem.lambda_grid(), 0.0,
+                                [(1.0, problem.x_steps)], rescale, endpoint=True)[1][:, 0]
+        assert np.array_equal(problem.top_frames(), sweep)
+
+
+@pytest.mark.parametrize("steps_per_block", [1, 2, 16])
+def test_grid_extrema_read_across_block_edges(example3, monkeypatch, steps_per_block):
+    # the certificate's extrema, psi2's centered difference included, are
+    # those of rk4_grid's frames however short the x-blocks are
+    problem = replace(example3, x_steps=200, lambda_steps=20)
+    L, xs = 21, problem.x_grid()
+    monkeypatch.setattr(_kernels, "MARCH_NODES", steps_per_block * L)
+    dh_log = _kernels.volume_rates(problem.h_path().frames,
+                                   problem.field.table(xs, problem.lambda2))[1]
+    _, psi2 = _psi_grids(problem, dh_log)
+    got = problem._cache["g_extrema"]
+    _, ref2, _ = rk4_grid_pass(problem)
+    assert np.max(np.abs(psi2 - ref2)) <= 1e-12
+    _, frames, _ = propagate_lambda_grid(problem.field, problem.P.entries,
+                                         problem.lambda_grid(), 0.0, 1.0, problem.x_steps)
+    A = problem.field.base_table(xs) + problem.lambda_grid()[:, None, None, None] * \
+        problem.field.lambda_mat
+    ratio, dg_log = _kernels.volume_rates(frames, A)
+    fd = (ref2[:, 2:] - ref2[:, :-2]) / (2 * (xs[1] - xs[0]))
+    delta = np.max(np.abs(fd + ref2[:, 1:-1] * (dg_log + dh_log)[:, 1:-1]))
+    want = np.min(ratio), np.max(np.abs(dg_log)), delta
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("lambda1, block", [(-2000.0, 66), (-1e6, 10)])
+def test_stiff_lines_march_in_range(example2, lambda1, block):
+    # every line of [lambda1, lambda1 + 10] is stiff, and its step bound b
+    # (about 2.03 at -2000, 1,800 at -1e6) cuts the x-blocks to
+    # 182 log 1.5 / log(1 + b) steps; at -1e6 the unnormalized frames would
+    # overflow near x = 0.71 in blocks of MARCH_NODES // 5 steps
+    problem = replace(example2, lambda1=lambda1, lambda2=lambda1 + 10.0, lambda_steps=4)
+    lams = problem.lambda_grid()
+    assert_march_matches_rk4_grid(problem)
+    (C, rho), = problem.field._chains[0.0, ((1.0, 1000),)][1].values()
+    assert np.all(_kernels._stiff(rho, lams))
+    assert [frames.shape[1] - 1 for _, frames in problem.march()][:2] == [block, block]
+    assert _kernels.MARCH_NODES // len(lams) > block
+
+
+def test_march_blow_up_is_reported_where_the_sweep_reports_it():
+    # without rescaling the growing mode overflows near x = 0.62; the march
+    # raises BlowUpError at the same node as rk4_grid's sweep
+    cfg = config_from_dict({
+        "kind": "second-order", "l": 2, "B": [1.0, 1.0],
+        "V": [["1000000*(1+x)", "0"], ["0", "400000*(1+x)"]], "W": [["0", "0"], ["0", "0"]],
+        "P": "neumann", "Q": "neumann", "lambda": [-5.0, 1.0], "x_steps": 1000,
+        "lambda_steps": 300})
+    problem = replace(load_problem(cfg), rescale=False)
+    with pytest.raises(BlowUpError) as swept:
+        propagate_lambda_grid(problem.field, problem.P.entries, problem.lambda_grid(), 0.0,
+                              1.0, problem.x_steps, False)
+    with pytest.raises(BlowUpError) as marched:
+        problem.top_frames()
+    assert marched.value.x == swept.value.x == pytest.approx(0.62)
+    assert "top_frames" not in problem._cache
+    # with rescaling the march stays in range
+    assert np.all(np.isfinite(replace(problem, rescale=True).top_frames()))
 
 
 def test_newton_returns_its_last_window_middle_node(example3, monkeypatch):

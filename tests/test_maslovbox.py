@@ -418,10 +418,13 @@ def test_psi_point_matches_psi_rho_on_separate_frames(example2, x):
 
 
 def test_psi1_at_one_equals_top_shelf():
+    # the top shelf is the march's last node (one GEMM per step over the
+    # whole lambda grid), the points are endpoint sweeps: the same RK4 steps
+    # in another order of products
     problem = replace(load_problem(builtin_catalog("example1")),
                       x_steps=300, lambda_steps=50)
     top = shelf_path(problem, "top")
-    assert np.array_equal(_psi1_at_one(problem, problem.lambda_grid()), top.psi1)
+    assert np.max(np.abs(_psi1_at_one(problem, problem.lambda_grid()) - top.psi1)) <= 1e-12
 
 
 def test_psi1_at_one_does_not_depend_on_its_batch():
@@ -461,33 +464,28 @@ def test_top_shelf_search_makes_no_h_sweep(name):
     assert got and got == localize_eigenvalues_top(with_h, 1e-10)
 
 
-def test_box_sweeps_the_grid_leg_once_in_blocks(tmp_path, monkeypatch):
-    # (lines, steps, endpoint) of every sweep: the grid leg runs once, in
-    # blocks of whole lambda lines, and the top shelf takes the pass's last
-    # nodes instead of an endpoint sweep of all L lines
+def test_box_sweeps_the_grid_leg_once_in_blocks(tmp_path, monkeypatch, march_blocks):
+    # the grid leg is marched once over all L lines in x-blocks of
+    # MARCH_NODES // L steps, and the top shelf takes the march's last nodes:
+    # rk4_grid never sweeps the grid leg in full, nor all L lines to x = 1
     steps, L = 200, 160
     calls = count_rk4_calls(monkeypatch, key=lambda args: (len(args[2]), len(args[4]), args[6]))
     assert cli.main(["box", "example2", "--x-steps", str(steps), "--lambda-steps",
                      str(L - 1), "--out", str(tmp_path)]) == 0
-    # 81 lines of 201 nodes fit _BLOCK_NODES; whole kernel chunks of 40 lines make 80
-    assert invariance._BLOCK_NODES // (steps + 1) == 81
-    assert _kernels.sweep_layout(4, steps) == (steps, 40)
-    grid = [c[0] for c in calls if c[0] > 1 and c[1:] == (steps, False)]
-    assert grid == [80, 80]
+    assert _kernels.MARCH_NODES // L == 102
+    assert march_blocks == [(L, 0, 103), (L, 102, 99)]
+    assert not [c for c in calls if c[0] > 1 and c[1:] == (steps, False)]
     assert (L, steps, True) not in calls
 
 
 @pytest.mark.parametrize("name, lambda_steps", [("example1", 120), ("example2", 50)])
-def test_side_shelves_reuse_the_grid_pass(name, lambda_steps, request, monkeypatch):
-    # the pass keeps its lambda1 and lambda2 lines as g_path legs: the left
-    # and right shelves sweep nothing, and the legs equal fresh ones bit for bit
+def test_side_shelves_reuse_the_grid_pass(name, lambda_steps, request):
+    # the left and right shelves sweep legs of their own, so a full-grid
+    # pass before them changes no bit: the legs equal fresh ones bit for bit
     problem = replace(request.getfixturevalue(name), x_steps=200,
                       lambda_steps=lambda_steps)
     _psi_grids(problem)
-    calls = count_rk4_calls(monkeypatch)
     kept = [problem.g_path(lam) for lam in (problem.lambda1, problem.lambda2)]
-    assert calls == []
-    monkeypatch.undo()
     fresh = replace(problem)
     for path, lam in zip(kept, (problem.lambda1, problem.lambda2)):
         want = fresh.g_path(lam)
