@@ -11,6 +11,9 @@ c_g and c_h come from the Pluecker minors (`_kernels.volume_rates`), with
 no Gram matrix and no solve.  The scan route simply evaluates rho on the
 full grid; wherever it vanishes, the local spectral-curve branch structure
 determines the contribution 2 (i_plus - i_minus) to the boundary index.
+Both routes read one streamed full-grid pass (`_psi_grids`), which runs
+the problem's march (SpectralProblem.march) and keeps only its own
+results: the psi grids and the G family's extrema.
 """
 
 from __future__ import annotations
@@ -125,10 +128,7 @@ def _psi_grids(problem: SpectralProblem, dh_log=None):
     (SpectralProblem.march, one GEMM per RK4 step) in x-blocks of about
     _kernels.MARCH_NODES nodes.  Each block's nodes go to omega_tables
     against that block's H frames, and the block is dropped: no frame grid
-    is kept.  An x-dependent leg's last node is kept as the top-edge frames
-    (SpectralProblem.top_frames, which runs the same march when no pass has
-    run); an x-uniform leg's top frames stay with the squaring endpoint
-    sweep.  Given dh_log, the H path's d/dx log |hhat| per node, the pass
+    is kept.  Given dh_log, the H path's d/dx log |hhat| per node, the pass
     also caches the G family's extrema as "g_extrema": the minimum
     column-volume ratio, the maximum |d/dx log |ghat|| and the maximum of
     |d(omega2)/dx / d| = |d(psi2)/dx + psi2 d'/d|.  psi2 and the volume
@@ -169,8 +169,6 @@ def _psi_grids(problem: SpectralProblem, dh_log=None):
             fd = (psi2[:, i + 1:k1] - psi2[:, i - 1:k1 - 2]) / (2 * h)
             fd += psi2[:, i:k1 - 1] * dlog[:, i - lo:-1]
             delta = max(delta, float(np.max(np.abs(fd))))
-    if not problem.uniform_leg():
-        cache["top_frames"] = frames[:, -1].copy()
     cache["psi_grids"] = psi1, psi2
     if dh_log is not None:
         cache["g_extrema"] = ratio_min, dg_max, delta

@@ -11,6 +11,10 @@ and the eigenvalue count on [lambda1, lambda2] is bounded below by
 |ind_left + m_frak|.  Under the structural assumption on the coefficients the
 left-shelf crossings are monotone, so ind_left is a direct count of the
 renormalized intersections in (0, 1].
+
+A SpectralProblem caches its H path, side-shelf legs and top-edge frames,
+whose source it alone decides; psi windows and points start from those
+legs and sweep their own short chains uncached.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from . import _kernels
 from .errors import InvalidInputError, RankDeficiencyError, ShelfAssertionError
 from .multilinear import BlockLambdaMatrix, Frame, build_A_tilde
 from .propagation import (CoefficientField, _step_count, chain_prefix, integrate_frame,
-                          march_chain, propagate_chain, propagate_chains, uniform_chain)
+                          march_chain, propagate_chains, uniform_chain)
 from .winding import (ZERO_TOL, PathSamples, detect_crossings, linear_zero, sign_changes,
                       winding_index)
 
@@ -64,8 +68,11 @@ class SpectralProblem:
             )
         if not -np.inf < self.lambda1 < self.lambda2 < np.inf:
             raise InvalidInputError("need finite lambda1 < lambda2")
-        if self.x_steps < 2 or self.lambda_steps < 2:
-            raise InvalidInputError("grid resolutions must be at least 2")
+        try:
+            for name in ("x_steps", "lambda_steps"):
+                object.__setattr__(self, name, _step_count(getattr(self, name), least=2))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"grid resolutions must be at least 2: {exc}") from None
 
     # -- cached building blocks -------------------------------------------
 
@@ -108,9 +115,13 @@ class SpectralProblem:
 
     def march(self):
         """The grid leg marched over the whole lambda grid, x-block by
-        x-block (propagation.march_chain)."""
-        return march_chain(self.field, self.P.entries, self.lambda_grid(), 0.0,
-                           [(1.0, self.x_steps)], self.rescale)
+        x-block (propagation.march_chain).  A march run to its end keeps an
+        x-dependent leg's last node as the top frames (top_frames)."""
+        for k0, frames in march_chain(self.field, self.P.entries, self.lambda_grid(), 0.0,
+                                      [(1.0, self.x_steps)], self.rescale):
+            yield k0, frames
+        if not self.uniform_leg():
+            self._cache["top_frames"] = frames[:, -1].copy()
 
     def uniform_leg(self) -> bool:
         """Whether the grid leg is x-uniform (propagation.uniform_chain)."""
@@ -121,17 +132,18 @@ class SpectralProblem:
 
         An x-dependent leg's are the last node of its march (self.march),
         the same routine whether the full-grid pass (invariance._psi_grids)
-        kept them or this call runs it alone.  An x-uniform leg's come from
-        one endpoint sweep, which chains its one step matrix by squaring.
+        ran it or this call runs it alone.  An x-uniform leg's are the whole
+        leg's prefix (propagation.chain_prefix), one endpoint sweep, which
+        chains its one step matrix by squaring.
         """
         if "top_frames" not in self._cache:
             if self.uniform_leg():
-                top = propagate_chain(self.field, self.P.entries, self.lambda_grid(), 0.0,
-                                      [(1.0, self.x_steps)], self.rescale, endpoint=True)[1]
+                self._cache["top_frames"] = chain_prefix(
+                    self.field, self.P.entries, self.lambda_grid(), 0.0, [(1.0, self.x_steps)],
+                    self.x_steps, self.rescale)[1][:, -1]
             else:
-                for _, top in self.march():
+                for _ in self.march():
                     pass
-            self._cache["top_frames"] = top[:, -1].copy()
         return self._cache["top_frames"]
 
 
@@ -235,23 +247,14 @@ def _gap_steps(problem: SpectralProblem, dx):
     return np.maximum(4, np.ceil(dx * problem.x_steps).astype(int))
 
 
-def _point_frames(problem: SpectralProblem, init, lam: float, x0: float, xs):
-    """One family's unrescaled frames at the distinct points xs, ordered away
-    from x0, in one sweep: each gap between stops is one run."""
-    gaps = np.abs(np.diff(np.concatenate(([x0], xs))))
-    steps = np.where(gaps > 0, _gap_steps(problem, gaps), 0)  # a point at x0 takes none
-    runs = [(x, s) for x, s in zip(xs, steps) if s]
-    frames = propagate_chain(problem.field, init, [lam], x0, runs, False)[1]
-    return frames[0, np.cumsum(steps)]
-
-
 def omega_at_points(problem: SpectralProblem, lam: float, points):
     """Raw form values at arbitrary x locations in one consistent scale.
 
     Each family makes one unrescaled sweep from its boundary through the
-    points in order, under the _gap_steps rule per gap, so finite
-    differences of omega1 across nearby points are meaningful.  Returns
-    (w1, w2, d) arrays shaped like `points`.
+    points in order (each gap one run of _gap_steps steps), so finite
+    differences of omega1 across nearby points are meaningful.  Both sweeps
+    share one base_table call and are not cached.  Returns (w1, w2, d)
+    arrays shaped like `points`.
     """
     pts = np.asarray(points, dtype=float)
     if not np.all((pts >= 0.0) & (pts <= 1.0)):
@@ -259,8 +262,15 @@ def omega_at_points(problem: SpectralProblem, lam: float, points):
     if not np.isfinite(lam):
         raise InvalidInputError("lambda must be finite")
     xs, where = np.unique(pts, return_inverse=True)
-    G = _point_frames(problem, problem.P.entries, lam, 0.0, xs)
-    H = _point_frames(problem, problem.Q.entries, problem.lambda2, 1.0, xs[::-1])[::-1]
+    chains, nodes = [], []
+    for init, at_lam, x0, stops in ((problem.P.entries, lam, 0.0, xs),
+                                    (problem.Q.entries, problem.lambda2, 1.0, xs[::-1])):
+        gaps = np.abs(np.diff(np.concatenate(([x0], stops))))
+        steps = np.where(gaps > 0, _gap_steps(problem, gaps), 0)  # a point at x0 takes none
+        chains.append((init, [at_lam], x0, [(x, s) for x, s in zip(stops, steps) if s]))
+        nodes.append(np.cumsum(steps))  # each point's node in its sweep
+    (_, G), (_, H) = propagate_chains(problem.field, chains, False)
+    G, H = G[0, nodes[0]], H[0, nodes[1][::-1]]
     where = where.reshape(pts.shape)
     AT = problem.a_tilde()
     return _kernels.omega_tables(G[where], H[where], AT.block_g, AT.block_h)
@@ -305,10 +315,10 @@ def psi_window(problem: SpectralProblem, lams, x_lo: float, x_hi: float, nx: int
         tail = [(x_near, int(_gap_steps(problem, abs(x_near - x0))))] if x_near != x0 else []
         return tail + ([(x_far, nx)] if nx else [])
 
-    (_, G, _), (_, H, _) = propagate_chains(field, [
-        (g_start, lams, grid[k], runs(grid[k], x_lo, x_hi), not nx),
-        (h_start, [problem.lambda2], grid[j], runs(grid[j], x_hi, x_lo), not nx),
-    ], rescale)
+    (_, G), (_, H) = propagate_chains(field, [
+        (g_start, lams, grid[k], runs(grid[k], x_lo, x_hi)),
+        (h_start, [problem.lambda2], grid[j], runs(grid[j], x_hi, x_lo)),
+    ], rescale, endpoint=not nx)
     G, H = G[:, -(nx + 1):], H[0, -(nx + 1):][::-1]
     AT = problem.a_tilde()
     w1, w2, d = _kernels.omega_tables(G, H, AT.block_g, AT.block_h)

@@ -15,31 +15,29 @@ per step, over one half-step table.  On an x segment whose half-step rows
 and step sizes are bitwise equal (a constant field in one run) the kernel
 keeps one step of coefficients and chains that step by repeated squaring,
 about log2(steps) products per line, with its own bits.
-A query that reads only the end of a chain (a psi point, a top-edge sweep)
-runs in endpoint mode, which expands only the last node and equals the full
-sweep's last node bit for bit.
-Every sweep goes through one core, `_sweep`, behind one of three fronts:
-`propagate_chain` caches the chain's table and coefficients,
-`chain_prefix` runs the first steps of a cached chain on its table and
-coefficients (a psi window's lead is a prefix of the grid leg), and
-`propagate_chains` sweeps chains used once (a psi window's tails and
-window runs) over one base_table call, uncached.  The full-grid pass does
-not sweep: `march_chain` runs `_kernels.march` on the grid leg's cached
-table and coefficients, one GEMM per step over every line of the whole
-lambda grid (a line's bits depend on that grid, so no narrow batch is
-marched), and yields its nodes x-block by x-block; `rk4_grid` serves
-every other sweep, and there a line's bits do not depend on its batch.
-`uniform_chain` tells an x-uniform chain, whose top edge keeps the
-squaring endpoint sweep.  Temporaries of a sweep are bounded by
-`_kernels.STEP_BUDGET`: x segments of at most that many bytes of one
-line's step matrices cut long legs, and lines run in chunks of up to four
-times that.  Column rescaling keeps stiff problems in range: every node's
-columns are normalized, adding the log of their norms to scale_log, and
+Every sweep goes through one core, `_sweep`, and every front returns
+(xs, frames) and has one job.  `propagate_chain` sweeps a leg in full, on
+an increasing x grid (`integrate_frame` and `propagate_lambda_grid` are its
+one-run case).  `chain_prefix` is the one endpoint read of a cached chain:
+the node after its first steps, bit for bit the full sweep's (a psi
+window's lead, or an x-uniform leg's top edge).  `propagate_chains` sweeps
+chains used once (a psi window's tails and window, omega_at_points' point
+chains) over one base_table call, uncached, in sweep order, in full or to
+their last nodes.  `march_chain` runs `_kernels.march` for the full-grid
+pass, one GEMM per step over every line of the whole lambda grid (a line's
+bits depend on that grid, so no narrow batch is marched), x-block by
+x-block; under `rk4_grid` a line's bits do not depend on its batch.
+`uniform_chain` tells an x-uniform chain.  All fronts but propagate_chains
+look a chain up in one place, `_cached_chain`, so the field's cache holds
+legs only.  Temporaries of a sweep are bounded by `_kernels.STEP_BUDGET`: x
+segments of at most that many bytes of one line's step matrices cut long
+legs, and lines run in chunks of up to four times that.  Column rescaling
+keeps stiff problems in range: every node's columns are normalized, and
 inside a block every step matrix of a stiff line is divided by a power of
-two s, adding m log s; on a cached chain a line whose steps all lie
-within 1/2 of the identity on a segment cannot leave range inside a block
-and skips that division (same frames, bit for bit).  It multiplies both determinant forms
-by a common positive factor and therefore changes nothing at the psi level.
+two (on a cached chain a line whose steps all lie within 1/2 of the
+identity is not, with the same frames bit for bit).  That multiplies both
+determinant forms by one positive factor, which psi = omega / d does not
+see, so scale_log stops at the kernel: no front returns it.
 """
 
 from __future__ import annotations
@@ -72,14 +70,14 @@ class CoefficientField:
     scalar operator in companion form (eval_companion_higher_order), for
     the invariance bounds that need them; None for every other field.
 
-    `_chains` is propagation's per-chain cache (half-step tables and step
-    coefficients, both built from base_table and E; at most 9 chains, see
-    _chain_cache).  It holds the legs that are swept again or read in part:
-    the grid leg, which the full-grid pass marches in x-blocks and whose
-    prefixes lead every psi window, the H path and the shelf legs, and the
-    chains of omega_at_points; psi windows' own short sweeps are not kept,
-    so they never evict a leg.  It is not a constructor argument, so a field
-    derived by dataclasses.replace starts with an empty one.
+    `_chains` is propagation's cache of legs (half-step tables and step
+    coefficients, both built from base_table and E, kept by _cached_chain):
+    the grid leg, which the full-grid pass marches, every psi window's lead
+    reads in part and the shelf legs sweep, and the H path.  Chains swept
+    once (psi windows' tails and windows, omega_at_points' point chains)
+    are not kept, so they never evict a leg.  It is not a constructor
+    argument, so a field derived by dataclasses.replace starts with an
+    empty one.
     """
 
     n: int
@@ -115,15 +113,13 @@ class CoefficientField:
 class FramePath:
     """Frames of one propagated family on an increasing x grid.
 
-    scale_log[k] is the accumulated log of column rescaling factors at node k;
-    raw determinant-form values at that node are the stored-frame values times
-    exp(scale_log[k]).  `direction` records which end the run started from.
+    With rescaling each node's columns are normalized, which changes no psi.
+    `direction` records which end the run started from.
     """
 
     lam: float
     xs: np.ndarray
     frames: np.ndarray  # (len(xs), n, m)
-    scale_log: np.ndarray
     direction: str  # "forward" (from x=0 side) or "backward" (from x=1 side)
 
 
@@ -215,19 +211,21 @@ def _half_steps(from_x: float, runs):
     return np.repeat(hs, [steps for _, steps in runs]), np.concatenate(xh)
 
 
-def _chain_cache(field: CoefficientField, xh, key):
-    """The field's lambda-free table on the half-step grid xh and the dict
-    of the chain's step coefficients (filled by the kernel), cached under the
-    chain `key`; past 8 chains the cache is cleared, to bound it.  A run
-    reuses only a few chains (a box its full forward legs, a count its
-    per-point legs), and 8 keeps nearly all of their hits."""
+def _cached_chain(field: CoefficientField, from_x, runs):
+    """(h, xh, a_half, coefficients) of the chain (from_x, runs): its step
+    sizes and half-step grid (see _half_steps), the field's lambda-free
+    table on xh and the dict of its step coefficients (filled by the
+    kernel).  The table and the dict are kept in field._chains under the
+    chain, which is cleared past 8 chains to bound it; a run keeps two
+    legs, the grid leg and the H path."""
+    h, xh = _half_steps(from_x, runs)
     cache = field._chains
-    hit = cache.get(key)
+    hit = cache.get((from_x, runs))
     if hit is None:
         if len(cache) > 8:
             cache.clear()
-        hit = cache[key] = (np.ascontiguousarray(field.base_table(xh)), {})
-    return hit
+        hit = cache[from_x, runs] = (np.ascontiguousarray(field.base_table(xh)), {})
+    return (h, xh) + hit
 
 
 def _step_count(steps, least=1) -> int:
@@ -270,23 +268,23 @@ def _chain_front(field, init, lams, from_x, runs):
 def _unmoved(init, lams, from_x):
     """A chain without runs: the initial frame at from_x for every line."""
     frames = np.broadcast_to(init[..., None, :, :], (len(lams), 1) + init.shape[-2:])
-    return np.array([float(from_x)]), frames, np.zeros((len(lams), 1))
+    return np.array([float(from_x)]), frames
 
 
 def _sweep(field, a_half, h, xh, lams, init, rescale, endpoint, coefficients=None):
     """The sweep core of every chain: RK4 over the half-step table a_half of
     the grid xh, steps h (see _half_steps), at every lambda of `lams`.
 
-    Returns (xs, frames, scale_log) in sweep order; with `endpoint` the last
-    node alone.  Raises BlowUpError with the first x at which some lambda
-    line leaves double-precision range.
+    Returns (xs, frames) in sweep order; with `endpoint` the last node
+    alone.  Raises BlowUpError with the first x at which some lambda line
+    leaves double-precision range.
     """
-    frames, slog = _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, rescale,
-                                     endpoint, coefficients)
+    frames = _kernels.rk4_grid(a_half, field.lambda_mat, lams, init, h, rescale, endpoint,
+                               coefficients)[0]
     xs = xh[-1:] if endpoint else xh[::2].copy()
     if not np.all(np.isfinite(frames)):
         _blew_up(xs, frames)
-    return xs, frames, slog
+    return xs, frames
 
 
 def _blew_up(xs, frames):
@@ -296,9 +294,9 @@ def _blew_up(xs, frames):
     raise BlowUpError(f"propagation blew up near x = {x:.6g}", x=x)
 
 
-def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=False,
-                    endpoint=False):
-    """RK4 at every lambda of `lams` along a chain of runs, in one kernel call.
+def propagate_chain(field, init, lams, from_x, runs, rescale=True):
+    """Every node of the leg (from_x, runs) at every lambda of `lams`, in one
+    kernel call, on an increasing x grid.
 
     `runs` holds (to_x, steps) pairs in one x direction (see _half_steps), so
     a lead leg and a window, or the gaps between points, are one sweep over
@@ -308,26 +306,18 @@ def propagate_chain(field, init, lams, from_x, runs, rescale=True, increasing=Fa
     field's lambda-free part and the step coefficients built from it, both
     cached per chain.  `lams` must be a 1-D array of finite numbers, `init`,
     from_x and every stop finite, and every run's steps a positive integer
-    (InvalidInputError).  Returns (xs, frames, scale_log) in sweep order,
-    xs[0] = from_x, or on an increasing x grid if `increasing`, with frames
-    shaped (len(lams), 1 + steps, n, m); raises BlowUpError with the first x
-    at which some lambda line leaves double-precision range.  With
-    `endpoint` only the chain's last node is expanded: xs, frames and
-    scale_log hold that node alone, bit for bit the last node of the full
-    sweep, and a blow-up is reported at its x.
+    (InvalidInputError).  Returns (xs, frames), xs increasing and frames
+    shaped (len(lams), 1 + steps, n, m); raises BlowUpError with the first
+    x at which some lambda line leaves double-precision range.
     """
     init, lams, from_x, runs = _chain_front(field, init, lams, from_x, runs)
     if not runs:
         return _unmoved(init, lams, from_x)
-    h, xh = _half_steps(from_x, runs)
-    a_half, coefficients = _chain_cache(field, xh, (from_x, runs))
-    xs, frames, slog = _sweep(field, a_half, h, xh, lams, init, rescale, endpoint,
-                              coefficients)
-    if increasing and xs[0] > xs[-1]:
-        xs = xs[::-1].copy()
-        frames = frames[:, ::-1].copy()
-        slog = slog[:, ::-1].copy()
-    return xs, frames, slog
+    h, xh, a_half, coefficients = _cached_chain(field, from_x, runs)
+    xs, frames = _sweep(field, a_half, h, xh, lams, init, rescale, False, coefficients)
+    if xs[0] > xs[-1]:
+        xs, frames = xs[::-1].copy(), frames[:, ::-1].copy()
+    return xs, frames
 
 
 def chain_prefix(field, init, lams, from_x, runs, steps, rescale=True):
@@ -336,10 +326,12 @@ def chain_prefix(field, init, lams, from_x, runs, steps, rescale=True):
     One endpoint sweep over the start of the chain's cached half-step table,
     with the chain's cached step coefficients (see _kernels.rk4_grid), so a
     prefix of a chain already swept builds none (the prefix of a chain not
-    yet swept builds and keeps its own).  Arguments are validated as
-    in propagate_chain, and `steps` must be an integer from 0 to the chain's
-    step count.  Returns (xs, frames, scale_log) of that node, shaped as
-    propagate_chain's endpoint result; zero steps give `init` at from_x.
+    yet swept builds and keeps its own).  The node equals the full sweep's
+    node bit for bit.  Arguments are validated as in propagate_chain, and
+    `steps` must be an integer from 0 to the chain's step count.  Returns
+    (xs, frames) of that node, xs (1,) and frames (len(lams), 1, n, m);
+    zero steps give `init` at from_x, and a blow-up is reported at the
+    node's x.
     """
     init, lams, from_x, runs = _chain_front(field, init, lams, from_x, runs)
     steps = _step_count(steps, least=0)
@@ -347,35 +339,33 @@ def chain_prefix(field, init, lams, from_x, runs, steps, rescale=True):
         raise InvalidInputError(f"a prefix of {steps} steps is longer than its chain")
     if not steps:
         return _unmoved(init, lams, from_x)
-    h, xh = _half_steps(from_x, runs)
-    a_half, coefficients = _chain_cache(field, xh, (from_x, runs))
+    h, xh, a_half, coefficients = _cached_chain(field, from_x, runs)
     return _sweep(field, a_half[:2 * steps + 1], h[:steps], xh[:2 * steps + 1], lams, init,
                   rescale, True, coefficients)
 
 
-def propagate_chains(field, chains, rescale=True):
+def propagate_chains(field, chains, rescale=True, endpoint=False):
     """Several chains, each swept once, over one field.base_table call.
 
-    `chains` holds (init, lams, from_x, runs, endpoint) tuples, validated as
+    `chains` holds (init, lams, from_x, runs) tuples, validated as
     propagate_chain validates them.  The half-step grids of all chains go
     through one base_table call, whose fixed cost would otherwise be paid
     per chain, and nothing is cached: a chain swept once would only evict
-    the cached legs.  Returns one (xs, frames, scale_log) per chain, in
-    sweep order, as propagate_chain does.
+    the cached legs.  Returns one (xs, frames) per chain in sweep order,
+    xs[0] = from_x, or with `endpoint` each chain's last node alone, as
+    chain_prefix returns it.
     """
-    fronts = [_chain_front(field, *chain[:4]) for chain in chains]
-    grids = [_half_steps(from_x, runs) if runs else None for _, _, from_x, runs in fronts]
-    points = [grid[1] for grid in grids if grid]
-    table = field.base_table(np.concatenate(points)) if points else None
-    out, start = [], 0
-    for (init, lams, from_x, _), grid, chain in zip(fronts, grids, chains):
-        if grid is None:
+    fronts = [_chain_front(field, *chain) for chain in chains]
+    grids = [_half_steps(from_x, runs) for _, _, from_x, runs in fronts if runs]
+    table = field.base_table(np.concatenate([xh for _, xh in grids])) if grids else None
+    out, end, swept = [], 0, iter(grids)
+    for init, lams, from_x, runs in fronts:
+        if not runs:
             out.append(_unmoved(init, lams, from_x))
             continue
-        h, xh = grid
-        a_half = table[start:start + len(xh)]
-        start += len(xh)
-        out.append(_sweep(field, a_half, h, xh, lams, init, rescale, chain[4]))
+        h, xh = next(swept)
+        end += len(xh)
+        out.append(_sweep(field, table[end - len(xh):end], h, xh, lams, init, rescale, endpoint))
     return out
 
 
@@ -394,8 +384,7 @@ def march_chain(field, init, lams, from_x, runs, rescale=True):
     double-precision range, as _sweep does.
     """
     init, lams, from_x, runs = _chain_front(field, init, lams, from_x, runs)
-    h, xh = _half_steps(from_x, runs)
-    a_half, coefficients = _chain_cache(field, xh, (from_x, runs))
+    h, xh, a_half, coefficients = _cached_chain(field, from_x, runs)
     for k0, frames in _kernels.march(a_half, field.lambda_mat, lams, init, h, rescale,
                                      coefficients):
         if not np.all(np.isfinite(frames[:, -1])):  # a non-finite entry stays so
@@ -407,8 +396,7 @@ def uniform_chain(field, from_x, runs) -> bool:
     """Whether the chain is x-uniform, so that rk4_grid chains it by squaring
     (`_kernels.uniform`), on its cached table and step coefficients."""
     runs = tuple((float(to_x), _step_count(steps)) for to_x, steps in runs)
-    h, xh = _half_steps(from_x, runs)
-    a_half, coefficients = _chain_cache(field, xh, (from_x, runs))
+    h, _, a_half, coefficients = _cached_chain(field, from_x, runs)
     return _kernels.uniform(a_half, field.lambda_mat, h, coefficients)
 
 
@@ -427,11 +415,9 @@ def integrate_frame(
     x grid.  Raises BlowUpError (with the offending x) if the state leaves
     double-precision range.
     """
-    xs, frames, slog = propagate_chain(field, init, [lam], from_x, [(to_x, steps)],
-                                       rescale, increasing=True)
+    xs, frames = propagate_chain(field, init, [lam], from_x, [(to_x, steps)], rescale)
     direction = "forward" if to_x > from_x else "backward"
-    return FramePath(lam=lam, xs=xs, frames=frames[0], scale_log=slog[0],
-                     direction=direction)
+    return FramePath(lam=lam, xs=xs, frames=frames[0], direction=direction)
 
 
 def propagate_lambda_grid(
@@ -446,8 +432,7 @@ def propagate_lambda_grid(
     """Propagate one initial frame, or one frame per lambda (L, n, m), at
     every lambda of a grid.
 
-    Returns (xs, frames, scale_log) with frames shaped (L, steps+1, n, m) on
-    an increasing x grid.
+    Returns (xs, frames) with frames shaped (L, steps+1, n, m) on an
+    increasing x grid.
     """
-    return propagate_chain(field, init, lams, from_x, [(to_x, steps)], rescale,
-                           increasing=True)
+    return propagate_chain(field, init, lams, from_x, [(to_x, steps)], rescale)

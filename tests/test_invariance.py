@@ -22,7 +22,7 @@ from renosc import (
 )
 from renosc import _kernels, cli, invariance
 from renosc.maslovbox import normalized_forms
-from renosc.propagation import propagate_chain
+from renosc.propagation import chain_prefix
 from renosc.invariance import (
     LossPoint,
     _newton_polish,
@@ -331,9 +331,9 @@ def test_full_grid_pass_keeps_no_frame_grid():
 
 def rk4_grid_pass(problem):
     """psi1, psi2 and the top frames of the grid leg swept by rk4_grid."""
-    _, frames, _ = propagate_lambda_grid(problem.field, problem.P.entries,
-                                         problem.lambda_grid(), 0.0, 1.0, problem.x_steps,
-                                         problem.rescale)
+    _, frames = propagate_lambda_grid(problem.field, problem.P.entries,
+                                      problem.lambda_grid(), 0.0, 1.0, problem.x_steps,
+                                      problem.rescale)
     hp, AT = problem.h_path(), problem.a_tilde()
     w1, w2, d = _kernels.omega_tables(frames, hp.frames, AT.block_g, AT.block_h)
     return (*normalized_forms(w1, w2, d, "the rk4_grid pass"), frames[:, -1])
@@ -374,8 +374,8 @@ def test_grid_march_matches_rk4_grid(name, rescale, lambda_steps):
     assert np.array_equal(problem.top_frames(), alone.top_frames())
     assert problem.uniform_leg() == (name == "harmonic-neumann")
     if problem.uniform_leg():
-        sweep = propagate_chain(problem.field, problem.P.entries, problem.lambda_grid(), 0.0,
-                                [(1.0, problem.x_steps)], rescale, endpoint=True)[1][:, 0]
+        sweep = chain_prefix(problem.field, problem.P.entries, problem.lambda_grid(), 0.0,
+                             [(1.0, problem.x_steps)], problem.x_steps, rescale)[1][:, 0]
         assert np.array_equal(problem.top_frames(), sweep)
 
 
@@ -392,8 +392,8 @@ def test_grid_extrema_read_across_block_edges(example3, monkeypatch, steps_per_b
     got = problem._cache["g_extrema"]
     _, ref2, _ = rk4_grid_pass(problem)
     assert np.max(np.abs(psi2 - ref2)) <= 1e-12
-    _, frames, _ = propagate_lambda_grid(problem.field, problem.P.entries,
-                                         problem.lambda_grid(), 0.0, 1.0, problem.x_steps)
+    _, frames = propagate_lambda_grid(problem.field, problem.P.entries,
+                                      problem.lambda_grid(), 0.0, 1.0, problem.x_steps)
     A = problem.field.base_table(xs) + problem.lambda_grid()[:, None, None, None] * \
         problem.field.lambda_mat
     ratio, dg_log = _kernels.volume_rates(frames, A)

@@ -26,7 +26,7 @@ from renosc import (
 from renosc import _kernels, cli, invariance, maslovbox
 from renosc.maslovbox import _psi1_at_one
 from renosc.invariance import _psi_grids
-from renosc.propagation import chain_prefix, propagate_chain
+from renosc.propagation import chain_prefix, propagate_chain, propagate_chains
 from renosc.winding import PathSamples, detect_crossings
 
 SQ50 = np.sqrt(50.0)
@@ -148,6 +148,22 @@ def test_lambda_interval_must_be_ordered(harmonic_dirichlet, lam1, lam2):
         )
 
 
+@pytest.mark.parametrize("change", [{"lambda_steps": 20.5}, {"x_steps": "100"},
+                                    {"x_steps": 1}, {"lambda_steps": None}],
+                         ids=["fractional", "text", "one", "none"])
+def test_grid_sizes_must_be_integers_of_at_least_2(harmonic_dirichlet, change):
+    # refused when the problem is built, not as a raw TypeError from
+    # np.linspace or from a comparison
+    with pytest.raises(InvalidInputError, match="grid resolutions"):
+        replace(harmonic_dirichlet, **change)
+
+
+def test_grid_sizes_are_stored_as_ints(harmonic_dirichlet):
+    problem = replace(harmonic_dirichlet, x_steps=np.int64(200), lambda_steps=40.0)
+    assert type(problem.x_steps) is int and type(problem.lambda_steps) is int
+    assert len(problem.x_grid()) == 201 and len(problem.lambda_grid()) == 41
+
+
 def test_problem_is_frozen_and_replace_starts_a_fresh_cache():
     problem = load_problem(replace(builtin_catalog("harmonic-neumann"),
                                    x_steps=200, lambda_steps=20))
@@ -232,6 +248,23 @@ def test_point_evaluations_make_one_sweep_per_family(example2, monkeypatch):
     calls.clear()
     omega_at_points(problem, -1.0, [0.0, 0.5, 0.5, 1.0])
     assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("command, name", [("left-shelf", "example2"), ("box", "example1")])
+def test_runs_cache_only_the_grid_leg_and_the_h_path(command, name, tmp_path, monkeypatch):
+    # point evaluations and psi windows sweep their own chains uncached, so
+    # after a count or a box the field's cache holds the two legs alone
+    loaded = []
+
+    def load(cfg):
+        loaded.append(load_problem(cfg))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_problem", load)
+    assert cli.main([command, name, "--out", str(tmp_path)]) == 0
+    (problem,) = loaded
+    N = problem.x_steps
+    assert set(problem.field._chains) == {(0.0, ((1.0, N),)), (1.0, ((0.0, N),))}
 
 
 def test_identity_residual_small_on_catalog(example1, example2):
@@ -332,7 +365,7 @@ def test_psi_window_batch_equals_single_lambda_legs(name):
     assert grid[k] < x_lo < grid[k + 1] and grid[j - 1] < x_hi < grid[j]
     h_runs = [(x_hi, lead_steps(problem, grid[j] - x_hi)), (x_lo, nx)]
     h = propagate_chain(field, problem.h_path().frames[j], [problem.lambda2], grid[j],
-                        h_runs, rescale)[1][0, -(nx + 1):][::-1]
+                        h_runs, rescale)[1][0, :nx + 1]
     g_runs = [(x_lo, lead_steps(problem, x_lo - grid[k])), (x_hi, nx)]
     for i, lam in enumerate(lams):
         _, q1, q2 = psi_window(problem, [lam], x_lo, x_hi, nx)
@@ -372,7 +405,8 @@ def fine_window(problem, lams, x_lo, x_hi, nx, per_unit=20000):
     def frames(init, lams, x0, x_near, x_far):
         lead = max(4, math.ceil(abs(x_near - x0) * per_unit))
         runs = ([(x_near, lead)] if x_near != x0 else []) + ([(x_far, nx)] if nx else [])
-        return propagate_chain(problem.field, init, lams, x0, runs)[1][:, -(nx + 1):]
+        (_, swept), = propagate_chains(problem.field, [(init, lams, x0, runs)])
+        return swept[:, -(nx + 1):]
 
     G = frames(problem.P.entries, lams, 0.0, x_lo, x_hi)
     H = frames(problem.Q.entries, [problem.lambda2], 1.0, x_hi, x_lo)[0, ::-1]
@@ -490,7 +524,7 @@ def test_side_shelves_reuse_the_grid_pass(name, lambda_steps, request):
     for path, lam in zip(kept, (problem.lambda1, problem.lambda2)):
         want = fresh.g_path(lam)
         assert path.lam == want.lam and path.direction == want.direction
-        for field in ("xs", "frames", "scale_log"):
+        for field in ("xs", "frames"):
             assert np.array_equal(getattr(path, field), getattr(want, field))
     assert [shelf_path(problem, s).psi1.tobytes() for s in ("left", "right")] == \
         [shelf_path(fresh, s).psi1.tobytes() for s in ("left", "right")]

@@ -191,30 +191,44 @@ def test_blow_up_reports_location():
     first_overflow = (int(np.log(np.finfo(float).max) / np.log(g)) + 1) / 100
     assert single.value.x == grid.value.x
     assert single.value.x == pytest.approx(first_overflow, abs=1e-12)
-    # an endpoint sweep sees only its last node, so it reports the chain's end
+    # an endpoint read sees only its last node, so it reports the chain's end
     with pytest.raises(BlowUpError) as end:
-        propagate_chain(field, np.array([[1.0]]), [0.0], 0.0, [(0.5, 50), (1.0, 50)],
-                        False, endpoint=True)
+        chain_prefix(field, np.array([[1.0]]), [0.0], 0.0, [(0.5, 50), (1.0, 50)], 100,
+                     False)
     assert end.value.x == 1.0
 
 
+def half_step_table(field, steps):
+    """The field's lambda-free table on the half-step grid of [0, 1] in
+    `steps` equal steps."""
+    return field.base_table(np.linspace(0.0, 1.0, 2 * steps + 1))
+
+
 def test_rescaling_tracks_log_factors():
+    # the kernel's scale_log is the log of the column norms taken out
     field = constant_field([[1.0]])  # y' = y, so y(1) = e
     path = integrate_frame(field, np.array([[1.0]]), 0.0, 1.0, 200, 0.0,
                            rescale=True)
     assert np.allclose(path.frames, 1.0)  # unit columns throughout
-    assert path.scale_log[-1] == pytest.approx(1.0, abs=1e-8)
+    frames, scale_log = _kernels.rk4_grid(half_step_table(field, 200), field.lambda_mat,
+                                          [0.0], np.array([[1.0]]), 1.0 / 200, True)
+    assert np.array_equal(frames[0], path.frames)
+    assert scale_log[0, -1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_lambda_grid_matches_single_runs():
     field = harmonic_field()
     init = np.array([[0.0], [1.0]])
     lams = np.array([1.0, 4.0, 9.0])
-    xs, frames, slog = propagate_lambda_grid(field, init, lams, 0.0, 1.0, 200)
+    xs, frames = propagate_lambda_grid(field, init, lams, 0.0, 1.0, 200)
+    table = half_step_table(field, 200)
+    slog = _kernels.rk4_grid(table, field.lambda_mat, lams, init, 1.0 / 200, True)[1]
     for i, lam in enumerate(lams):
         single = integrate_frame(field, init, 0.0, 1.0, 200, lam)
         assert np.allclose(frames[i], single.frames, atol=1e-13)
-        assert np.allclose(slog[i], single.scale_log, atol=1e-12)
+        single_log = _kernels.rk4_grid(table, field.lambda_mat, [lam], init, 1.0 / 200,
+                                       True)[1]
+        assert np.allclose(slog[i], single_log[0], atol=1e-12)
 
 
 def test_structure_check_on_companion_builders():
@@ -309,21 +323,26 @@ def count_coefficient_builds(monkeypatch):
 @pytest.mark.parametrize("endpoint", [False, True], ids=["full", "endpoint"])
 @pytest.mark.parametrize("rescale", [False, True])
 def test_chain_coefficients_are_built_once(rescale, endpoint, monkeypatch):
-    # the first sweep of a chain builds C_0..C_4 once per x segment (160
-    # bytes hold 5 steps at n = 2, so 60 steps make 12 segments); a later
-    # sweep, at other lambdas too, builds none and gives the bits of a cold
-    # copy of the field
+    # the first sweep of a chain, in full or by its endpoint read, builds
+    # C_0..C_4 once per x segment (160 bytes hold 5 steps at n = 2, so 60
+    # steps make 12 segments); a later sweep, at other lambdas too, builds
+    # none and gives the bits of a cold copy of the field
     monkeypatch.setattr(_kernels, "STEP_BUDGET", 8 * 4 * 5)
     built = count_coefficient_builds(monkeypatch)
     field = varying_field()
     init = np.array([[0.0], [1.0]])
     runs = [(0.3, 17), (1.0, 43)]
+
+    def sweep(field, lams):
+        if endpoint:
+            return chain_prefix(field, init, lams, 0.0, runs, 60, rescale)
+        return propagate_chain(field, init, lams, 0.0, runs, rescale)
+
     for lams in ([1.0, 4.0, 9.0], [2.5]):
         built.clear()
-        warm = propagate_chain(field, init, lams, 0.0, runs, rescale, endpoint=endpoint)
+        warm = sweep(field, lams)
         assert built == ([5] * 12 if lams == [1.0, 4.0, 9.0] else [])
-        cold = propagate_chain(cold_copy(field), init, lams, 0.0, runs, rescale,
-                               endpoint=endpoint)
+        cold = sweep(cold_copy(field), lams)
         for a, b in zip(warm, cold):
             assert np.array_equal(a, b)
 
@@ -349,14 +368,15 @@ def test_chains_with_different_runs_share_no_coefficients(monkeypatch):
 def test_chain_prefix_reuses_the_chain_coefficients(budget, monkeypatch):
     # after the chain's sweep a prefix of it, across segments too (5 steps a
     # segment at the small budget), builds no coefficients and matches a
-    # cold prefix; the whole chain is its endpoint sweep bit for bit
+    # cold prefix; the whole chain's prefix is the full sweep's last node
+    # bit for bit
     monkeypatch.setattr(_kernels, "STEP_BUDGET", budget)
     built = count_coefficient_builds(monkeypatch)
     field = varying_field()
     init = np.array([[0.0, 1.0], [1.0, 0.0]])
     runs = [(0.3, 17), (1.0, 43)]
     lams = [1.0, 4.0, 9.0]
-    whole = propagate_chain(field, init, lams, 0.0, runs, True, endpoint=True)
+    whole = propagate_chain(field, init, lams, 0.0, runs, True)
     for steps in (1, 3, 5, 12, 17, 23, 59, 60):
         built.clear()
         got = chain_prefix(field, init, lams, 0.0, runs, steps)
@@ -364,8 +384,8 @@ def test_chain_prefix_reuses_the_chain_coefficients(budget, monkeypatch):
         want = chain_prefix(cold_copy(field), init, lams, 0.0, runs, steps)
         assert np.array_equal(got[0], want[0])
         assert np.max(np.abs(got[1] - want[1])) <= 1e-14 * np.max(np.abs(want[1]))
-    for a, b in zip(chain_prefix(field, init, lams, 0.0, runs, 60), whole):
-        assert np.array_equal(a, b)
+    last = chain_prefix(field, init, lams, 0.0, runs, 60)
+    assert np.array_equal(last[0], whole[0][-1:]) and np.array_equal(last[1], whole[1][:, -1:])
     start = chain_prefix(field, init, lams, 0.0, runs, 0)
     assert np.array_equal(start[0], [0.0]) and np.array_equal(start[1][:, 0], [init] * 3)
     for steps in (-1, 61, 2.5, "3"):
@@ -410,7 +430,8 @@ def test_constant_field_keeps_one_step_of_coefficients(monkeypatch):
 
 def test_propagate_chains_equal_cached_chains_and_keep_nothing():
     # one base_table call for every chain; each chain's bits are those of
-    # propagate_chain, and the field's chain cache is left alone
+    # propagate_chain in sweep order, or of the chain's whole prefix with
+    # `endpoint`, and the field's chain cache is left alone
     tables = []
     base = varying_field()
 
@@ -420,15 +441,22 @@ def test_propagate_chains_equal_cached_chains_and_keep_nothing():
 
     field = CoefficientField(n=2, base_table=counted, lambda_mat=base.lambda_mat)
     init = np.array([[0.0], [1.0]])
-    chains = [(init, [1.0, 4.0], 0.2, [(0.25, 4), (0.4, 8)], False),
-              (init, [2.0], 0.9, [(0.6, 5)], True),
-              (init, [3.0], 0.5, [], True)]
-    got = propagate_chains(field, chains, False)
-    assert tables == [2 * 12 + 1 + 2 * 5 + 1] and field._chains == {}
-    for (init, lams, from_x, runs, endpoint), out in zip(chains, got):
-        want = propagate_chain(base, init, lams, from_x, runs, False, endpoint=endpoint)
-        for a, b in zip(out, want):
-            assert np.array_equal(a, b)
+    chains = [(init, [1.0, 4.0], 0.2, [(0.25, 4), (0.4, 8)]),
+              (init, [2.0], 0.9, [(0.6, 5)]),
+              (init, [3.0], 0.5, [])]
+    for endpoint in (False, True):
+        tables.clear()
+        got = propagate_chains(field, chains, False, endpoint)
+        assert tables == [2 * 12 + 1 + 2 * 5 + 1] and field._chains == {}
+        for (init, lams, from_x, runs), (xs, frames) in zip(chains, got):
+            if endpoint:
+                steps = sum(s for _, s in runs)
+                want = chain_prefix(base, init, lams, from_x, runs, steps, False)
+            else:
+                want = propagate_chain(base, init, lams, from_x, runs, False)
+                if xs[0] > xs[-1]:  # a backward chain in sweep order
+                    want = want[0][::-1], want[1][:, ::-1]
+            assert np.array_equal(xs, want[0]) and np.array_equal(frames, want[1])
 
 
 def test_replaced_field_starts_with_an_empty_chain_cache():
@@ -453,7 +481,7 @@ def test_chain_cache_stays_bounded():
     init = np.array([[0.0], [1.0]])
     sizes = []
     for k in range(1, 141):
-        propagate_chain(field, init, [1.0], 0.0, [(k / 140, 4)], True, endpoint=True)
+        propagate_chain(field, init, [1.0], 0.0, [(k / 140, 4)], True)
         sizes.append(len(field._chains))
     assert max(sizes) == 9 and sizes[-1] < 9
 
@@ -511,13 +539,13 @@ def test_harmonic_field_lambda_grid_matches_closed_form():
     field = harmonic_field()
     ks = np.array([1.0, 3.0, 5.5])
     init = np.array([[1.0], [0.0]])
-    xs, frames, slog = propagate_lambda_grid(field, init, ks * ks, 0.0, 1.0, 400)
+    xs, frames = propagate_lambda_grid(field, init, ks * ks, 0.0, 1.0, 400, rescale=False)
     assert frames.shape == (3, 401, 2, 1)
     for i, k in enumerate(ks):
-        raw = frames[i, :, :, 0] * np.exp(slog[i])[:, None]
+        raw = frames[i, :, :, 0]
         expect = _rotation_frame(k, xs)[:, :, 0]
         assert np.max(np.abs(raw - expect)) <= 1e-7 * k
-        single = integrate_frame(field, init, 0.0, 1.0, 400, k * k)
+        single = integrate_frame(field, init, 0.0, 1.0, 400, k * k, rescale=False)
         assert np.allclose(frames[i], single.frames, rtol=0, atol=1e-14)
 
 
@@ -531,7 +559,7 @@ def test_chain_of_runs_matches_chained_legs(field, backward):
     init = np.array([[0.0], [1.0]])
     x0, stops = (1.0, [0.8, 0.3, 0.25]) if backward else (0.0, [0.2, 0.7, 0.75])
     runs = list(zip(stops, [7, 50, 3]))
-    xs, frames, slog = propagate_chain(field, init, lams, x0, runs, False, increasing=True)
+    xs, frames = propagate_chain(field, init, lams, x0, runs, False)
     assert frames.shape == (2, 61, 2, 1)
     for i, lam in enumerate(lams):
         F, start, legs = init, x0, []
@@ -545,4 +573,3 @@ def test_chain_of_runs_matches_chained_legs(field, backward):
         want = np.concatenate([legs[0].frames] + [leg.frames[1:] for leg in legs[1:]])
         assert np.allclose(xs, want_xs, rtol=0, atol=1e-15)
         assert np.max(np.abs(frames[i] - want)) <= 1e-13 * np.max(np.abs(want))
-        assert not np.any(slog[i])

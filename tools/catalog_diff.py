@@ -21,8 +21,10 @@ the numbers is the same, or "text differs" when it is not.  It also prints
 each run's peak RSS on both sides: the VmHWM of the run's own address
 space, which the child reads from /proc/self/status as it exits (os.wait4's
 ru_maxrss would also count the peak of this script, which the child held
-until exec).  So one command shows both whether the outputs are
-byte-identical and what each run's memory peak is.
+until exec).  Before the runs it prints each tree's source size, the total
+that `wc -l src/renosc/*.py` gives, and the change in it.  So one command
+shows whether the outputs are byte-identical, what each run's memory peak
+is and how many source lines the change adds or removes.
 
 The exit status is the byte-identity gate: 0 when every run's exit code,
 stdout and output files are the same on both sides, 1 when any of them
@@ -83,6 +85,12 @@ def run_catalog(tree: Path, args, out: Path):
     return proc.returncode, proc.stdout, peak_kb / 1024.0
 
 
+def source_lines(tree: Path) -> int:
+    """The total line count of `wc -l src/renosc/*.py` in `tree`: the
+    newlines of every file."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "renosc").glob("*.py"))
+
+
 def compare(a: str, b: str) -> str:
     """'identical', the largest number differences, or 'text differs'."""
     if a == b:
@@ -109,6 +117,9 @@ def main(argv=None):
         parent_checkout(parent, trees["parent"])
         change_checkout(trees["change"])
         print(f"parent {parent} against the working tree")
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
+        print(f"source lines (wc -l src/renosc/*.py): parent {lines['parent']:,}, "
+              f"change {lines['change']:,} ({lines['change'] - lines['parent']:+,})")
         same = True
         for k, run in enumerate(RUNS):
             outs = {side: Path(tmp) / f"out{k}_{side}" for side in trees}
